@@ -6,6 +6,7 @@ formats are the delimited-text and JSON formats of the library modules.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,6 +73,13 @@ def _stage(name: str, fn, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
+def _header(config: RunConfig, path: str) -> list[str]:
+    """Column names from the log's header row, read as load_log reads it."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        first = next(csv.reader(fh, delimiter=config.delimiter), [])
+    return [c.strip() for c in first]
+
+
 def _schema_for(config: RunConfig, path: str) -> AttributeSchema:
     """Schema from flags; --attrs is the modeled subset (with a header) or the
     full column list in file order (without one)."""
@@ -80,9 +88,7 @@ def _schema_for(config: RunConfig, path: str) -> AttributeSchema:
         if config.attrs is not None:
             names = config.attrs
         else:
-            with open(path, encoding="utf-8") as fh:
-                first = fh.readline().rstrip("\n")
-            columns = [c.strip() for c in first.split(config.delimiter)]
+            columns = _header(config, path)
             skip = {trace_col, config.order_col, "event_id"}
             names = tuple(c for c in columns if c and c not in skip)
     else:
@@ -141,10 +147,13 @@ def _render_explanation(entry: TraceScore, top_n: int) -> str:
 
 def cmd_score(config: RunConfig) -> int:
     model = _stage("read-model", read_model, config.model)
+    # explanations name events by the log's event_id column when it has one
+    has_ids = config.header and "event_id" in _stage("schema", _header, config, config.log)
     schema = AttributeSchema(
         names=tuple(config.attrs) if config.attrs else model.schema.names,
         trace_id_column=config.trace_col or model.schema.trace_id_column,
         event_order_column=config.order_col,
+        event_id_column="event_id" if has_ids else None,
     )
     if schema.names != model.schema.names:
         raise StageError("score", ValueError("log attributes do not match the model schema"))

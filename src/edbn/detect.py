@@ -7,25 +7,39 @@ model and safe to run concurrently across traces.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
-from .event_log import Event, EventLog, Trace
-from .model import EDBNModel, EventScore, event_scores
+from .event_log import Event, EventLog, Trace, Variable
+from .model import EDBNModel, EventScore, decompose
 
 
 @dataclass(frozen=True)
 class TraceScore:
+    """A trace's score with its factor values, event after event in the model's layout.
+
+    ``factor_labels`` gives each event's (attribute, kind, FD source or None)
+    layout; the per-event ``decomposition`` is built when first read.
+    """
+
     trace_id: str
     score: float
     event_count: int
-    decomposition: tuple[EventScore, ...]
     log_score: float
+    event_ids: tuple[str, ...]
+    factor_values: tuple[float, ...]
+    factor_labels: tuple[tuple[str, str, Variable | None], ...]
+
+    @cached_property
+    def decomposition(self) -> tuple[EventScore, ...]:
+        return tuple(decompose(self.factor_labels, self.event_ids, self.factor_values))
 
     @property
     def zero_factor_count(self) -> int:
-        return sum(1 for ev in self.decomposition for f in ev.factors if f.value == 0.0)
+        return self.factor_values.count(0.0)
 
 
 @dataclass(frozen=True)
@@ -45,10 +59,12 @@ class Ranking:
 def _score_events(model: EDBNModel, trace_id: str, events: Sequence[Event]) -> TraceScore:
     if not events:
         raise ValueError("cannot score an empty trace")
-    per_event = event_scores(model, events)
-    log_mean = math.fsum(s.log_probability for s in per_event) / len(events)
+    tables = model.scoring_tables
+    values, logs = tables.score(events)
+    log_mean = math.fsum(logs) / len(events)
     score = math.exp(log_mean) if log_mean > -math.inf else 0.0
-    return TraceScore(trace_id, score, len(events), tuple(per_event), log_mean)
+    event_ids = tuple(e.id for e in events)
+    return TraceScore(trace_id, score, len(events), log_mean, event_ids, tuple(values), tables.labels)
 
 
 def score_trace(model: EDBNModel, trace: Trace) -> TraceScore:
@@ -86,10 +102,11 @@ def explain(score: TraceScore, top_n: int) -> list[tuple[str, str, str, str | No
     """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
-    flat = [
-        (ev.event_id, f.attribute, f.kind, f.source.column_name if f.source else None, f.value)
-        for ev in score.decomposition
-        for f in ev.factors
-    ]
-    flat.sort(key=lambda entry: entry[4])
-    return flat[:top_n]
+    values, labels = score.factor_values, score.factor_labels
+    n = len(labels)
+    entries = []
+    # nsmallest equals sorted(...)[:top_n], so ties keep decomposition order
+    for i in heapq.nsmallest(top_n, range(len(values)), key=values.__getitem__):
+        attr, kind, source = labels[i % n]
+        entries.append((score.event_ids[i // n], attr, kind, source.column_name if source else None, values[i]))
+    return entries

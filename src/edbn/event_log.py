@@ -232,7 +232,7 @@ def parse_log(
 
 
 def load_log(path, schema: AttributeSchema, **options) -> EventLog:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         return parse_log(fh, schema, **options)
 
 

@@ -11,10 +11,11 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .event_log import PADDING, KContextLog, Variable
 from .stats import uncertainty_coefficient
+
+# numpy is imported inside the functions that use it, so that a process that
+# only loads and scores models never loads it.
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,7 @@ def discover_fds(ctx: KContextLog, threshold: float) -> list[FDEdge]:
     Columns are used as-is, padding rows included; None-exclusion semantics
     live in build_mapping.
     """
+    import numpy as np
     if not 0 < threshold <= 1:
         raise ValueError("threshold must be in (0, 1]")
     if not ctx.rows:

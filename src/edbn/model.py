@@ -4,19 +4,24 @@ A trained model combines a dependency DAG over time-sliced attributes, one CPT
 per attribute, majority-vote FD mappings with violation rates, and per-attribute
 new_value / new_relation rates.  Every rate and CPT cell is an exact rational
 over training counts, so scores are bit-identical across platforms and across a
-save/load round trip.  Models are immutable; scoring is read-only and safe to
-call from many threads.
+save/load round trip.  Scoring reads float tables that each model compiles
+once from those rationals (ScoringTables).  Models are immutable; scoring is
+read-only and safe to call from many threads.
 """
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from .event_log import (
+    PADDING,
     AttributeSchema,
     Event,
     EventLog,
@@ -25,7 +30,6 @@ from .event_log import (
     Variable,
     active_domain,
     build_k_context,
-    context_row_for,
 )
 from .fd import FDEdge, FDMapping, build_mapping, discover_fds, fdm_probability
 from .structure import CPT, DAG, Edge, fit_cpts, learn_structure, make_constraints
@@ -41,6 +45,10 @@ class ModelFormatError(ValueError):
     """Raised when a serialized model cannot be loaded."""
 
 
+def _log(value: float) -> float:
+    return math.log(value) if value > 0.0 else -math.inf
+
+
 @dataclass(frozen=True)
 class Factor:
     """One multiplicative contribution to an event's probability."""
@@ -52,7 +60,7 @@ class Factor:
 
     @property
     def log_value(self) -> float:
-        return math.log(self.value) if self.value > 0.0 else -math.inf
+        return _log(self.value)
 
 
 @dataclass(frozen=True)
@@ -82,12 +90,27 @@ class EDBNModel:
     training_event_count: int
 
     def __post_init__(self) -> None:
+        # every table scoring reads must cover the schema and the model's variables
+        variables = set(self.variables)
+        tables = {
+            "cpts": self.cpts,
+            "new_value": self.new_value,
+            "new_relation": self.new_relation,
+            "active_domains": self.active_domains,
+        }
         for attr in self.schema.names:
-            if attr not in self.cpts or attr not in self.new_value:
-                raise ValueError(f"attribute {attr!r} is missing a CPT or new_value rate")
-            for rate in (self.new_value[attr], self.new_relation[attr]):
-                if not 0 <= rate <= 1:
-                    raise ValueError(f"rate for {attr!r} outside [0, 1]")
+            for field, table in tables.items():
+                if attr not in table:
+                    raise ValueError(f"attribute {attr!r} is missing from {field}")
+            for field in ("new_value", "new_relation"):
+                if not 0 <= tables[field][attr] <= 1:
+                    raise ValueError(f"{field} rate for {attr!r} outside [0, 1]")
+            if not variables.issuperset(self.cpts[attr].parents):
+                raise ValueError(f"cpts: a parent of {attr!r} is not a model variable")
+        for m in self.fd_mappings:
+            if m.edge.source not in variables or m.edge.target not in variables:
+                raise ValueError(f"fd_mappings: {m.edge.source.column_name} -> "
+                                 f"{m.edge.target.column_name} uses an unknown variable")
 
     @cached_property
     def variables(self) -> tuple[Variable, ...]:
@@ -108,6 +131,10 @@ class EDBNModel:
 
     def mappings_into(self, attr: str) -> tuple[FDMapping, ...]:
         return self._mappings_by_target[attr]
+
+    @cached_property
+    def scoring_tables(self) -> ScoringTables:
+        return ScoringTables(self)
 
     def fd_edges(self) -> frozenset[Edge]:
         return frozenset((m.edge.source, m.edge.target) for m in self.fd_mappings)
@@ -183,6 +210,114 @@ def relation_probability(model: EDBNModel, attr: str, x: str, parent_values: tup
     return float(1 - rate) * cpt.probability(x, parent_values)
 
 
+# Takes the unseen branch of every factor function: no log or model holds it.
+_UNSEEN = object()
+
+
+def _tuple_getter(positions: Sequence[int]):
+    """k-context values -> the tuple of the values at ``positions``."""
+    if len(positions) == 1:
+        (p,) = positions
+        return lambda ctx: (ctx[p],)
+    return itemgetter(*positions)
+
+
+class ScoringTables:
+    """A model's factors as float tables, compiled once from its exact rationals.
+
+    Every event has the same factor layout, ``labels``: per attribute in schema
+    order its value factor, its relation factor when it has CPT parents, then
+    one FD check per mapping into it.  Every table float comes from one call of
+    value_probability, relation_probability or fdm_probability, so factors read
+    from the tables equal those functions' results bit for bit.
+    """
+
+    def __init__(self, model: EDBNModel):
+        pos = model._var_positions
+        self._n_attrs = len(model.schema.names)
+        self._width = len(model.variables)
+        self._padding = (PADDING,) * (self._width - self._n_attrs)
+        labels: list[tuple[str, str, Variable | None]] = []
+        plan = []
+        for attr in model.schema.names:
+            labels.append((attr, VALUE, None))
+            values = {x: value_probability(model, attr, x) for x in model.active_domains[attr]}
+            relation = None
+            cpt = model.cpts[attr]
+            if cpt.parents:
+                labels.append((attr, RELATION, None))
+                rows = {
+                    cfg: (
+                        {x: relation_probability(model, attr, x, cfg) for x in counts},
+                        relation_probability(model, attr, _UNSEEN, cfg),
+                    )
+                    for cfg, counts in cpt.rows.items()
+                }
+                unseen_parents = (_UNSEEN,) * len(cpt.parents)
+                relation = (
+                    _tuple_getter([pos[p] for p in cpt.parents]),
+                    rows,
+                    relation_probability(model, attr, _UNSEEN, unseen_parents),
+                )
+            fds = []
+            for m in model.mappings_into(attr):
+                labels.append((attr, FD_CHECK, m.edge.source))
+                agree = fdm_probability(m, _UNSEEN, _UNSEEN)
+                # any mapped source with an unseen target violates; an empty map never does
+                violate = next((fdm_probability(m, x, _UNSEEN) for x in m.map), agree)
+                fds.append((pos[m.edge.source], m.map, agree, violate))
+            unseen_value = value_probability(model, attr, _UNSEEN)
+            plan.append((pos[Variable(attr, 0)], values, unseen_value, relation, tuple(fds)))
+        self.labels = tuple(labels)
+        self._plan = tuple(plan)
+
+    def factors(self, ctx: Sequence[str]) -> list[float]:
+        """One event's factor values, laid out as ``labels``, from its k-context values."""
+        out: list[float] = []
+        append = out.append
+        for x_pos, values, unseen_value, relation, fds in self._plan:
+            x = ctx[x_pos]
+            append(values.get(x, unseen_value))
+            if relation is not None:
+                parents_of, rows, unseen_parents = relation
+                row = rows.get(parents_of(ctx))
+                append(unseen_parents if row is None else row[0].get(x, row[1]))
+            for src_pos, expected_of, agree, violate in fds:
+                expected = expected_of.get(ctx[src_pos])
+                append(agree if expected is None or expected == x else violate)
+        return out
+
+    def score(self, events: Sequence[Event]) -> tuple[list[float], list[float]]:
+        """Factor values of an event sequence, event after event, and each event's log-probability.
+
+        History comes from the sequence itself, padded at the head.
+        """
+        n = self._n_attrs
+        if any(len(e.values) != n for e in events):
+            raise ValueError("event values do not match the model's schema")
+        flat = self._padding + tuple(chain.from_iterable(e.values for e in events))
+        values: list[float] = []
+        logs: list[float] = []
+        for start in range(0, n * len(events), n):
+            event = self.factors(flat[start : start + self._width])
+            values += event
+            logs.append(math.fsum(map(_log, event)))
+        return values, logs
+
+
+def decompose(
+    labels: Sequence[tuple[str, str, Variable | None]],
+    event_ids: Sequence[str],
+    values: Sequence[float],
+) -> list[EventScore]:
+    """EventScores of consecutive events from their flat factor values laid out as ``labels``."""
+    n = len(labels)
+    return [
+        EventScore(eid, tuple(Factor(*label, v) for label, v in zip(labels, values[i * n : (i + 1) * n])))
+        for i, eid in enumerate(event_ids)
+    ]
+
+
 def event_probability(model: EDBNModel, ctx_row: KContextRow) -> EventScore:
     """Per-attribute product of value, relation and FD factors, with breakdown.
 
@@ -191,36 +326,21 @@ def event_probability(model: EDBNModel, ctx_row: KContextRow) -> EventScore:
     """
     if len(ctx_row.values) != len(model.variables):
         raise ValueError("context row does not match the model's k and schema")
-    pos = model._var_positions
-    factors: list[Factor] = []
-    for attr in model.schema.names:
-        x = ctx_row.values[pos[Variable(attr, 0)]]
-        factors.append(Factor(attr, VALUE, None, value_probability(model, attr, x)))
-        cpt = model.cpts[attr]
-        if cpt.parents:
-            cfg = tuple(ctx_row.values[pos[p]] for p in cpt.parents)
-            factors.append(Factor(attr, RELATION, None, relation_probability(model, attr, x, cfg)))
-        for mapping in model.mappings_into(attr):
-            src_value = ctx_row.values[pos[mapping.edge.source]]
-            factors.append(
-                Factor(attr, FD_CHECK, mapping.edge.source, fdm_probability(mapping, src_value, x))
-            )
-    return EventScore(ctx_row.event_id, tuple(factors))
+    tables = model.scoring_tables
+    return decompose(tables.labels, (ctx_row.event_id,), tables.factors(ctx_row.values))[0]
 
 
 def event_scores(model: EDBNModel, events: Sequence[Event]) -> list[EventScore]:
     """EventScore per event of an ordered (possibly partial) trace."""
-    return [
-        event_probability(model, context_row_for(model.schema, events, i, model.k))
-        for i in range(len(events))
-    ]
+    tables = model.scoring_tables
+    return decompose(tables.labels, [e.id for e in events], tables.score(events)[0])
 
 
 def trace_log_probability(model: EDBNModel, trace: Union[Trace, Sequence[Event]]) -> float:
     events = trace.events if isinstance(trace, Trace) else tuple(trace)
     if not events:
         raise ValueError("trace is empty")
-    return math.fsum(s.log_probability for s in event_scores(model, events))
+    return math.fsum(model.scoring_tables.score(events)[1])
 
 
 def trace_probability(model: EDBNModel, trace: Union[Trace, Sequence[Event]]) -> float:
@@ -310,7 +430,9 @@ _TOP_KEYS = {
 }
 
 
-def _check_keys(obj: dict, expected: set, where: str) -> None:
+def _check_keys(obj, expected: set, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ModelFormatError(f"{where} must be a JSON object")
     got = set(obj)
     if got - expected:
         raise ModelFormatError(f"unknown field(s) in {where}: {sorted(got - expected)}")
@@ -318,20 +440,41 @@ def _check_keys(obj: dict, expected: set, where: str) -> None:
         raise ModelFormatError(f"missing field(s) in {where}: {sorted(expected - got)}")
 
 
+@contextmanager
+def _field(where: str):
+    """Report any failure to build part of a model from its document as a ModelFormatError naming it."""
+    try:
+        yield
+    except ModelFormatError:
+        raise
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise ModelFormatError(f"malformed {where}: {exc}") from None
+
+
+def _load_int(value, where: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ModelFormatError(f"{where} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _load_var(pair, where: str) -> Variable:
     if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)):
         raise ModelFormatError(f"malformed variable in {where}: {pair!r}")
-    return Variable(pair[0], int(pair[1]))
+    return Variable(pair[0], _load_int(pair[1], f"variable lag in {where}", 0))
 
 
 def _load_frac(pair, where: str) -> Fraction:
     if not (isinstance(pair, list) and len(pair) == 2):
         raise ModelFormatError(f"malformed rational in {where}: {pair!r}")
-    return Fraction(int(pair[0]), int(pair[1]))
+    return Fraction(_load_int(pair[0], f"numerator in {where}", 0), _load_int(pair[1], f"denominator in {where}", 1))
 
 
 def load_model(text: str) -> EDBNModel:
-    """Parse a model document; rejects unknown versions, unknown or missing fields."""
+    """Parse a model document; rejects unknown versions, unknown or missing fields.
+
+    Every malformed field raises ModelFormatError naming it, so a loaded model
+    never fails when it is first scored.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -348,49 +491,59 @@ def load_model(text: str) -> EDBNModel:
         {"attributes", "trace_id_column", "event_order_column", "event_id_column"},
         "schema",
     )
-    schema = AttributeSchema(
-        names=tuple(doc["schema"]["attributes"]),
-        trace_id_column=doc["schema"]["trace_id_column"],
-        event_order_column=doc["schema"]["event_order_column"],
-        event_id_column=doc["schema"]["event_id_column"],
-    )
-    k = int(doc["k"])
+    with _field("schema"):
+        schema = AttributeSchema(
+            names=tuple(doc["schema"]["attributes"]),
+            trace_id_column=doc["schema"]["trace_id_column"],
+            event_order_column=doc["schema"]["event_order_column"],
+            event_id_column=doc["schema"]["event_id_column"],
+        )
+    k = _load_int(doc["k"], "k", 1)
     variables = tuple(Variable(a, lag) for lag in range(k, -1, -1) for a in schema.names)
-    edges = frozenset(
-        (_load_var(e[0], "dag_edges"), _load_var(e[1], "dag_edges")) for e in doc["dag_edges"]
-    )
-    dag = DAG(variables, edges)
+    with _field("dag_edges"):
+        edges = frozenset(
+            (_load_var(e[0], "dag_edges"), _load_var(e[1], "dag_edges")) for e in doc["dag_edges"]
+        )
+        dag = DAG(variables, edges)
 
     mappings = []
-    for entry in doc["fd_mappings"]:
-        _check_keys(entry, {"source", "target", "strength", "map", "violation"}, "fd_mappings")
-        edge = FDEdge(
-            _load_var(entry["source"], "fd_mappings"),
-            _load_var(entry["target"], "fd_mappings"),
-            float(entry["strength"]),
-        )
-        mappings.append(FDMapping(edge, dict(entry["map"]), _load_frac(entry["violation"], "fd_mappings")))
+    with _field("fd_mappings"):
+        for entry in doc["fd_mappings"]:
+            _check_keys(entry, {"source", "target", "strength", "map", "violation"}, "fd_mappings")
+            edge = FDEdge(
+                _load_var(entry["source"], "fd_mappings"),
+                _load_var(entry["target"], "fd_mappings"),
+                float(entry["strength"]),
+            )
+            fd_map = dict(entry["map"])
+            if not all(isinstance(v, str) for v in fd_map.values()):
+                raise ModelFormatError(f"fd_mappings: map values of {edge.target.column_name} must be strings")
+            mappings.append(FDMapping(edge, fd_map, _load_frac(entry["violation"], "fd_mappings")))
 
     cpts: dict[str, CPT] = {}
-    for entry in doc["cpts"]:
-        _check_keys(entry, {"attribute", "parents", "rows"}, "cpts")
-        parents = tuple(_load_var(p, "cpts") for p in entry["parents"])
-        rows: dict = {}
-        totals: dict = {}
-        for row in entry["rows"]:
-            _check_keys(row, {"parents", "total", "counts"}, "cpt row")
-            cfg = tuple(row["parents"])
-            if len(cfg) != len(parents):
-                raise ModelFormatError(f"CPT row arity mismatch for {entry['attribute']!r}")
-            rows[cfg] = {k2: int(v) for k2, v in row["counts"].items()}
-            totals[cfg] = int(row["total"])
-        attr = entry["attribute"]
-        cpts[attr] = CPT(Variable(attr, 0), parents, rows, totals)
+    with _field("cpts"):
+        for entry in doc["cpts"]:
+            _check_keys(entry, {"attribute", "parents", "rows"}, "cpts")
+            parents = tuple(_load_var(p, "cpts") for p in entry["parents"])
+            rows: dict = {}
+            totals: dict = {}
+            for row in entry["rows"]:
+                _check_keys(row, {"parents", "total", "counts"}, "cpt row")
+                cfg = tuple(row["parents"])
+                if len(cfg) != len(parents):
+                    raise ModelFormatError(f"CPT row arity mismatch for {entry['attribute']!r}")
+                rows[cfg] = {k2: _load_int(v, "cpts count", 0) for k2, v in row["counts"].items()}
+                totals[cfg] = _load_int(row["total"], "cpts total", 1)
+            attr = entry["attribute"]
+            cpts[attr] = CPT(Variable(attr, 0), parents, rows, totals)
 
-    new_value = {a: _load_frac(v, "new_value") for a, v in doc["new_value"].items()}
-    new_relation = {a: _load_frac(v, "new_relation") for a, v in doc["new_relation"].items()}
-    domains = {a: frozenset(vals) for a, vals in doc["active_domains"].items()}
-    try:
+    with _field("new_value"):
+        new_value = {a: _load_frac(v, f"new_value[{a!r}]") for a, v in doc["new_value"].items()}
+    with _field("new_relation"):
+        new_relation = {a: _load_frac(v, f"new_relation[{a!r}]") for a, v in doc["new_relation"].items()}
+    with _field("active_domains"):
+        domains = {a: frozenset(vals) for a, vals in doc["active_domains"].items()}
+    with _field("model"):
         return EDBNModel(
             k=k,
             schema=schema,
@@ -400,10 +553,8 @@ def load_model(text: str) -> EDBNModel:
             new_value=new_value,
             new_relation=new_relation,
             active_domains=domains,
-            training_event_count=int(doc["training_event_count"]),
+            training_event_count=_load_int(doc["training_event_count"], "training_event_count", 0),
         )
-    except ValueError as exc:
-        raise ModelFormatError(str(exc)) from None
 
 
 def read_model(path) -> EDBNModel:

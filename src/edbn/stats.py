@@ -9,7 +9,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
+# numpy is imported inside the functions that use it, so that a process that
+# only loads and scores models never loads it.
 
 
 @dataclass(frozen=True)
@@ -37,21 +38,25 @@ class FrequencyTable:
 
 
 def _count(values: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
     return np.unique(np.asarray(values), return_counts=True)
 
 
 def _codes(values: Sequence) -> tuple[np.ndarray, int]:
+    import numpy as np
     uniq, inverse = np.unique(np.asarray(values), return_inverse=True)
     return inverse.astype(np.int64), len(uniq)
 
 
 def _entropy_from_counts(counts: np.ndarray, n: int) -> float:
+    import numpy as np
     p = counts / n
     return float(-(p * np.log(p)).sum())
 
 
 def entropy(column: Sequence, base: float | None = None) -> float:
     """Shannon entropy of a categorical column; 0 iff the column is constant."""
+    import numpy as np
     if len(column) == 0:
         raise ValueError("column is empty")
     _, counts = _count(column)
@@ -63,6 +68,7 @@ def entropy(column: Sequence, base: float | None = None) -> float:
 
 def mutual_information(col_x: Sequence, col_y: Sequence, base: float | None = None) -> float:
     """Empirical mutual information between two aligned columns."""
+    import numpy as np
     if len(col_x) != len(col_y):
         raise ValueError("columns differ in length")
     if len(col_x) == 0:
@@ -99,6 +105,7 @@ def uncertainty_coefficient(col_x: Sequence, col_y: Sequence) -> float:
     Exactly 1.0 when Y functionally determines X (including constant X, which
     any Y determines); invariant under the logarithm base.
     """
+    import numpy as np
     if len(col_x) != len(col_y):
         raise ValueError("columns differ in length")
     if len(col_x) == 0:

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .event_log import KContextLog, Variable
 from .fd import FDEdge
 
@@ -22,6 +20,9 @@ Edge = tuple[Variable, Variable]
 
 # Minimum score gain for a hill-climbing move to be accepted.
 SCORE_EPS = 1e-9
+
+# numpy is imported inside the functions that use it, so that a process that
+# only loads and scores models never loads it.
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,8 @@ class _CodedContext:
         cached = self._family_cache.get(key)
         if cached is not None:
             return cached
+        import numpy as np
+
         params = (self.cards[child] - 1)
         for p in parents:
             params *= self.cards[p]
@@ -123,6 +126,7 @@ class _CodedContext:
         return score
 
     def _log_likelihood(self, child: Variable, parents: frozenset[Variable]) -> float:
+        import numpy as np
         cfg_key = np.zeros(self.n, dtype=np.int64)
         for p in sorted(parents):
             cfg_key = cfg_key * self.cards[p] + self.codes[p]
@@ -131,11 +135,13 @@ class _CodedContext:
 
 
 def _encode(column: Sequence[str]) -> tuple[np.ndarray, int]:
+    import numpy as np
     uniq, inverse = np.unique(np.asarray(column), return_inverse=True)
     return inverse.astype(np.int64), len(uniq)
 
 
 def _sum_n_log_n(keys: np.ndarray) -> float:
+    import numpy as np
     _, counts = np.unique(keys, return_counts=True)
     return float((counts * np.log(counts)).sum())
 

@@ -232,3 +232,50 @@ def test_generate_with_custom_process_model(tmp_path, capsys):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "case,event_id,activity"
     assert len(lines) == 1 + 8  # four two-event traces
+
+
+def test_explanations_name_the_logs_event_ids(tmp_path, capsys):
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    model = tmp_path / "model.json"
+    main(["generate", "--out", str(train), "--n-traces", "300", "--seed", "11"])
+    main(["generate", "--out", str(test), "--n-traces", "40", "--fraction", "0.5", "--seed", "7"])
+    main(["train", "--log", str(train), "--trace-col", "case_id", "--out", str(model)])
+    capsys.readouterr()
+    ids_of = {}
+    for line in test.read_text(encoding="utf-8").splitlines()[1:]:
+        case, event_id = line.split(",")[:2]
+        ids_of.setdefault(case, set()).add(event_id)
+    # a top_n above every trace's factor count explains every factor of every event
+    code = main(["score", "--model", str(model), "--log", str(test), "--trace-col", "case_id",
+                 "--explain", "100000"])
+    out = capsys.readouterr().out
+    assert code == 0
+    named = {}
+    for block in out.split("trace ")[1:]:
+        case = block.split(" ", 1)[0]
+        named[case] = {line.split("event ", 1)[1].split(":")[0]
+                       for line in block.splitlines() if line.startswith("  event ")}
+    assert named == ids_of
+    assert any(event_id.endswith("+dup") for ids in named.values() for event_id in ids)
+
+
+def test_header_column_with_a_quoted_delimiter(tmp_path, capsys):
+    path = tmp_path / "quoted.csv"
+    path.write_text('case,"Step, detail",Who\n1,a,x\n1,b,y\n2,a,x\n2,b,y\n', encoding="utf-8")
+    model_path = tmp_path / "model.json"
+    code = main(["train", "--log", str(path), "--trace-col", "case", "--out", str(model_path)])
+    assert code == 0, capsys.readouterr().err
+    assert read_model(model_path).schema.names == ("Step, detail", "Who")
+
+
+def test_header_after_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bom.csv"
+    path.write_text("case,Step,Who\n1,a,x\n1,b,y\n2,a,x\n2,b,y\n", encoding="utf-8-sig")
+    model_path = tmp_path / "model.json"
+    code = main(["train", "--log", str(path), "--trace-col", "case", "--out", str(model_path)])
+    assert code == 0, capsys.readouterr().err
+    assert read_model(model_path).schema.names == ("Step", "Who")
+    capsys.readouterr()
+    code = main(["score", "--model", str(model_path), "--log", str(path), "--trace-col", "case"])
+    assert code == 0
+    assert sorted(line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]) == ["1", "2"]

@@ -419,3 +419,54 @@ def test_event_probability_rejects_wrong_arity(permission_log):
 def test_relation_probability_rejects_wrong_parent_arity(imposed_structure_model):
     with pytest.raises(ValueError, match="parent values"):
         relation_probability(imposed_structure_model, "UserRole", "employee", ("a", "b"))
+
+
+def _set_new_value_rate(doc):
+    doc["new_value"]["UserRole"] = [1, 0]
+
+
+def _drop_new_relation_attribute(doc):
+    del doc["new_relation"]["UserRole"]
+
+
+def _zero_cpt_total(doc):
+    row = doc["cpts"][0]["rows"][0]
+    row["total"], row["counts"] = 0, {}
+
+
+def _unknown_cpt_parent(doc):
+    doc["cpts"][0]["parents"].append(["Nowhere", 0])
+    for row in doc["cpts"][0]["rows"]:
+        row["parents"].append("x")
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (_set_new_value_rate, "new_value"),
+        (_drop_new_relation_attribute, "new_relation"),
+        (lambda doc: doc.update(k="x"), "k"),
+        (lambda doc: doc.update(k=0), "k"),
+        (_zero_cpt_total, "cpts"),
+        (_unknown_cpt_parent, "cpts"),
+        (lambda doc: doc["fd_mappings"][0]["map"].update({"001": 7}), "fd_mappings"),
+        (lambda doc: doc["active_domains"].pop("UserRole"), "active_domains"),
+    ],
+    ids=[
+        "zero-denominator-rate",
+        "attribute-missing-from-new_relation",
+        "non-integer-k",
+        "zero-k",
+        "zero-cpt-total",
+        "cpt-parent-not-a-variable",
+        "non-string-fd-target",
+        "attribute-missing-from-active_domains",
+    ],
+)
+def test_loader_names_the_malformed_field(permission_log, mutate, field):
+    import json
+
+    doc = json.loads(save_model(learn_edbn(permission_log, 1, 0.99)))
+    mutate(doc)
+    with pytest.raises(ModelFormatError, match=rf"\b{field}\b"):
+        load_model(json.dumps(doc))
