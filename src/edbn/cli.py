@@ -8,12 +8,12 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .detect import TraceScore, explain, rank_traces
 from .evaluate import render_report, run_experiment, serialize_curve, serialize_scores
-from .event_log import AttributeSchema, EventLog, LogFormatError, load_log, serialize_log
+from .event_log import AttributeSchema, DuplicateEventIdError, EventLog, LogFormatError, load_log, serialize_log
 from .model import learn_edbn, read_model, write_model
 from .synth import (
     LabeledLog,
@@ -110,6 +110,14 @@ def _read_log(config: RunConfig, path: str, schema: AttributeSchema) -> EventLog
     return load_log(path, schema, **options)
 
 
+def _read_scored_log(config: RunConfig, schema: AttributeSchema, has_ids: bool) -> EventLog:
+    """The log to score, its events named by its event_id column if that is unique, else by data row."""
+    try:
+        return _read_log(config, config.log, replace(schema, event_id_column="event_id" if has_ids else None))
+    except DuplicateEventIdError:
+        return _read_log(config, config.log, schema)
+
+
 def cmd_train(config: RunConfig) -> int:
     schema = _stage("schema", _schema_for, config, config.log)
     log = _stage("parse", _read_log, config, config.log, schema)
@@ -153,11 +161,10 @@ def cmd_score(config: RunConfig) -> int:
         names=tuple(config.attrs) if config.attrs else model.schema.names,
         trace_id_column=config.trace_col or model.schema.trace_id_column,
         event_order_column=config.order_col,
-        event_id_column="event_id" if has_ids else None,
     )
     if schema.names != model.schema.names:
         raise StageError("score", ValueError("log attributes do not match the model schema"))
-    log = _stage("parse", _read_log, config, config.log, schema)
+    log = _stage("parse", _read_scored_log, config, schema, has_ids)
     ranking = _stage("score", rank_traces, model, log)
     text = _render_ranking(ranking)
     if config.out:

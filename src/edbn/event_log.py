@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO, Union
 
 # Reserved padding token for missing history. Ingestion rejects logs that
@@ -19,6 +21,10 @@ PADDING = "__NONE__"
 
 class LogFormatError(ValueError):
     """Raised when delimited log text cannot be parsed into an event log."""
+
+
+class DuplicateEventIdError(ValueError):
+    """Raised when two events of a log share an id."""
 
 
 class Variable(NamedTuple):
@@ -53,6 +59,9 @@ class AttributeSchema:
             raise ValueError("attribute names must be non-empty")
         if self.trace_id_column in self.names:
             raise ValueError("trace_id_column cannot be a modeled attribute")
+        optional = [c for c in (self.event_order_column, self.event_id_column) if c is not None]
+        if not all(isinstance(c, str) for c in (*self.names, self.trace_id_column, *optional)):
+            raise TypeError("column names must be strings")
 
     def index_of(self, attr: str) -> int:
         try:
@@ -65,9 +74,6 @@ class AttributeSchema:
 class Event:
     id: str
     values: tuple[str, ...]
-
-    def value_of(self, schema: AttributeSchema, attr: str) -> str:
-        return self.values[schema.index_of(attr)]
 
 
 @dataclass(frozen=True)
@@ -100,7 +106,7 @@ class EventLog:
                 if PADDING in event.values:
                     raise ValueError(f"event {event.id!r} uses the reserved token {PADDING!r}")
                 if event.id in seen_ids:
-                    raise ValueError(f"duplicate event id {event.id!r}")
+                    raise DuplicateEventIdError(f"duplicate event id {event.id!r}")
                 seen_ids.add(event.id)
 
     @property
@@ -128,11 +134,20 @@ class KContextRow:
     trace_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KContextLog:
+    """The k-context as integer codes: ``codes[i]`` holds one int64 code per event, in
+    log order, into ``vocabularies[i]``, the sorted values that ``variables[i]`` takes."""
+
     k: int
     variables: tuple[Variable, ...]
-    rows: tuple[KContextRow, ...]
+    codes: tuple = ()
+    vocabularies: tuple[tuple[str, ...], ...] = ()
+    event_ids: tuple[str, ...] = ()
+    trace_ids: tuple[str, ...] = ()
+
+    def __len__(self) -> int:
+        return len(self.event_ids)
 
     def index_of(self, var: Variable) -> int:
         try:
@@ -140,9 +155,18 @@ class KContextLog:
         except ValueError:
             raise ValueError(f"unknown variable {var.column_name}") from None
 
+    def vocabulary(self, var: Variable) -> tuple[str, ...]:
+        return self.vocabularies[self.index_of(var)]
+
     def column(self, var: Variable) -> list[str]:
         i = self.index_of(var)
-        return [row.values[i] for row in self.rows]
+        vocab = self.vocabularies[i]
+        return [vocab[c] for c in self.codes[i].tolist()]
+
+    @cached_property
+    def rows(self) -> tuple[KContextRow, ...]:
+        values = zip(*(self.column(v) for v in self.variables)) if len(self) else ()
+        return tuple(map(KContextRow, values, self.event_ids, self.trace_ids))
 
     def current_variables(self) -> tuple[Variable, ...]:
         return tuple(v for v in self.variables if v.lag == 0)
@@ -262,27 +286,36 @@ def writer_schema(schema: AttributeSchema) -> AttributeSchema:
 
 
 def build_k_context(log: EventLog, k: int) -> KContextLog:
-    """Widen every event with the descriptions of its k predecessors.
+    """Widen every event with the descriptions of its k predecessors, as integer codes.
 
     History slots beyond the start of the trace hold PADDING.  Variables are
     ordered slice k down to slice 0, schema order within each slice.
     """
+    import numpy as np
     if k < 1:
         raise ValueError("k must be >= 1")
-    variables = tuple(
-        Variable(attr, lag) for lag in range(k, -1, -1) for attr in log.schema.names
-    )
-    pad = (PADDING,) * len(log.schema.names)
-    rows = []
-    for trace in log.traces:
-        descs = [e.values for e in trace.events]
-        for i, event in enumerate(trace.events):
-            parts = []
-            for lag in range(k, 0, -1):
-                parts.extend(descs[i - lag] if i - lag >= 0 else pad)
-            parts.extend(descs[i])
-            rows.append(KContextRow(tuple(parts), event.id, trace.trace_id))
-    return KContextLog(k, variables, tuple(rows))
+    names = log.schema.names
+    variables = tuple(Variable(attr, lag) for lag in range(k, -1, -1) for attr in names)
+    events = [e for trace in log.traces for e in trace.events]
+    lengths = np.array([len(t) for t in log.traces], dtype=np.int64)
+    # position of each event in its trace: a lag-l slot is padding where it is below l
+    position = np.arange(len(events)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    current = {}
+    for attr, values in zip(names, list(zip(*(e.values for e in events))) or [()] * len(names)):
+        vocab = sorted(set(values) | {PADDING})
+        code_of = {v: c for c, v in enumerate(vocab)}
+        lag0 = np.fromiter(map(code_of.__getitem__, values), np.int64, len(values))
+        current[attr] = vocab, code_of[PADDING], lag0
+    codes, vocabularies = [], []
+    for var in variables:
+        vocab, pad, lag0 = current[var.attr]
+        # what np.roll wraps around sits at a position below the lag too
+        shifted = np.where(position < var.lag, pad, np.roll(lag0, var.lag))
+        present = np.bincount(shifted, minlength=len(vocab)) > 0  # re-densify the codes
+        codes.append((np.cumsum(present) - 1)[shifted])
+        vocabularies.append(tuple(compress(vocab, present)))
+    trace_ids = tuple(t.trace_id for t in log.traces for _ in t.events)
+    return KContextLog(k, variables, tuple(codes), tuple(vocabularies), tuple(e.id for e in events), trace_ids)
 
 
 def context_row_for(log_schema: AttributeSchema, events: Sequence[Event], index: int, k: int) -> KContextRow:
@@ -316,20 +349,15 @@ def active_domain(source: Union[EventLog, KContextLog], variables) -> set:
     var_list = [variables] if single else list(variables)
     if not var_list:
         raise ValueError("variables must be non-empty")
+    if isinstance(source, KContextLog):
+        if single:
+            return set(source.vocabulary(variables))
+        return set(zip(*(source.column(v) for v in var_list)))
 
-    if isinstance(source, EventLog):
-        idx = []
-        for v in var_list:
-            name = v.attr if isinstance(v, Variable) else v
-            if isinstance(v, Variable) and v.lag != 0:
-                raise ValueError("an EventLog has no history slices")
-            idx.append(source.schema.index_of(name))
-        rows: Iterable[tuple[str, ...]] = (e.values for _, e in source.iter_events())
-    else:
-        idx = [source.index_of(v) for v in var_list]
-        rows = (r.values for r in source.rows)
-
+    if any(isinstance(v, Variable) and v.lag != 0 for v in var_list):
+        raise ValueError("an EventLog has no history slices")
+    idx = [source.schema.index_of(v.attr if isinstance(v, Variable) else v) for v in var_list]
+    rows = (e.values for _, e in source.iter_events())
     if single:
-        i = idx[0]
-        return {values[i] for values in rows}
+        return {values[idx[0]] for values in rows}
     return {tuple(values[i] for i in idx) for values in rows}

@@ -7,15 +7,11 @@ threshold; mappings are majority votes with an explicit violation rate.
 """
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .event_log import PADDING, KContextLog, Variable
-from .stats import uncertainty_coefficient
-
-# numpy is imported inside the functions that use it, so that a process that
-# only loads and scores models never loads it.
+from .stats import coded_uncertainty, key_counts
 
 
 @dataclass(frozen=True)
@@ -48,22 +44,17 @@ def discover_fds(ctx: KContextLog, threshold: float) -> list[FDEdge]:
     Columns are used as-is, padding rows included; None-exclusion semantics
     live in build_mapping.
     """
-    import numpy as np
     if not 0 < threshold <= 1:
         raise ValueError("threshold must be in (0, 1]")
-    if not ctx.rows:
+    if not len(ctx):
         raise ValueError("context log is empty")
-    # Pre-coding the columns once keeps the pairwise scan cheap on large logs.
-    columns = {
-        v: np.unique(np.asarray(ctx.column(v)), return_inverse=True)[1]
-        for v in ctx.variables
-    }
+    coded = {v: (codes, len(vocab)) for v, codes, vocab in zip(ctx.variables, ctx.codes, ctx.vocabularies)}
     edges = []
     for target in ctx.current_variables():
         for source in ctx.variables:
             if source == target:
                 continue
-            u = uncertainty_coefficient(columns[target], columns[source])
+            u = coded_uncertainty(*coded[target], *coded[source])
             if u > threshold:
                 edges.append(FDEdge(source, target, u))
     return edges
@@ -76,20 +67,22 @@ def build_mapping(ctx: KContextLog, edge: FDEdge) -> FDMapping:
     violations; the violation denominator is the full row count.  Majority
     ties break on the lexicographically smallest target value.
     """
-    src_col = ctx.column(edge.source)
-    tgt_col = ctx.column(edge.target)
-    pair_counts: dict = defaultdict(Counter)
-    for x, y in zip(src_col, tgt_col):
-        if x != PADDING:
-            pair_counts[x][y] += 1
-    mapping = {}
-    for x, counter in pair_counts.items():
-        best = max(counter.values())
-        mapping[x] = min(v for v, c in counter.items() if c == best)
-    violations = sum(
-        1 for x, y in zip(src_col, tgt_col) if x != PADDING and mapping[x] != y
-    )
-    return FDMapping(edge, mapping, Fraction(violations, len(ctx.rows)))
+    src_i, tgt_i = ctx.index_of(edge.source), ctx.index_of(edge.target)
+    src_vocab, tgt_vocab = ctx.vocabularies[src_i], ctx.vocabularies[tgt_i]
+    src, tgt = ctx.codes[src_i], ctx.codes[tgt_i]
+    if PADDING in src_vocab:
+        kept = src != src_vocab.index(PADDING)
+        src, tgt = src[kept], tgt[kept]
+    keys, counts = key_counts(src * len(tgt_vocab) + tgt, len(src_vocab) * len(tgt_vocab))
+    best: dict[int, tuple[int, int]] = {}
+    for key, count in zip(keys.tolist(), counts.tolist()):
+        x, y = divmod(key, len(tgt_vocab))
+        # keys ascend, so the first most frequent target is the smallest string
+        if count > best.get(x, (0, 0))[0]:
+            best[x] = (count, y)
+    mapping = {src_vocab[x]: tgt_vocab[y] for x, (_, y) in best.items()}
+    violations = len(src) - sum(count for count, _ in best.values())
+    return FDMapping(edge, mapping, Fraction(violations, len(ctx)))
 
 
 def fdm_probability(mapping: FDMapping, x, y) -> float:

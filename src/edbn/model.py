@@ -28,7 +28,6 @@ from .event_log import (
     KContextRow,
     Trace,
     Variable,
-    active_domain,
     build_k_context,
 )
 from .fd import FDEdge, FDMapping, build_mapping, discover_fds, fdm_probability
@@ -91,17 +90,12 @@ class EDBNModel:
 
     def __post_init__(self) -> None:
         # every table scoring reads must cover the schema and the model's variables
-        variables = set(self.variables)
-        tables = {
-            "cpts": self.cpts,
-            "new_value": self.new_value,
-            "new_relation": self.new_relation,
-            "active_domains": self.active_domains,
-        }
+        variables, names = set(self.variables), set(self.schema.names)
+        tables = {f: getattr(self, f) for f in ("cpts", "new_value", "new_relation", "active_domains")}
+        for field, table in tables.items():
+            if set(table) != names:
+                raise ValueError(f"{field} differs from the schema in {sorted(map(str, set(table) ^ names))}")
         for attr in self.schema.names:
-            for field, table in tables.items():
-                if attr not in table:
-                    raise ValueError(f"attribute {attr!r} is missing from {field}")
             for field in ("new_value", "new_relation"):
                 if not 0 <= tables[field][attr] <= 1:
                     raise ValueError(f"{field} rate for {attr!r} outside [0, 1]")
@@ -111,6 +105,10 @@ class EDBNModel:
             if m.edge.source not in variables or m.edge.target not in variables:
                 raise ValueError(f"fd_mappings: {m.edge.source.column_name} -> "
                                  f"{m.edge.target.column_name} uses an unknown variable")
+        explained = self.fd_edges() | {(p, Variable(a, 0)) for a, cpt in self.cpts.items() for p in cpt.parents}
+        if self.dag.edges != explained:
+            odd = sorted(f"{s.column_name} -> {t.column_name}" for s, t in self.dag.edges ^ explained)
+            raise ValueError(f"dag_edges differ from the CPT parent and FD edges in {odd}")
 
     @cached_property
     def variables(self) -> tuple[Variable, ...]:
@@ -156,30 +154,22 @@ def learn_edbn(
         raise ValueError("training log is empty")
     ctx = build_k_context(log, k)
     fds = discover_fds(ctx, fd_threshold)
-    fd_pairs = frozenset((fd.source, fd.target) for fd in fds)
     if structure is None:
-        constraints = make_constraints(ctx.variables, fds)
-        dag = learn_structure(ctx, constraints)
+        dag = learn_structure(ctx, make_constraints(ctx.variables, fds))
     else:
-        dag = DAG(tuple(ctx.variables), frozenset(structure) | fd_pairs)
+        dag = DAG(ctx.variables, frozenset(structure) | {(fd.source, fd.target) for fd in fds})
     cpts = fit_cpts(ctx, dag, fds)
-    mappings = tuple(build_mapping(ctx, fd) for fd in fds)
-
-    n = log.event_count
-    new_value = {a: Fraction(len(active_domain(log, a)), n) for a in log.schema.names}
-    new_relation = {}
-    for attr in log.schema.names:
-        cpt = cpts[attr]
-        new_relation[attr] = Fraction(len(cpt.rows), n) if cpt.parents else Fraction(0)
-    domains = {a: frozenset(active_domain(log, a)) for a in log.schema.names}
+    n = len(ctx)
+    # the lag-0 vocabularies are the values each attribute takes in the log
+    domains = {a: frozenset(ctx.vocabulary(Variable(a, 0))) for a in log.schema.names}
     return EDBNModel(
         k=k,
         schema=log.schema,
         dag=dag,
-        fd_mappings=mappings,
+        fd_mappings=tuple(build_mapping(ctx, fd) for fd in fds),
         cpts=cpts,
-        new_value=new_value,
-        new_relation=new_relation,
+        new_value={a: Fraction(len(domain), n) for a, domain in domains.items()},
+        new_relation={a: Fraction(len(cpt.rows) if cpt.parents else 0, n) for a, cpt in cpts.items()},
         active_domains=domains,
         training_event_count=n,
     )
@@ -415,19 +405,8 @@ def write_model(model: EDBNModel, path) -> None:
         fh.write(save_model(model))
 
 
-_TOP_KEYS = {
-    "format",
-    "format_version",
-    "k",
-    "schema",
-    "training_event_count",
-    "dag_edges",
-    "fd_mappings",
-    "cpts",
-    "new_value",
-    "new_relation",
-    "active_domains",
-}
+_TOP_KEYS = {"format", "format_version", "k", "schema", "training_event_count", "dag_edges",
+             "fd_mappings", "cpts", "new_value", "new_relation", "active_domains"}
 
 
 def _check_keys(obj, expected: set, where: str) -> None:
@@ -452,21 +431,28 @@ def _field(where: str):
 
 
 def _load_int(value, where: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+    if type(value) is not int or value < minimum:
         raise ModelFormatError(f"{where} must be an integer >= {minimum}, got {value!r}")
     return value
 
 
+def _load(value, kind: type, where: str, length: int | None = None, items: type | None = None):
+    """value if its JSON type is exactly ``kind`` (no bool passes as an int) and,
+    where given, it has ``length`` items and each item's type is ``items``."""
+    if (type(value) is not kind or length is not None and len(value) != length
+            or items is not None and any(type(v) is not items for v in value)):
+        raise ModelFormatError(f"malformed {where}: {value!r}")
+    return value
+
+
 def _load_var(pair, where: str) -> Variable:
-    if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)):
-        raise ModelFormatError(f"malformed variable in {where}: {pair!r}")
-    return Variable(pair[0], _load_int(pair[1], f"variable lag in {where}", 0))
+    attr, lag = _load(pair, list, f"variable in {where}", 2)
+    return Variable(_load(attr, str, f"variable in {where}"), _load_int(lag, f"variable lag in {where}", 0))
 
 
 def _load_frac(pair, where: str) -> Fraction:
-    if not (isinstance(pair, list) and len(pair) == 2):
-        raise ModelFormatError(f"malformed rational in {where}: {pair!r}")
-    return Fraction(_load_int(pair[0], f"numerator in {where}", 0), _load_int(pair[1], f"denominator in {where}", 1))
+    numerator, denominator = _load(pair, list, f"rational in {where}", 2)
+    return Fraction(_load_int(numerator, f"numerator in {where}", 0), _load_int(denominator, f"denominator in {where}", 1))
 
 
 def load_model(text: str) -> EDBNModel:
@@ -482,59 +468,51 @@ def load_model(text: str) -> EDBNModel:
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
     _check_keys(doc, _TOP_KEYS, "model")
-    if doc["format"] != "edbn-model" or doc["format_version"] != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(
-            f"unsupported format {doc.get('format')!r} version {doc.get('format_version')!r}"
-        )
-    _check_keys(
-        doc["schema"],
-        {"attributes", "trace_id_column", "event_order_column", "event_id_column"},
-        "schema",
-    )
+    version = doc["format_version"]
+    if (doc["format"], version, type(version)) != ("edbn-model", MODEL_FORMAT_VERSION, int):
+        raise ModelFormatError(f"unsupported format {doc['format']!r} version {version!r}")
+    columns = {"trace_id_column", "event_order_column", "event_id_column"}
+    _check_keys(doc["schema"], columns | {"attributes"}, "schema")
     with _field("schema"):
-        schema = AttributeSchema(
-            names=tuple(doc["schema"]["attributes"]),
-            trace_id_column=doc["schema"]["trace_id_column"],
-            event_order_column=doc["schema"]["event_order_column"],
-            event_id_column=doc["schema"]["event_id_column"],
-        )
+        names = tuple(_load(doc["schema"]["attributes"], list, "schema attributes"))
+        schema = AttributeSchema(names, **{c: doc["schema"][c] for c in columns})
     k = _load_int(doc["k"], "k", 1)
     variables = tuple(Variable(a, lag) for lag in range(k, -1, -1) for a in schema.names)
     with _field("dag_edges"):
         edges = frozenset(
-            (_load_var(e[0], "dag_edges"), _load_var(e[1], "dag_edges")) for e in doc["dag_edges"]
+            tuple(_load_var(v, "dag_edges") for v in _load(e, list, "dag_edges", 2))
+            for e in _load(doc["dag_edges"], list, "dag_edges")
         )
         dag = DAG(variables, edges)
 
     mappings = []
     with _field("fd_mappings"):
-        for entry in doc["fd_mappings"]:
+        for entry in _load(doc["fd_mappings"], list, "fd_mappings"):
             _check_keys(entry, {"source", "target", "strength", "map", "violation"}, "fd_mappings")
             edge = FDEdge(
                 _load_var(entry["source"], "fd_mappings"),
                 _load_var(entry["target"], "fd_mappings"),
-                float(entry["strength"]),
+                _load(entry["strength"], float, "fd_mappings strength"),
             )
-            fd_map = dict(entry["map"])
-            if not all(isinstance(v, str) for v in fd_map.values()):
-                raise ModelFormatError(f"fd_mappings: map values of {edge.target.column_name} must be strings")
+            fd_map = _load(entry["map"], dict, "fd_mappings map")
+            _load(list(fd_map.values()), list, f"fd_mappings map values of {edge.target.column_name}", items=str)
             mappings.append(FDMapping(edge, fd_map, _load_frac(entry["violation"], "fd_mappings")))
 
     cpts: dict[str, CPT] = {}
     with _field("cpts"):
-        for entry in doc["cpts"]:
+        for entry in _load(doc["cpts"], list, "cpts"):
             _check_keys(entry, {"attribute", "parents", "rows"}, "cpts")
-            parents = tuple(_load_var(p, "cpts") for p in entry["parents"])
+            parents = tuple(_load_var(p, "cpts") for p in _load(entry["parents"], list, "cpts parents"))
             rows: dict = {}
             totals: dict = {}
-            for row in entry["rows"]:
-                _check_keys(row, {"parents", "total", "counts"}, "cpt row")
-                cfg = tuple(row["parents"])
+            for row in _load(entry["rows"], list, "cpts rows"):
+                _check_keys(row, {"parents", "total", "counts"}, "cpts row")
+                cfg = tuple(_load(row["parents"], list, "cpts row parents", items=str))
                 if len(cfg) != len(parents):
-                    raise ModelFormatError(f"CPT row arity mismatch for {entry['attribute']!r}")
+                    raise ModelFormatError(f"CPT row arity mismatch for {entry['attribute']!r} in cpts")
                 rows[cfg] = {k2: _load_int(v, "cpts count", 0) for k2, v in row["counts"].items()}
                 totals[cfg] = _load_int(row["total"], "cpts total", 1)
-            attr = entry["attribute"]
+            attr = _load(entry["attribute"], str, "cpts attribute")
             cpts[attr] = CPT(Variable(attr, 0), parents, rows, totals)
 
     with _field("new_value"):
@@ -542,7 +520,8 @@ def load_model(text: str) -> EDBNModel:
     with _field("new_relation"):
         new_relation = {a: _load_frac(v, f"new_relation[{a!r}]") for a, v in doc["new_relation"].items()}
     with _field("active_domains"):
-        domains = {a: frozenset(vals) for a, vals in doc["active_domains"].items()}
+        domains = {a: frozenset(_load(vals, list, f"active_domains[{a!r}]", items=str))
+                   for a, vals in doc["active_domains"].items()}
     with _field("model"):
         return EDBNModel(
             k=k,

@@ -37,15 +37,37 @@ class FrequencyTable:
         return {v: c / self.total for v, c in self.counts.items()}
 
 
-def _count(values: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
-    return np.unique(np.asarray(values), return_counts=True)
-
-
 def _codes(values: Sequence) -> tuple[np.ndarray, int]:
     import numpy as np
     uniq, inverse = np.unique(np.asarray(values), return_inverse=True)
     return inverse.astype(np.int64), len(uniq)
+
+
+def _dense_size(n: int) -> int:
+    return 4 * n + 4096  # key spaces up to this size are counted with one bincount pass
+
+
+def key_counts(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct integer keys in [0, size) and their counts, in key order."""
+    import numpy as np
+    if size > _dense_size(len(keys)):
+        return np.unique(keys, return_counts=True)
+    counts = np.bincount(keys, minlength=size)
+    present = np.flatnonzero(counts)
+    return present, counts[present]
+
+
+def tuple_keys(columns: Sequence[tuple[np.ndarray, int]], n: int) -> tuple[np.ndarray, int]:
+    """Per row, an int64 key of its codes in ``columns`` ((codes, code count) pairs) in tuple
+    order, and the key-space size; keys are re-coded before they outgrow a bincount pass."""
+    import numpy as np
+    keys, size = np.zeros(n, dtype=np.int64), 1
+    for codes, card in columns:
+        if size * card > _dense_size(n):
+            uniq, keys = np.unique(keys, return_inverse=True)
+            size = len(uniq)
+        keys, size = keys * card + codes, size * card
+    return keys, size
 
 
 def _entropy_from_counts(counts: np.ndarray, n: int) -> float:
@@ -54,13 +76,30 @@ def _entropy_from_counts(counts: np.ndarray, n: int) -> float:
     return float(-(p * np.log(p)).sum())
 
 
+def _coded_mutual_information(x: np.ndarray, nx: int, y: np.ndarray, ny: int) -> tuple[float, int]:
+    """I(X;Y) of two aligned dense code columns, and the number of distinct (x, y) pairs."""
+    import numpy as np
+    n = len(x)
+    joint, joint_counts = key_counts(x * ny + y, nx * ny)
+    p_xy = joint_counts / n
+    p_x = np.bincount(x, minlength=nx)[joint // ny] / n
+    p_y = np.bincount(y, minlength=ny)[joint % ny] / n
+    return float((p_xy * np.log(p_xy / (p_x * p_y))).sum()), len(joint)
+
+
+def _check_aligned(col_x: Sequence, col_y: Sequence) -> None:
+    if len(col_x) != len(col_y):
+        raise ValueError("columns differ in length")
+    if len(col_x) == 0:
+        raise ValueError("columns are empty")
+
+
 def entropy(column: Sequence, base: float | None = None) -> float:
     """Shannon entropy of a categorical column; 0 iff the column is constant."""
     import numpy as np
     if len(column) == 0:
         raise ValueError("column is empty")
-    _, counts = _count(column)
-    h = _entropy_from_counts(counts, len(column))
+    h = _entropy_from_counts(np.bincount(_codes(column)[0]), len(column))
     if base is not None:
         h /= np.log(base)
     return max(h, 0.0)
@@ -69,20 +108,8 @@ def entropy(column: Sequence, base: float | None = None) -> float:
 def mutual_information(col_x: Sequence, col_y: Sequence, base: float | None = None) -> float:
     """Empirical mutual information between two aligned columns."""
     import numpy as np
-    if len(col_x) != len(col_y):
-        raise ValueError("columns differ in length")
-    if len(col_x) == 0:
-        raise ValueError("columns are empty")
-    n = len(col_x)
-    x, nx = _codes(col_x)
-    y, ny = _codes(col_y)
-    joint, joint_counts = np.unique(x * ny + y, return_counts=True)
-    x_counts = np.bincount(x, minlength=nx)
-    y_counts = np.bincount(y, minlength=ny)
-    p_xy = joint_counts / n
-    p_x = x_counts[joint // ny] / n
-    p_y = y_counts[joint % ny] / n
-    mi = float((p_xy * np.log(p_xy / (p_x * p_y))).sum())
+    _check_aligned(col_x, col_y)
+    mi = _coded_mutual_information(*_codes(col_x), *_codes(col_y))[0]
     if base is not None:
         mi /= np.log(base)
     return max(mi, 0.0)
@@ -105,25 +132,18 @@ def uncertainty_coefficient(col_x: Sequence, col_y: Sequence) -> float:
     Exactly 1.0 when Y functionally determines X (including constant X, which
     any Y determines); invariant under the logarithm base.
     """
+    _check_aligned(col_x, col_y)
+    return coded_uncertainty(*_codes(col_x), *_codes(col_y))
+
+
+def coded_uncertainty(x: np.ndarray, nx: int, y: np.ndarray, ny: int) -> float:
+    """uncertainty_coefficient of two aligned dense code columns with nx and ny codes."""
     import numpy as np
-    if len(col_x) != len(col_y):
-        raise ValueError("columns differ in length")
-    if len(col_x) == 0:
-        raise ValueError("columns are empty")
-    n = len(col_x)
-    x, nx = _codes(col_x)
-    y, ny = _codes(col_y)
-    x_counts = np.bincount(x, minlength=nx)
-    h = _entropy_from_counts(x_counts, n)
+    h = _entropy_from_counts(np.bincount(x, minlength=nx), len(x))
     if h == 0.0:
         return 1.0
-    joint, joint_counts = np.unique(x * ny + y, return_counts=True)
-    if len(joint) == ny:
+    mi, pairs = _coded_mutual_information(x, nx, y, ny)
+    if pairs == ny:
         # One x per y value: the mapping is single-valued, so U is exactly 1.
         return 1.0
-    y_counts = np.bincount(y, minlength=ny)
-    p_xy = joint_counts / n
-    p_x = x_counts[joint // ny] / n
-    p_y = y_counts[joint % ny] / n
-    mi = float((p_xy * np.log(p_xy / (p_x * p_y))).sum())
     return min(max(mi / h, 0.0), 1.0)

@@ -11,10 +11,12 @@ required of the conditional edge set only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from graphlib import TopologicalSorter
 from typing import Iterable, Sequence
 
 from .event_log import KContextLog, Variable
 from .fd import FDEdge
+from .stats import key_counts, tuple_keys
 
 Edge = tuple[Variable, Variable]
 
@@ -91,17 +93,12 @@ def make_constraints(variables: Sequence[Variable], fds: Iterable[FDEdge]) -> St
 
 
 class _CodedContext:
-    """Integer-coded k-context columns with memoized family scores."""
+    """The k-context's code columns with memoized family scores."""
 
     def __init__(self, ctx: KContextLog):
-        self.variables = ctx.variables
-        self.n = len(ctx.rows)
-        self.codes: dict[Variable, np.ndarray] = {}
-        self.cards: dict[Variable, int] = {}
-        for var in ctx.variables:
-            codes, card = _encode(ctx.column(var))
-            self.codes[var] = codes
-            self.cards[var] = card
+        self.n = len(ctx)
+        self.codes = dict(zip(ctx.variables, ctx.codes))
+        self.cards = {v: len(vocab) for v, vocab in zip(ctx.variables, ctx.vocabularies)}
         self._family_cache: dict[tuple[Variable, frozenset[Variable]], float] = {}
 
     def family_score(self, child: Variable, parents: frozenset[Variable]) -> float:
@@ -116,7 +113,7 @@ class _CodedContext:
             params *= self.cards[p]
         # Any family the climber can hold scores above -n*(2*ln card + 1), so a
         # family whose parameter count alone is below that can never be chosen;
-        # skip counting it (also keeps the int64 config keys small).
+        # skip counting it.
         limit = self.n * (2.0 * np.log(max(self.cards[child], 2)) + 1.0) + 1.0
         if params > limit:
             score = -float(params)
@@ -126,32 +123,20 @@ class _CodedContext:
         return score
 
     def _log_likelihood(self, child: Variable, parents: frozenset[Variable]) -> float:
-        import numpy as np
-        cfg_key = np.zeros(self.n, dtype=np.int64)
-        for p in sorted(parents):
-            cfg_key = cfg_key * self.cards[p] + self.codes[p]
-        joint_key = cfg_key * self.cards[child] + self.codes[child]
-        return _sum_n_log_n(joint_key) - _sum_n_log_n(cfg_key)
+        cfg = tuple_keys([(self.codes[p], self.cards[p]) for p in sorted(parents)], self.n)
+        joint = tuple_keys([cfg, (self.codes[child], self.cards[child])], self.n)
+        return _sum_n_log_n(*joint) - _sum_n_log_n(*cfg)
 
 
-def _encode(column: Sequence[str]) -> tuple[np.ndarray, int]:
+def _sum_n_log_n(keys: np.ndarray, size: int) -> float:
     import numpy as np
-    uniq, inverse = np.unique(np.asarray(column), return_inverse=True)
-    return inverse.astype(np.int64), len(uniq)
-
-
-def _sum_n_log_n(keys: np.ndarray) -> float:
-    import numpy as np
-    _, counts = np.unique(keys, return_counts=True)
+    _, counts = key_counts(keys, size)
     return float((counts * np.log(counts)).sum())
 
 
-def _conditional_reaches(edges: set[Edge], start: Variable, goal: Variable) -> bool:
-    """Whether goal is reachable from start along the given directed edges."""
+def _conditional_reaches(children: dict[Variable, list[Variable]], start: Variable, goal: Variable) -> bool:
+    """Whether goal is reachable from start along the directed edges given as child lists."""
     stack, seen = [start], {start}
-    children: dict[Variable, list[Variable]] = {}
-    for src, tgt in edges:
-        children.setdefault(src, []).append(tgt)
     while stack:
         node = stack.pop()
         if node == goal:
@@ -164,23 +149,8 @@ def _conditional_reaches(edges: set[Edge], start: Variable, goal: Variable) -> b
 
 
 def _assert_acyclic(edges: set[Edge]) -> None:
-    # Kahn's algorithm restricted to edge-touching vertices.
-    nodes = {v for e in edges for v in e}
-    indeg = {v: 0 for v in nodes}
-    for _, tgt in edges:
-        indeg[tgt] += 1
-    frontier = [v for v in nodes if indeg[v] == 0]
-    visited = 0
-    while frontier:
-        node = frontier.pop()
-        visited += 1
-        for src, tgt in edges:
-            if src == node:
-                indeg[tgt] -= 1
-                if indeg[tgt] == 0:
-                    frontier.append(tgt)
-    if visited != len(nodes):
-        raise AssertionError("conditional edge set contains a cycle")
+    # raises graphlib.CycleError on a cycle
+    TopologicalSorter({tgt: [src for src, t in edges if t == tgt] for _, tgt in edges}).prepare()
 
 
 def _candidate_order(variables: Sequence[Variable]) -> list[Edge]:
@@ -196,7 +166,7 @@ def learn_structure(ctx: KContextLog, constraints: StructureConstraints) -> DAG:
     source attribute, target attribute) order and the first move improving
     the score by more than SCORE_EPS is applied, restarting the scan.
     """
-    if not ctx.rows:
+    if not len(ctx):
         raise ValueError("context log is empty")
     coded = _CodedContext(ctx)
     candidates = _candidate_order(ctx.variables)
@@ -209,6 +179,9 @@ def learn_structure(ctx: KContextLog, constraints: StructureConstraints) -> DAG:
     improved = True
     while improved:
         improved = False
+        children: dict[Variable, list[Variable]] = {}  # edges change only when a move ends the scan
+        for src, tgt in edges:
+            children.setdefault(src, []).append(tgt)
         for src, tgt in candidates:
             if (src, tgt) in constraints.blacklist:
                 continue
@@ -220,7 +193,7 @@ def learn_structure(ctx: KContextLog, constraints: StructureConstraints) -> DAG:
             else:
                 # No new cycle through conditional or whitelisted edges; in
                 # particular the reverse of an FD edge is never re-modeled.
-                if _conditional_reaches(edges, tgt, src):
+                if _conditional_reaches(children, tgt, src):
                     continue
                 trial = parents[tgt] | {src}
             gain = coded.family_score(tgt, trial) - current
@@ -252,24 +225,23 @@ def fit_cpts(ctx: KContextLog, dag: DAG, fds: Iterable[FDEdge]) -> dict[str, CPT
     """Empirical-frequency CPTs, one per slice-0 attribute.
 
     Parent sets are the DAG parents minus FD edges, ordered as in the
-    k-context variable list (slice k first).
+    k-context variable list (slice k first).  Rows and counts keep the order
+    in which the log first shows them.
     """
+    import numpy as np
     fd_edges = frozenset((fd.source, fd.target) for fd in fds)
     var_pos = {v: i for i, v in enumerate(ctx.variables)}
     cpts: dict[str, CPT] = {}
     for child in ctx.current_variables():
-        parents = tuple(
-            sorted(dag.parents_of(child, exclude=fd_edges), key=var_pos.__getitem__)
-        )
-        child_i = ctx.index_of(child)
-        parent_i = [ctx.index_of(p) for p in parents]
+        parents = tuple(sorted(dag.parents_of(child, exclude=fd_edges), key=var_pos.__getitem__))
+        columns = [var_pos[p] for p in parents] + [var_pos[child]]
+        key, _ = tuple_keys([(ctx.codes[i], len(ctx.vocabularies[i])) for i in columns], len(ctx))
+        # one cell per distinct (parents, child) key, decoded at its first row
+        _, first, counts = np.unique(key, return_index=True, return_counts=True)
         rows: dict = {}
-        totals: dict = {}
-        for row in ctx.rows:
-            cfg = tuple(row.values[i] for i in parent_i)
-            value = row.values[child_i]
-            counts = rows.setdefault(cfg, {})
-            counts[value] = counts.get(value, 0) + 1
-            totals[cfg] = totals.get(cfg, 0) + 1
+        for row, count in sorted(zip(first.tolist(), counts.tolist())):
+            *cfg, value = (ctx.vocabularies[i][ctx.codes[i][row]] for i in columns)
+            rows.setdefault(tuple(cfg), {})[value] = count
+        totals = {cfg: sum(cell.values()) for cfg, cell in rows.items()}
         cpts[child.attr] = CPT(child, parents, rows, totals)
     return cpts

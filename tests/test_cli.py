@@ -279,3 +279,20 @@ def test_header_after_a_byte_order_mark(tmp_path, capsys):
     code = main(["score", "--model", str(model_path), "--log", str(path), "--trace-col", "case"])
     assert code == 0
     assert sorted(line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]) == ["1", "2"]
+
+
+def test_score_names_events_by_row_when_event_ids_repeat(tmp_path, capsys):
+    rows = ["case,event_id,Step,Who", "1,e0,a,x", "1,e1,b,y", "2,e0,a,x", "2,e1,c,y", "3,e0,a,z"]
+    with_ids, without_ids = tmp_path / "ids.csv", tmp_path / "plain.csv"
+    with_ids.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    without_ids.write_text("\n".join(",".join(r.split(",")[:1] + r.split(",")[2:]) for r in rows) + "\n", encoding="utf-8")
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--log", str(without_ids), "--trace-col", "case", "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    outputs = []
+    for path in (with_ids, without_ids):
+        code = main(["score", "--model", str(model_path), "--log", str(path), "--trace-col", "case", "--explain", "2"])
+        assert code == 0, capsys.readouterr().err
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "event 4:" in outputs[0]  # the data row of case 3's event

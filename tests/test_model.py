@@ -1,8 +1,11 @@
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from edbn import (
     PADDING,
@@ -451,6 +454,12 @@ def _unknown_cpt_parent(doc):
         (_unknown_cpt_parent, "cpts"),
         (lambda doc: doc["fd_mappings"][0]["map"].update({"001": 7}), "fd_mappings"),
         (lambda doc: doc["active_domains"].pop("UserRole"), "active_domains"),
+        (lambda doc: doc["new_value"].update(Extra=[0, 1]), "new_value"),
+        (lambda doc: doc["new_relation"].update(Extra=[0, 1]), "new_relation"),
+        (lambda doc: doc["active_domains"].update(Extra=["x"]), "active_domains"),
+        (lambda doc: doc["cpts"].append(dict(doc["cpts"][-1], attribute="Extra")), "cpts"),
+        (lambda doc: doc["dag_edges"].append([["Type", 1], ["UserRole", 0]]), "dag_edges"),
+        (lambda doc: doc["fd_mappings"].pop(), "dag_edges"),
     ],
     ids=[
         "zero-denominator-rate",
@@ -461,6 +470,12 @@ def _unknown_cpt_parent(doc):
         "cpt-parent-not-a-variable",
         "non-string-fd-target",
         "attribute-missing-from-active_domains",
+        "extra-attribute-in-new_value",
+        "extra-attribute-in-new_relation",
+        "extra-attribute-in-active_domains",
+        "extra-attribute-in-cpts",
+        "dag-edge-neither-cpt-parent-nor-fd",
+        "fd-edge-without-its-mapping",
     ],
 )
 def test_loader_names_the_malformed_field(permission_log, mutate, field):
@@ -470,3 +485,59 @@ def test_loader_names_the_malformed_field(permission_log, mutate, field):
     mutate(doc)
     with pytest.raises(ModelFormatError, match=rf"\b{field}\b"):
         load_model(json.dumps(doc))
+
+
+# --- loader fuzzing ------------------------------------------------------------
+
+
+def _paths(node, path=()):
+    """Every path to a value inside a JSON document, the root excluded."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _mutate(doc, path, how):
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    value = parent[path[-1]]
+    if how == "drop":
+        del parent[path[-1]]
+    elif how == "negate":
+        parent[path[-1]] = -value if value else -1
+    elif how == "add-key":
+        sibling = next(iter(value.values()), 0)
+        value["zz-added"] = json.loads(json.dumps(sibling))
+    else:
+        # a JSON value of another type
+        parent[path[-1]] = next(v for v in (None, True, 0, 2.5, "x", [], {}, ["x"]) if type(v) is not type(value))
+
+
+@pytest.fixture(scope="module")
+def shipping_doc():
+    from edbn import default_shipping_model, generate
+
+    return json.loads(save_model(learn_edbn(generate(default_shipping_model(), 300, 4), 1, 0.99)))
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_loader_rejects_or_round_trips_every_mutated_document(shipping_doc, data):
+    doc = json.loads(json.dumps(shipping_doc))
+    path = data.draw(st.sampled_from(sorted(_paths(doc), key=str)))
+    parent_value = doc
+    for key in path:
+        parent_value = parent_value[key]
+    hows = ["drop", "retype"]
+    if type(parent_value) is int:
+        hows.append("negate")
+    if isinstance(parent_value, dict):
+        hows.append("add-key")
+    _mutate(doc, path, data.draw(st.sampled_from(hows)))
+    try:
+        model = load_model(json.dumps(doc))
+    except ModelFormatError:
+        return
+    assert save_model(model) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
