@@ -124,7 +124,7 @@ def cmd_train(config: RunConfig) -> int:
     model = _stage("learn", learn_edbn, log, config.k, config.fd_threshold)
     if config.out:
         _stage("write-model", write_model, model, config.out)
-    print(f"trained on {log.event_count} events in {len(log.traces)} traces (k={config.k})")
+    print(f"trained on {log.event_count} events in {len(log.trace_ids)} traces (k={config.k})")
     for mapping in model.fd_mappings:
         edge = mapping.edge
         print(
@@ -191,7 +191,7 @@ def cmd_generate(config: RunConfig) -> int:
     if config.labels:
         _stage("write-labels", write_labels, labeled, config.labels)
     n_anom = sum(1 for v in labeled.labels.values() if v == "anomalous")
-    print(f"generated {len(log.traces)} traces ({n_anom} anomalous) to {config.out}")
+    print(f"generated {len(log.trace_ids)} traces ({n_anom} anomalous) to {config.out}")
     return 0
 
 

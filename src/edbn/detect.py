@@ -11,6 +11,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice
 from typing import Sequence, Union
 
 from .event_log import Event, EventLog, Trace, Variable
@@ -56,15 +57,17 @@ class Ranking:
         return [e.trace_id for e in self.entries]
 
 
+def _trace_score(model: EDBNModel, trace_id: str, event_ids: tuple[str, ...], values, logs) -> TraceScore:
+    log_mean = math.fsum(logs) / len(event_ids)
+    score = math.exp(log_mean) if log_mean > -math.inf else 0.0
+    return TraceScore(trace_id, score, len(event_ids), log_mean, event_ids, tuple(values),
+                      model.scoring_tables.labels)
+
+
 def _score_events(model: EDBNModel, trace_id: str, events: Sequence[Event]) -> TraceScore:
     if not events:
         raise ValueError("cannot score an empty trace")
-    tables = model.scoring_tables
-    values, logs = tables.score(events)
-    log_mean = math.fsum(logs) / len(events)
-    score = math.exp(log_mean) if log_mean > -math.inf else 0.0
-    event_ids = tuple(e.id for e in events)
-    return TraceScore(trace_id, score, len(events), log_mean, event_ids, tuple(values), tables.labels)
+    return _trace_score(model, trace_id, tuple(e.id for e in events), *model.scoring_tables.score(events))
 
 
 def score_trace(model: EDBNModel, trace: Trace) -> TraceScore:
@@ -89,9 +92,23 @@ def rank_traces(model: EDBNModel, log: EventLog) -> Ranking:
     """
     if log.schema.names != model.schema.names:
         raise ValueError("log attributes do not match the model schema")
-    scored = [score_trace(model, t) for t in log.traces]
+    scored = score_log(model, log)
     scored.sort(key=lambda s: (s.score, -s.zero_factor_count, s.trace_id))
     return Ranking(tuple(scored))
+
+
+def score_log(model: EDBNModel, log: EventLog) -> list[TraceScore]:
+    """score_trace of every trace of the log, in log order, read from the log's columns."""
+    n = len(log.schema.names)
+    if n != len(model.schema.names):
+        raise ValueError("event values do not match the model's schema")
+    tables = model.scoring_tables
+    rows, event_ids = zip(*log.columns), iter(log.event_ids)  # event after event
+    return [
+        _trace_score(model, trace_id, tuple(islice(event_ids, length)),
+                     *tables.score_values(tuple(chain.from_iterable(islice(rows, length)))))
+        for trace_id, length in zip(log.trace_ids, log.trace_lengths)
+    ]
 
 
 def explain(score: TraceScore, top_n: int) -> list[tuple[str, str, str, str | None, float]]:

@@ -10,7 +10,7 @@ import io
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .detect import score_trace
+from .detect import score_log
 from .event_log import EventLog
 from .model import learn_edbn
 from .synth import ANOMALOUS, NORMAL, LabeledLog
@@ -87,13 +87,10 @@ def run_experiment(
     train: EventLog, test: LabeledLog, k: int, fd_threshold: float
 ) -> EvalReport:
     """Learn a model on the training log, score the labeled test log, evaluate."""
-    if not train.traces or not test.log.traces:
+    if not train.event_count or not test.log.event_count:
         raise ValueError("train and test logs must be non-empty")
     model = learn_edbn(train, k, fd_threshold)
-    scores = [
-        LabeledScore(t.trace_id, score_trace(model, t).score, test.labels[t.trace_id])
-        for t in test.log.traces
-    ]
+    scores = [LabeledScore(s.trace_id, s.score, test.labels[s.trace_id]) for s in score_log(model, test.log)]
     scores.sort(key=lambda s: (s.score, s.trace_id))
     return EvalReport(
         auc=auc(scores),

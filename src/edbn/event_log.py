@@ -9,14 +9,19 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress, islice, repeat, tee
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO, Union
 
 # Reserved padding token for missing history. Ingestion rejects logs that
 # contain it as a value.
 PADDING = "__NONE__"
+
+_CHUNK_ROWS = 4096  # parse_log reads, checks and transposes this many rows at a time
 
 
 class LogFormatError(ValueError):
@@ -89,15 +94,22 @@ class Trace:
         return len(self.events)
 
 
-@dataclass(frozen=True)
 class EventLog:
-    schema: AttributeSchema
-    traces: tuple[Trace, ...]
+    """A log of traces, held as columns when it was parsed.
 
-    def __post_init__(self) -> None:
-        n_attrs = len(self.schema.names)
+    ``trace_ids`` and ``trace_lengths`` give the traces in log order;
+    ``event_ids`` and each of ``columns`` (schema order) hold one entry per
+    event.  parse_log builds a log from these columns, and its ``traces``
+    are built when first read.  ``EventLog(schema, traces)`` builds a log
+    from traces, checks every event, and derives the columns when first
+    read.  A log is immutable.
+    """
+
+    def __init__(self, schema: AttributeSchema, traces: Sequence[Trace]):
+        traces = tuple(traces)
+        n_attrs = len(schema.names)
         seen_ids: set[str] = set()
-        for trace in self.traces:
+        for trace in traces:
             for event in trace.events:
                 if len(event.values) != n_attrs:
                     raise ValueError(
@@ -108,10 +120,57 @@ class EventLog:
                 if event.id in seen_ids:
                     raise DuplicateEventIdError(f"duplicate event id {event.id!r}")
                 seen_ids.add(event.id)
+        self.__dict__.update(schema=schema, traces=traces)
+
+    @classmethod
+    def _from_columns(cls, schema, trace_ids, trace_lengths, event_ids, columns) -> "EventLog":
+        log = cls.__new__(cls)
+        log.__dict__.update(schema=schema, trace_ids=trace_ids, trace_lengths=trace_lengths,
+                            event_ids=event_ids, columns=columns)
+        return log
+
+    def __setattr__(self, name, value):
+        raise AttributeError("an EventLog is immutable")
+
+    def _key(self):
+        return self.schema, self.trace_ids, self.trace_lengths, self.event_ids
+
+    def __eq__(self, other):
+        if not isinstance(other, EventLog):
+            return NotImplemented
+        return self._key() == other._key() and self.columns == other.columns
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"EventLog(schema={self.schema!r}, traces={self.traces!r})"
+
+    @cached_property
+    def traces(self) -> tuple[Trace, ...]:
+        events = map(Event, self.event_ids, zip(*self.columns))
+        return tuple(Trace(t, tuple(islice(events, n))) for t, n in zip(self.trace_ids, self.trace_lengths))
+
+    @cached_property
+    def columns(self) -> tuple[tuple[str, ...], ...]:
+        values = [e.values for t in self.traces for e in t.events]
+        return tuple(zip(*values)) or ((),) * len(self.schema.names)
+
+    @cached_property
+    def event_ids(self) -> tuple[str, ...]:
+        return tuple(e.id for t in self.traces for e in t.events)
+
+    @cached_property
+    def trace_ids(self) -> tuple[str, ...]:
+        return tuple(t.trace_id for t in self.traces)
+
+    @cached_property
+    def trace_lengths(self) -> tuple[int, ...]:
+        return tuple(map(len, self.traces))
 
     @property
     def event_count(self) -> int:
-        return sum(len(t) for t in self.traces)
+        return len(self.event_ids)
 
     def iter_events(self) -> Iterator[tuple[Trace, Event]]:
         for trace in self.traces:
@@ -123,6 +182,15 @@ class EventLog:
             if trace.trace_id == trace_id:
                 return trace
         raise KeyError(trace_id)
+
+
+def _check_unique(event_ids: Sequence[str]) -> None:
+    if len(set(event_ids)) != len(event_ids):
+        seen: set[str] = set()
+        for event_id in event_ids:
+            if event_id in seen:
+                raise DuplicateEventIdError(f"duplicate event id {event_id!r}")
+            seen.add(event_id)
 
 
 @dataclass(frozen=True)
@@ -172,12 +240,41 @@ class KContextLog:
         return tuple(v for v in self.variables if v.lag == 0)
 
 
-def _order_key(values: Sequence[str]):
-    # Sort numerically when the whole column parses as numbers, else as text.
+def _order_keys(values: Sequence[str]) -> Sequence:
+    # Numbers when every value of the trace parses as one, else text.  A nan
+    # compares false with everything, so a trace that holds one sorts as text.
     try:
-        return [(0, float(v), "") for v in values]
+        numbers = list(map(float, values))
     except ValueError:
-        return [(1, 0.0, v) for v in values]
+        return values
+    return values if any(map(math.isnan, numbers)) else numbers
+
+
+def _stripped_columns(rows, width: int, used, trace_i: int, attr_is: Sequence[int]):
+    """The stripped values of each used column of ``rows``, or None if a row is faulty."""
+    if set(map(len, rows)) - {width}:
+        return None
+    fields = list(zip(*rows)) or [()] * width
+    stripped = {i: list(map(str.strip, fields[i])) for i in used}
+    if "" in stripped[trace_i] or any(PADDING in stripped[i] for i in attr_is):
+        return None
+    return stripped
+
+
+def _raise_first_fault(reader, start: int, width: int, trace_i: int, attr_is: Sequence[int]) -> None:
+    """Reads rows on from the first line of a faulty chunk, ``start`` lines into the
+    text, and raises the csv.Error or the LogFormatError of the first faulty one."""
+    for row in reader:
+        if not row:  # a blank line yields []
+            continue
+        line = start + reader.line_num
+        if len(row) != width:
+            raise LogFormatError(f"line {line}: expected {width} fields, got {len(row)}")
+        if not row[trace_i].strip():
+            raise LogFormatError(f"line {line}: empty trace id")
+        if any(row[i].strip() == PADDING for i in attr_is):
+            raise LogFormatError(f"line {line}: reserved token {PADDING!r} used as a value")
+    raise AssertionError("a faulty chunk read again without a fault")
 
 
 def parse_log(
@@ -194,10 +291,16 @@ def parse_log(
     order unless the schema names an event_order_column.  Raises
     LogFormatError for malformed rows (with line number), unknown columns,
     or empty input.
+
+    The csv module reads the text a chunk of rows at a time; each chunk is
+    checked and transposed into columns, and a faulty chunk is read again row
+    by row to name its first faulty line.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
-    reader = csv.reader(source, delimiter=delimiter)
+    # ``behind`` holds the lines of the chunk being read, to read them again on a fault
+    lines, behind = tee(source)
+    reader = csv.reader(lines, delimiter=delimiter)
 
     if header:
         try:
@@ -221,38 +324,48 @@ def parse_log(
         if name not in col_index:
             raise LogFormatError(f"column {name!r} not found in input")
 
-    trace_rows: dict[str, list[tuple[Event, str]]] = {}
-    n_rows = 0
-    for row in reader:
-        if not row:
-            continue
-        line = reader.line_num
-        if len(row) != len(columns):
-            raise LogFormatError(f"line {line}: expected {len(columns)} fields, got {len(row)}")
-        trace_id = row[col_index[schema.trace_id_column]].strip()
-        if not trace_id:
-            raise LogFormatError(f"line {line}: empty trace id")
-        values = tuple(row[col_index[a]].strip() for a in schema.names)
-        if PADDING in values:
-            raise LogFormatError(f"line {line}: reserved token {PADDING!r} used as a value")
-        if schema.event_id_column:
-            event_id = row[col_index[schema.event_id_column]].strip()
-        else:
-            event_id = str(n_rows)
-        order_val = row[col_index[schema.event_order_column]].strip() if schema.event_order_column else ""
-        trace_rows.setdefault(trace_id, []).append((Event(event_id, values), order_val))
-        n_rows += 1
+    width, trace_i = len(columns), col_index[schema.trace_id_column]
+    attr_is = [col_index[a] for a in schema.names]
+    kept: dict[int, list[str]] = {col_index[name]: [] for name in needed}  # stripped values per used column
+    # equal attribute values and trace ids share one string, so the log holds each value once
+    shared = {i: {} for i in (*attr_is, trace_i)}
+    read = 0
+    while True:
+        deque(islice(behind, reader.line_num - read), maxlen=0)  # lines of the header or the last chunk
+        read = reader.line_num
+        try:
+            rows = list(filter(None, islice(reader, _CHUNK_ROWS)))  # a blank line yields []
+            stripped = _stripped_columns(rows, width, kept, trace_i, attr_is)
+        except csv.Error:
+            stripped = None
+        if stripped is None:
+            _raise_first_fault(csv.reader(behind, delimiter=delimiter), read, width, trace_i, attr_is)
+        if reader.line_num == read:
+            break
+        for i, values in stripped.items():
+            kept[i] += map(shared[i].setdefault, values, values) if i in shared else values
 
-    if n_rows == 0:
+    trace_rows = kept[trace_i]
+    if not trace_rows:
         raise LogFormatError("empty log")
-
-    traces = []
-    for trace_id, pairs in trace_rows.items():
-        if schema.event_order_column:
-            keys = _order_key([order for _, order in pairs])
-            pairs = [p for _, p in sorted(zip(keys, pairs), key=lambda kp: kp[0])]
-        traces.append(Trace(trace_id, tuple(event for event, _ in pairs)))
-    return EventLog(schema, tuple(traces))
+    lengths = Counter(trace_rows)  # traces in order of first appearance
+    ordinal = list(map(dict(zip(lengths, range(len(lengths)))).__getitem__, trace_rows))
+    order = sorted(range(len(trace_rows)), key=ordinal.__getitem__)  # stable: file order within a trace
+    if schema.event_order_column:
+        times, start = kept[col_index[schema.event_order_column]], 0
+        for length in lengths.values():
+            rows_of_trace = order[start : start + length]
+            keys = _order_keys([times[i] for i in rows_of_trace])
+            order[start : start + length] = [i for _, i in sorted(zip(keys, rows_of_trace), key=itemgetter(0))]
+            start += length
+    if schema.event_id_column:
+        ids = kept[col_index[schema.event_id_column]]
+    else:
+        ids = list(map(str, range(len(trace_rows))))
+    event_ids = tuple(map(ids.__getitem__, order))
+    _check_unique(event_ids)
+    attr_columns = tuple(tuple(map(kept[i].__getitem__, order)) for i in attr_is)
+    return EventLog._from_columns(schema, tuple(lengths), tuple(lengths.values()), event_ids, attr_columns)
 
 
 def load_log(path, schema: AttributeSchema, **options) -> EventLog:
@@ -296,12 +409,11 @@ def build_k_context(log: EventLog, k: int) -> KContextLog:
         raise ValueError("k must be >= 1")
     names = log.schema.names
     variables = tuple(Variable(attr, lag) for lag in range(k, -1, -1) for attr in names)
-    events = [e for trace in log.traces for e in trace.events]
-    lengths = np.array([len(t) for t in log.traces], dtype=np.int64)
+    lengths = np.array(log.trace_lengths, dtype=np.int64)
     # position of each event in its trace: a lag-l slot is padding where it is below l
-    position = np.arange(len(events)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    position = np.arange(log.event_count) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     current = {}
-    for attr, values in zip(names, list(zip(*(e.values for e in events))) or [()] * len(names)):
+    for attr, values in zip(names, log.columns):
         vocab = sorted(set(values) | {PADDING})
         code_of = {v: c for c, v in enumerate(vocab)}
         lag0 = np.fromiter(map(code_of.__getitem__, values), np.int64, len(values))
@@ -314,8 +426,8 @@ def build_k_context(log: EventLog, k: int) -> KContextLog:
         present = np.bincount(shifted, minlength=len(vocab)) > 0  # re-densify the codes
         codes.append((np.cumsum(present) - 1)[shifted])
         vocabularies.append(tuple(compress(vocab, present)))
-    trace_ids = tuple(t.trace_id for t in log.traces for _ in t.events)
-    return KContextLog(k, variables, tuple(codes), tuple(vocabularies), tuple(e.id for e in events), trace_ids)
+    trace_ids = tuple(chain.from_iterable(map(repeat, log.trace_ids, log.trace_lengths)))
+    return KContextLog(k, variables, tuple(codes), tuple(vocabularies), log.event_ids, trace_ids)
 
 
 def context_row_for(log_schema: AttributeSchema, events: Sequence[Event], index: int, k: int) -> KContextRow:
@@ -356,8 +468,5 @@ def active_domain(source: Union[EventLog, KContextLog], variables) -> set:
 
     if any(isinstance(v, Variable) and v.lag != 0 for v in var_list):
         raise ValueError("an EventLog has no history slices")
-    idx = [source.schema.index_of(v.attr if isinstance(v, Variable) else v) for v in var_list]
-    rows = (e.values for _, e in source.iter_events())
-    if single:
-        return {values[idx[0]] for values in rows}
-    return {tuple(values[i] for i in idx) for values in rows}
+    columns = [source.columns[source.schema.index_of(v.attr if isinstance(v, Variable) else v)] for v in var_list]
+    return set(columns[0]) if single else set(zip(*columns))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .event_log import PADDING, KContextLog, Variable
-from .stats import coded_uncertainty, key_counts
+from .stats import coded_column, coded_uncertainty, key_counts
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,14 @@ def discover_fds(ctx: KContextLog, threshold: float) -> list[FDEdge]:
         raise ValueError("threshold must be in (0, 1]")
     if not len(ctx):
         raise ValueError("context log is empty")
-    coded = {v: (codes, len(vocab)) for v, codes, vocab in zip(ctx.variables, ctx.codes, ctx.vocabularies)}
+    # each variable's code counts and entropy, computed once for all its pairs
+    coded = {v: coded_column(codes, len(vocab)) for v, codes, vocab in zip(ctx.variables, ctx.codes, ctx.vocabularies)}
     edges = []
     for target in ctx.current_variables():
         for source in ctx.variables:
             if source == target:
                 continue
-            u = coded_uncertainty(*coded[target], *coded[source])
+            u = coded_uncertainty(coded[target], coded[source])
             if u > threshold:
                 edges.append(FDEdge(source, target, u))
     return edges

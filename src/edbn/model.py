@@ -150,7 +150,7 @@ def learn_edbn(
     When ``structure`` is given those conditional edges are imposed verbatim
     (FD edges are still added to the graph) and the greedy search is skipped.
     """
-    if not log.traces:
+    if not log.event_count:
         raise ValueError("training log is empty")
     ctx = build_k_context(log, k)
     fds = discover_fds(ctx, fd_threshold)
@@ -282,13 +282,17 @@ class ScoringTables:
 
         History comes from the sequence itself, padded at the head.
         """
-        n = self._n_attrs
-        if any(len(e.values) != n for e in events):
+        if any(len(e.values) != self._n_attrs for e in events):
             raise ValueError("event values do not match the model's schema")
-        flat = self._padding + tuple(chain.from_iterable(e.values for e in events))
+        return self.score_values(tuple(chain.from_iterable(e.values for e in events)))
+
+    def score_values(self, row_values: tuple[str, ...]) -> tuple[list[float], list[float]]:
+        """``score`` of the events whose attribute values ``row_values`` holds, event after event."""
+        n = self._n_attrs
+        flat = self._padding + row_values
         values: list[float] = []
         logs: list[float] = []
-        for start in range(0, n * len(events), n):
+        for start in range(0, len(row_values), n):
             event = self.factors(flat[start : start + self._width])
             values += event
             logs.append(math.fsum(map(_log, event)))

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 # numpy is imported inside the functions that use it, so that a process that
 # only loads and scores models never loads it.
@@ -76,14 +76,29 @@ def _entropy_from_counts(counts: np.ndarray, n: int) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def _coded_mutual_information(x: np.ndarray, nx: int, y: np.ndarray, ny: int) -> tuple[float, int]:
-    """I(X;Y) of two aligned dense code columns, and the number of distinct (x, y) pairs."""
+class CodedColumn(NamedTuple):
+    """A dense code column with the count of each code and its entropy, computed once."""
+
+    codes: np.ndarray
+    counts: np.ndarray
+    entropy: float
+
+
+def coded_column(codes: np.ndarray, n_codes: int) -> CodedColumn:
+    """The CodedColumn of ``codes``, which take values in [0, n_codes)."""
     import numpy as np
-    n = len(x)
-    joint, joint_counts = key_counts(x * ny + y, nx * ny)
+    counts = np.bincount(codes, minlength=n_codes)
+    return CodedColumn(codes, counts, _entropy_from_counts(counts, len(codes)))
+
+
+def _coded_mutual_information(x: CodedColumn, y: CodedColumn) -> tuple[float, int]:
+    """I(X;Y) of two aligned coded columns, and the number of distinct (x, y) pairs."""
+    import numpy as np
+    n, ny = len(x.codes), len(y.counts)
+    joint, joint_counts = key_counts(x.codes * ny + y.codes, len(x.counts) * ny)
     p_xy = joint_counts / n
-    p_x = np.bincount(x, minlength=nx)[joint // ny] / n
-    p_y = np.bincount(y, minlength=ny)[joint % ny] / n
+    p_x = x.counts[joint // ny] / n
+    p_y = y.counts[joint % ny] / n
     return float((p_xy * np.log(p_xy / (p_x * p_y))).sum()), len(joint)
 
 
@@ -99,7 +114,7 @@ def entropy(column: Sequence, base: float | None = None) -> float:
     import numpy as np
     if len(column) == 0:
         raise ValueError("column is empty")
-    h = _entropy_from_counts(np.bincount(_codes(column)[0]), len(column))
+    h = coded_column(*_codes(column)).entropy
     if base is not None:
         h /= np.log(base)
     return max(h, 0.0)
@@ -109,7 +124,7 @@ def mutual_information(col_x: Sequence, col_y: Sequence, base: float | None = No
     """Empirical mutual information between two aligned columns."""
     import numpy as np
     _check_aligned(col_x, col_y)
-    mi = _coded_mutual_information(*_codes(col_x), *_codes(col_y))[0]
+    mi = _coded_mutual_information(coded_column(*_codes(col_x)), coded_column(*_codes(col_y)))[0]
     if base is not None:
         mi /= np.log(base)
     return max(mi, 0.0)
@@ -133,17 +148,15 @@ def uncertainty_coefficient(col_x: Sequence, col_y: Sequence) -> float:
     any Y determines); invariant under the logarithm base.
     """
     _check_aligned(col_x, col_y)
-    return coded_uncertainty(*_codes(col_x), *_codes(col_y))
+    return coded_uncertainty(coded_column(*_codes(col_x)), coded_column(*_codes(col_y)))
 
 
-def coded_uncertainty(x: np.ndarray, nx: int, y: np.ndarray, ny: int) -> float:
-    """uncertainty_coefficient of two aligned dense code columns with nx and ny codes."""
-    import numpy as np
-    h = _entropy_from_counts(np.bincount(x, minlength=nx), len(x))
-    if h == 0.0:
+def coded_uncertainty(x: CodedColumn, y: CodedColumn) -> float:
+    """uncertainty_coefficient of two aligned coded columns."""
+    if x.entropy == 0.0:
         return 1.0
-    mi, pairs = _coded_mutual_information(x, nx, y, ny)
-    if pairs == ny:
+    mi, pairs = _coded_mutual_information(x, y)
+    if pairs == len(y.counts):
         # One x per y value: the mapping is single-valued, so U is exactly 1.
         return 1.0
-    return min(max(mi / h, 0.0), 1.0)
+    return min(max(mi / x.entropy, 0.0), 1.0)

@@ -228,9 +228,9 @@ class LabeledLog:
     anomaly_details: dict[str, tuple[Mutation, ...]]
 
     def __post_init__(self) -> None:
-        for trace in self.log.traces:
-            if trace.trace_id not in self.labels:
-                raise ValueError(f"trace {trace.trace_id!r} has no label")
+        for trace_id in self.log.trace_ids:
+            if trace_id not in self.labels:
+                raise ValueError(f"trace {trace_id!r} has no label")
 
 
 def _applicable_kinds(events: Sequence[Event], replace_attrs: Sequence[str]) -> list[str]:
@@ -258,12 +258,9 @@ def inject_anomalies(log: EventLog, fraction: float, seed: int) -> LabeledLog:
     rng = random.Random(seed)
     chosen = sorted(rng.sample(range(len(log.traces)), n_mutate))
 
-    domains = {
-        a: sorted({e.values[i] for _, e in log.iter_events()})
-        for i, a in enumerate(log.schema.names)
-    }
+    domains = {a: sorted(set(column)) for a, column in zip(log.schema.names, log.columns)}
     multi_valued = [a for a in log.schema.names if len(domains[a]) >= 2]
-    used_ids = {e.id for _, e in log.iter_events()}
+    used_ids = set(log.event_ids)
     fresh_counter = 0
 
     traces = list(log.traces)
