@@ -114,8 +114,8 @@ def _read_scored_log(config: RunConfig, schema: AttributeSchema, has_ids: bool) 
     """The log to score, its events named by its event_id column if that is unique, else by data row."""
     try:
         return _read_log(config, config.log, replace(schema, event_id_column="event_id" if has_ids else None))
-    except DuplicateEventIdError:
-        return _read_log(config, config.log, schema)
+    except DuplicateEventIdError as exc:
+        return exc.log  # the same read, its events named by data row
 
 
 def cmd_train(config: RunConfig) -> int:

@@ -3,7 +3,8 @@
 A trace's score is the geometric mean of its event probabilities (the n-th
 root of the joint probability), so length does not penalize a trace.  Low
 scores mean anomalous; ranking is ascending.  Scoring is read-only on the
-model and safe to run concurrently across traces.
+model and safe to run concurrently across traces.  score_log computes each attribute's
+factors once per distinct key; score_trace and score_prefix compute every event's.
 """
 from __future__ import annotations
 
@@ -98,16 +99,15 @@ def rank_traces(model: EDBNModel, log: EventLog) -> Ranking:
 
 
 def score_log(model: EDBNModel, log: EventLog) -> list[TraceScore]:
-    """score_trace of every trace of the log, in log order, read from the log's columns."""
+    """score_trace of every trace of the log, in log order, read from the log's columns (by score_traces)."""
     n = len(log.schema.names)
     if n != len(model.schema.names):
         raise ValueError("event values do not match the model's schema")
-    tables = model.scoring_tables
     rows, event_ids = zip(*log.columns), iter(log.event_ids)  # event after event
+    traces = (tuple(chain.from_iterable(islice(rows, length))) for length in log.trace_lengths)
     return [
-        _trace_score(model, trace_id, tuple(islice(event_ids, length)),
-                     *tables.score_values(tuple(chain.from_iterable(islice(rows, length)))))
-        for trace_id, length in zip(log.trace_ids, log.trace_lengths)
+        _trace_score(model, trace_id, tuple(islice(event_ids, length)), *scored)
+        for trace_id, length, scored in zip(log.trace_ids, log.trace_lengths, model.scoring_tables.score_traces(traces))
     ]
 
 

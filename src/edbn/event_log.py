@@ -11,7 +11,7 @@ import csv
 import io
 import math
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, compress, islice, repeat, tee
 from operator import itemgetter
@@ -29,7 +29,8 @@ class LogFormatError(ValueError):
 
 
 class DuplicateEventIdError(ValueError):
-    """Raised when two events of a log share an id."""
+    """Raised when two events of a log share an id; from parse_log, ``log`` is the log read, named by data row."""
+    log: EventLog | None = None
 
 
 class Variable(NamedTuple):
@@ -359,13 +360,18 @@ def parse_log(
             order[start : start + length] = [i for _, i in sorted(zip(keys, rows_of_trace), key=itemgetter(0))]
             start += length
     if schema.event_id_column:
-        ids = kept[col_index[schema.event_id_column]]
+        event_ids = tuple(map(kept[col_index[schema.event_id_column]].__getitem__, order))
     else:
-        ids = list(map(str, range(len(trace_rows))))
-    event_ids = tuple(map(ids.__getitem__, order))
-    _check_unique(event_ids)
+        event_ids = tuple(map(str, order))  # the data row
     attr_columns = tuple(tuple(map(kept[i].__getitem__, order)) for i in attr_is)
-    return EventLog._from_columns(schema, tuple(lengths), tuple(lengths.values()), event_ids, attr_columns)
+    traces = (tuple(lengths), tuple(lengths.values()))
+    try:
+        _check_unique(event_ids)
+    except DuplicateEventIdError as exc:  # a caller may name the events by data row without a second read
+        by_row = replace(schema, event_id_column=None)
+        exc.log = EventLog._from_columns(by_row, *traces, tuple(map(str, order)), attr_columns)
+        raise
+    return EventLog._from_columns(schema, *traces, event_ids, attr_columns)
 
 
 def load_log(path, schema: AttributeSchema, **options) -> EventLog:

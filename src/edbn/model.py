@@ -5,7 +5,8 @@ per attribute, majority-vote FD mappings with violation rates, and per-attribute
 new_value / new_relation rates.  Every rate and CPT cell is an exact rational
 over training counts, so scores are bit-identical across platforms and across a
 save/load round trip.  Scoring reads float tables that each model compiles
-once from those rationals (ScoringTables).  Models are immutable; scoring is
+once from those rationals (ScoringTables).  Models and their tables are
+immutable; scoring keeps any reuse of factors local to one call, so it is
 read-only and safe to call from many threads.
 """
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .event_log import (
     PADDING,
@@ -73,7 +74,7 @@ class EventScore:
 
     @property
     def probability(self) -> float:
-        return math.exp(self.log_probability) if self.log_probability > -math.inf else 0.0
+        return math.exp(self.log_probability)  # exp(-inf) is 0.0
 
 
 @dataclass(frozen=True)
@@ -220,6 +221,10 @@ class ScoringTables:
     one FD check per mapping into it.  Every table float comes from one call of
     value_probability, relation_probability or fdm_probability, so factors read
     from the tables equal those functions' results bit for bit.
+
+    ``_blocks`` holds per attribute the slice of ``labels`` that its factors fill
+    and an itemgetter of its key, the k-context values they read: its value, its
+    CPT parents and its FD sources, each once.  Equal keys give equal factors.
     """
 
     def __init__(self, model: EDBNModel):
@@ -229,7 +234,9 @@ class ScoringTables:
         self._padding = (PADDING,) * (self._width - self._n_attrs)
         labels: list[tuple[str, str, Variable | None]] = []
         plan = []
+        blocks = []
         for attr in model.schema.names:
+            lo = len(labels)
             labels.append((attr, VALUE, None))
             values = {x: value_probability(model, attr, x) for x in model.active_domains[attr]}
             relation = None
@@ -258,8 +265,11 @@ class ScoringTables:
                 fds.append((pos[m.edge.source], m.map, agree, violate))
             unseen_value = value_probability(model, attr, _UNSEEN)
             plan.append((pos[Variable(attr, 0)], values, unseen_value, relation, tuple(fds)))
+            key = dict.fromkeys([pos[Variable(attr, 0)], *(pos[p] for p in cpt.parents), *(f[0] for f in fds)])
+            blocks.append((slice(lo, len(labels)), itemgetter(*key)))
         self.labels = tuple(labels)
         self._plan = tuple(plan)
+        self._blocks = tuple(blocks)
 
     def factors(self, ctx: Sequence[str]) -> list[float]:
         """One event's factor values, laid out as ``labels``, from its k-context values."""
@@ -297,6 +307,39 @@ class ScoringTables:
             values += event
             logs.append(math.fsum(map(_log, event)))
         return values, logs
+
+    def score_traces(self, traces: Iterable[tuple[str, ...]]) -> Iterator[tuple[list[float], list[float]]]:
+        """``score_values`` of each trace's row values, each attribute's factors computed once per distinct key.
+
+        The dicts that hold them live only as long as this generator.  An event with a new key costs
+        more than the per-event path, so once three times such events exceed the events scored by more
+        than 512 (a third of the events, past a cold start), the dicts are dropped and the rest go to
+        score_values.
+        """
+        n, width, traces = self._n_attrs, self._width, iter(traces)
+        slices, key_getters = zip(*self._blocks)
+        memos: list[dict] = [{} for _ in slices]  # per attribute: key -> (factor values, their logs)
+        events = misses = 0
+        for row_values in traces:
+            flat = self._padding + row_values
+            values, logs = [], []
+            for start in range(0, len(row_values), n):
+                ctx = flat[start : start + width]
+                keys = [key_of(ctx) for key_of in key_getters]
+                try:
+                    blocks = list(map(dict.__getitem__, memos, keys))
+                except KeyError:  # a new key: compute the event's factors once
+                    misses += 1
+                    event_logs = list(map(_log, event := self.factors(ctx)))
+                    blocks = [memo.setdefault(key, (event[s], event_logs[s])) for memo, key, s in zip(memos, keys, slices)]
+                values += chain.from_iterable(map(itemgetter(0), blocks))
+                logs.append(math.fsum(chain.from_iterable(map(itemgetter(1), blocks))))  # fsum is exact: any order
+            yield values, logs
+            events += len(row_values) // n
+            if 3 * misses > events + 512:  # the slack keeps the first, cold events from deciding
+                break
+        del memos
+        yield from map(self.score_values, traces)
 
 
 def decompose(

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from edbn import read_model
+from edbn import event_log, read_model
 from edbn.cli import main
 
 from conftest import PERMISSION_ROWS_FULL, PERMISSION_ROWS
@@ -296,3 +296,18 @@ def test_score_names_events_by_row_when_event_ids_repeat(tmp_path, capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert "event 4:" in outputs[0]  # the data row of case 3's event
+
+
+def test_score_parses_the_log_once_when_event_ids_repeat(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "ids.csv"
+    path.write_text("case,event_id,Step,Who\n1,e0,a,x\n1,e1,b,y\n2,e0,a,x\n2,e1,c,y\n", encoding="utf-8")
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--log", str(path), "--trace-col", "case", "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    parse, calls = event_log.parse_log, []
+    monkeypatch.setattr(event_log, "parse_log", lambda *args, **kwargs: calls.append(args) or parse(*args, **kwargs))
+    code = main(["score", "--model", str(model_path), "--log", str(path), "--trace-col", "case", "--explain", "1"])
+    assert code == 0, capsys.readouterr().err
+    assert len(calls) == 1
+    out = capsys.readouterr().out
+    assert "event 2:" in out and "event e" not in out  # named by data row, as the ids repeat

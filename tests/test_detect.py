@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -8,7 +10,10 @@ from edbn import (
     Event,
     EventLog,
     Trace,
+    default_shipping_model,
     explain,
+    generate,
+    inject_anomalies,
     learn_edbn,
     rank_traces,
     score_prefix,
@@ -183,6 +188,30 @@ def test_concurrent_scoring_is_consistent(permission_model, permission_full_log)
     with ThreadPoolExecutor(max_workers=8) as pool:
         observed = list(pool.map(lambda t: score_trace(permission_model, t).score, traces))
     assert observed == expected
+
+
+def test_concurrent_ranking_is_consistent_and_leaves_no_state_on_the_model():
+    process = default_shipping_model()
+    model = learn_edbn(generate(process, 300, 31), 1, 0.99)
+    log = inject_anomalies(generate(process, 150, 32), 0.2, 33).log
+    tables = model.scoring_tables
+    before = repr(vars(tables)), set(vars(model))
+    start = threading.Barrier(4, timeout=60)
+
+    def rank(_):
+        start.wait()
+        return rank_traces(model, log)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the threads interleave often inside rank_traces
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            rankings = list(pool.map(rank, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == rankings[0] for r in rankings)
+    assert (repr(vars(tables)), set(vars(model))) == before  # the reuse state lived in each call only
+    assert rankings[0] == rank_traces(model, log)
 
 
 def test_self_concatenation_invariance_without_history_structure():

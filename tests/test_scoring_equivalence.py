@@ -5,24 +5,33 @@ compared with ``==``, never a tolerance: the tables hold the floats that the
 per-factor path computed, and the sums are taken the same way.
 """
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edbn import (
+    DAG,
     PADDING,
     AttributeSchema,
     Event,
     EventLog,
+    FDEdge,
     Trace,
     Variable,
+    build_k_context,
+    build_mapping,
     default_shipping_model,
     explain,
     generate,
     inject_anomalies,
     learn_edbn,
     rank_traces,
+    score_trace,
 )
 from edbn.event_log import context_row_for
+from edbn.model import ScoringTables
 
 from reference_scoring import ReferenceScore, reference_ranking
 
@@ -107,3 +116,100 @@ def test_cases_reach_every_factor_branch(cases):
         "padded FD source",
         "FD violation",
     }
+
+
+def _traces(draw, prefix, alphabet, n_attrs):
+    return [
+        Trace(f"{prefix}{t}", tuple(
+            Event(f"{prefix}{t}-{i}", tuple(draw(st.sampled_from(alphabet)) for _ in range(n_attrs)))
+            for i in range(draw(st.integers(1, 5)))
+        ))
+        for t in range(draw(st.integers(1, 4)))
+    ]
+
+
+@st.composite
+def imposed_models(draw):
+    """A model with imposed CPT parents and FD mappings, some FD sources also CPT
+    parents of their target, and a test log with values training never saw."""
+    k, n_attrs = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    schema = AttributeSchema(tuple(f"a{i}" for i in range(n_attrs)), "tid")
+    train = EventLog(schema, _traces(draw, "n", "ab", n_attrs))
+    test = _traces(draw, "t", "abc", n_attrs)
+    # a copy of the first trace: equal keys in different traces
+    test.append(Trace("copy", tuple(Event(f"copy-{e.id}", e.values) for e in test[0].events)))
+    variables = [Variable(a, lag) for lag in range(k, -1, -1) for a in schema.names]
+    legal = [(s, t) for s in variables for t in variables if t.lag == 0 and s != t]
+    structure = draw(st.sets(st.sampled_from(legal), max_size=5))
+    fds = draw(st.sets(st.sampled_from(sorted(structure)))) if structure else set()
+    fds |= draw(st.sets(st.sampled_from(legal), max_size=3))
+    base = learn_edbn(train, k, 1.0, structure=structure)  # a threshold of 1 accepts no FD
+    ctx = build_k_context(train, k)
+    model = replace(base, fd_mappings=tuple(build_mapping(ctx, FDEdge(s, t, 1.0)) for s, t in sorted(fds)),
+                    dag=DAG(base.dag.vertices, base.dag.edges | fds))
+    return model, base, EventLog(schema, test)
+
+
+@settings(max_examples=150, deadline=None)
+@given(imposed_models())
+def test_batch_ranking_equals_per_trace_scoring(case):
+    # rank_traces reuses factor blocks across events and traces; score_trace
+    # computes every event's factors.  Two models in a row: no block may
+    # leak from one model's ranking into another's.
+    *models, log = case
+    for model in models:
+        ranking = rank_traces(model, log)
+        assert sorted(ranking.trace_ids()) == sorted(log.trace_ids)
+        for entry in ranking:
+            ref = score_trace(model, log.trace_by_id(entry.trace_id))
+            assert entry.log_score == ref.log_score
+            assert entry.score == ref.score
+            assert entry.factor_values == ref.factor_values
+            assert entry.zero_factor_count == ref.zero_factor_count
+            for top_n in (1, 3):
+                assert explain(entry, top_n) == explain(ref, top_n)
+
+
+def _unique_item(log, is_unique):
+    # the item of every event for which is_unique(trace index, event index) holds
+    # becomes a value no other event has, like an amount or a timestamp column
+    col = log.schema.names.index("item")
+    return EventLog(log.schema, tuple(
+        Trace(t.trace_id, tuple(
+            Event(e.id, e.values[:col] + (f"u-{e.id}",) + e.values[col + 1:]) if is_unique(ti, ei) else e
+            for ei, e in enumerate(t.events)
+        ))
+        for ti, t in enumerate(log.traces)
+    ))
+
+
+LOW_REUSE = {
+    "every event": (lambda t, e: True, True),
+    "every other event": (lambda t, e: e % 2 == 0, True),
+    "second half of the log": (lambda t, e: t >= 150, True),
+    "none": (lambda t, e: False, False),
+}
+
+
+@pytest.mark.parametrize("unique", LOW_REUSE.values(), ids=LOW_REUSE.keys())
+def test_batch_ranking_falls_back_to_per_event_scoring_when_keys_rarely_repeat(monkeypatch, unique):
+    # where over a third of the events bring a new key, the reuse costs more
+    # than it saves; past a cold start, the traces left are scored event by event
+    is_unique, falls_back = unique
+    process = default_shipping_model()
+    model = learn_edbn(generate(process, 300, 41), 1, 0.99)
+    log = _unique_item(generate(process, 300, 42), is_unique)
+    assert len(log.event_ids) > 3000
+    per_event, calls = ScoringTables.score_values, []
+    monkeypatch.setattr(ScoringTables, "score_values", lambda *args: calls.append(1) or per_event(*args))
+    ranking = rank_traces(model, log)
+    assert bool(calls) == falls_back
+    assert sorted(ranking.trace_ids()) == sorted(log.trace_ids)
+    assert len(calls) < len(log.trace_ids)  # the first traces reused blocks
+    for entry in ranking:
+        ref = score_trace(model, log.trace_by_id(entry.trace_id))
+        assert entry.log_score == ref.log_score
+        assert entry.score == ref.score
+        assert entry.factor_values == ref.factor_values
+        assert entry.zero_factor_count == ref.zero_factor_count
+        assert explain(entry, 3) == explain(ref, 3)
