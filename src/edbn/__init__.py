@@ -42,7 +42,7 @@ from .model import (
     value_probability,
     write_model,
 )
-from .stats import FrequencyTable, entropy, mutual_information, uncertainty_coefficient
+from .stats import entropy, mutual_information, uncertainty_coefficient
 from .structure import (
     CPT,
     DAG,

@@ -5,36 +5,10 @@ throughout unless a base is given; 0*log(0) counts as 0.
 """
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 # numpy is imported inside the functions that use it, so that a process that
 # only loads and scores models never loads it.
-
-
-@dataclass(frozen=True)
-class FrequencyTable:
-    """Occurrence counts backing the empirical p(x) / p(x,y) estimates."""
-
-    counts: Mapping
-    total: int
-
-    def __post_init__(self) -> None:
-        if self.total <= 0:
-            raise ValueError("total must be positive")
-        if sum(self.counts.values()) != self.total:
-            raise ValueError("counts must sum to total")
-
-    @classmethod
-    def from_values(cls, values: Sequence) -> "FrequencyTable":
-        """Count scalar values or value tuples (joint occurrences)."""
-        if len(values) == 0:
-            raise ValueError("column is empty")
-        return cls(dict(Counter(values)), len(values))
-
-    def probabilities(self) -> dict:
-        return {v: c / self.total for v, c in self.counts.items()}
 
 
 def _codes(values: Sequence) -> tuple[np.ndarray, int]:
@@ -43,14 +17,14 @@ def _codes(values: Sequence) -> tuple[np.ndarray, int]:
     return inverse.astype(np.int64), len(uniq)
 
 
-def _dense_size(n: int) -> int:
+def dense_size(n: int) -> int:
     return 4 * n + 4096  # key spaces up to this size are counted with one bincount pass
 
 
 def key_counts(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct integer keys in [0, size) and their counts, in key order."""
     import numpy as np
-    if size > _dense_size(len(keys)):
+    if size > dense_size(len(keys)):
         return np.unique(keys, return_counts=True)
     counts = np.bincount(keys, minlength=size)
     present = np.flatnonzero(counts)
@@ -59,15 +33,29 @@ def key_counts(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 def tuple_keys(columns: Sequence[tuple[np.ndarray, int]], n: int) -> tuple[np.ndarray, int]:
     """Per row, an int64 key of its codes in ``columns`` ((codes, code count) pairs) in tuple
-    order, and the key-space size; keys are re-coded before they outgrow a bincount pass."""
+    order, and the key-space size; keys are re-coded before they outgrow a bincount pass.
+    The keys of a single column are its codes array itself."""
     import numpy as np
-    keys, size = np.zeros(n, dtype=np.int64), 1
-    for codes, card in columns:
-        if size * card > _dense_size(n):
-            uniq, keys = np.unique(keys, return_inverse=True)
-            size = len(uniq)
-        keys, size = keys * card + codes, size * card
+    if not columns:
+        return np.zeros(n, dtype=np.int64), 1
+    (keys, size), *rest = columns
+    for codes, card in rest:
+        if size * card > dense_size(n):
+            keys, size = _dense_ranks(keys, size)
+        keys = keys * card
+        keys += codes
+        size *= card
     return keys, size
+
+
+def _dense_ranks(keys: np.ndarray, size: int) -> tuple[np.ndarray, int]:
+    """Each key's rank among the distinct keys, and their number: np.unique's inverse."""
+    import numpy as np
+    if size > dense_size(len(keys)):  # only after two columns of very many codes
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        return inverse, len(uniq)
+    rank = np.cumsum(np.bincount(keys, minlength=size) > 0) - 1
+    return rank[keys], int(rank[-1]) + 1
 
 
 def _entropy_from_counts(counts: np.ndarray, n: int) -> float:

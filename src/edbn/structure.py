@@ -10,13 +10,14 @@ required of the conditional edge set only.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from graphlib import TopologicalSorter
 from typing import Iterable, Sequence
 
 from .event_log import KContextLog, Variable
 from .fd import FDEdge
-from .stats import key_counts, tuple_keys
+from .stats import dense_size, tuple_keys
 
 Edge = tuple[Variable, Variable]
 
@@ -93,64 +94,93 @@ def make_constraints(variables: Sequence[Variable], fds: Iterable[FDEdge]) -> St
 
 
 class _CodedContext:
-    """The k-context's code columns with memoized family scores."""
+    """The k-context's code columns with memoized family scores, one dict per child, and
+    memoized parent-configuration terms, one per parent set."""
 
     def __init__(self, ctx: KContextLog):
         self.n = len(ctx)
         self.codes = dict(zip(ctx.variables, ctx.codes))
         self.cards = {v: len(vocab) for v, vocab in zip(ctx.variables, ctx.vocabularies)}
-        self._family_cache: dict[tuple[Variable, frozenset[Variable]], float] = {}
+        self.scores: dict[Variable, dict[frozenset[Variable], float]] = {v: {} for v in ctx.variables}
+        self._parent_terms: dict[frozenset[Variable], float] = {}
 
-    def family_score(self, child: Variable, parents: frozenset[Variable]) -> float:
-        key = (child, parents)
-        cached = self._family_cache.get(key)
-        if cached is not None:
-            return cached
-        import numpy as np
-
-        params = (self.cards[child] - 1)
+    def _params(self, child: Variable, parents: frozenset[Variable]) -> int:
+        params = self.cards[child] - 1
         for p in parents:
             params *= self.cards[p]
-        # Any family the climber can hold scores above -n*(2*ln card + 1), so a
-        # family whose parameter count alone is below that can never be chosen;
-        # skip counting it.
-        limit = self.n * (2.0 * np.log(max(self.cards[child], 2)) + 1.0) + 1.0
-        if params > limit:
-            score = -float(params)
-        else:
-            score = self._log_likelihood(child, parents) - params
-        self._family_cache[key] = score
+        return params
+
+    def family_score(self, child: Variable, parents: frozenset[Variable]) -> float:
+        scores = self.scores[child]
+        score = scores.get(parents)
+        if score is None:
+            import numpy as np
+
+            params = self._params(child, parents)
+            # Any family the climber can hold scores above -n*(2*ln card + 1), so a
+            # family whose parameter count alone is below that can never be chosen;
+            # skip counting it.
+            if params > self.n * (2.0 * np.log(max(self.cards[child], 2)) + 1.0) + 1.0:
+                score = -float(params)
+            else:
+                score = self._log_likelihood(child, parents) - params
+            scores[parents] = score
         return score
 
+    def gain(self, child: Variable, current: frozenset[Variable], trial: frozenset[Variable]) -> float:
+        """The score gain of the trial parents over the current ones, or -inf where it cannot
+        exceed SCORE_EPS: a log-likelihood is at most 0, and so is a computed one (exactly 0,
+        or at most -2 ln 2 before rounding), so a family scores at most -params."""
+        score = self.family_score(child, current)
+        if -self._params(child, trial) - score <= SCORE_EPS:
+            return -math.inf
+        return self.family_score(child, trial) - score
+
     def _log_likelihood(self, child: Variable, parents: frozenset[Variable]) -> float:
-        cfg = tuple_keys([(self.codes[p], self.cards[p]) for p in sorted(parents)], self.n)
-        joint = tuple_keys([cfg, (self.codes[child], self.cards[child])], self.n)
-        return _sum_n_log_n(*joint) - _sum_n_log_n(*cfg)
+        """sum n(cfg, x) ln n(cfg, x) - sum n(cfg) ln n(cfg), cfg the sorted parents' values and
+        x the child's, from one count of the joint key; the second sum is kept per parent set."""
+        import numpy as np
+
+        card = self.cards[child]
+        columns = [(self.codes[p], self.cards[p]) for p in sorted(parents)]
+        joint, size = tuple_keys(columns + [(self.codes[child], card)], self.n)
+        term = self._parent_terms.get(parents)
+        if size > dense_size(self.n):  # only for a child of very many values
+            counts = np.unique(joint, return_counts=True)[1]
+            if term is None:
+                term = _sum_n_log_n(np.bincount(joint // card))
+        else:
+            counts = np.bincount(joint, minlength=size)
+            if term is None:
+                term = _sum_n_log_n(counts.reshape(-1, card).sum(1))
+        self._parent_terms[parents] = term
+        return _sum_n_log_n(counts) - term
 
 
-def _sum_n_log_n(keys: np.ndarray, size: int) -> float:
+def _sum_n_log_n(counts: np.ndarray) -> float:
+    """sum c ln c over the nonzero counts, in their order."""
     import numpy as np
-    _, counts = key_counts(keys, size)
+    counts = counts[counts > 0]
     return float((counts * np.log(counts)).sum())
 
 
-def _conditional_reaches(children: dict[Variable, list[Variable]], start: Variable, goal: Variable) -> bool:
-    """Whether goal is reachable from start along the directed edges given as child lists."""
+def _reachable(children: dict[Variable, list[Variable]], start: Variable) -> set[Variable]:
+    """The vertices reachable from start along the directed edges given as child lists."""
     stack, seen = [start], {start}
     while stack:
-        node = stack.pop()
-        if node == goal:
-            return True
-        for nxt in children.get(node, ()):
+        for nxt in children.get(stack.pop(), ()):
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
-    return False
+    return seen
 
 
-def _assert_acyclic(edges: set[Edge]) -> None:
-    # raises graphlib.CycleError on a cycle
-    TopologicalSorter({tgt: [src for src, t in edges if t == tgt] for _, tgt in edges}).prepare()
+def _assert_acyclic(edges: Iterable[Edge]) -> None:
+    """Raise graphlib.CycleError if the edges hold a directed cycle."""
+    predecessors: dict[Variable, list[Variable]] = {}
+    for src, tgt in edges:
+        predecessors.setdefault(tgt, []).append(src)
+    TopologicalSorter(predecessors).prepare()
 
 
 def _candidate_order(variables: Sequence[Variable]) -> list[Edge]:
@@ -169,45 +199,52 @@ def learn_structure(ctx: KContextLog, constraints: StructureConstraints) -> DAG:
     if not len(ctx):
         raise ValueError("context log is empty")
     coded = _CodedContext(ctx)
-    candidates = _candidate_order(ctx.variables)
+    # whitelisted edges are pinned: neither addable nor deletable
+    candidates = [
+        (src, tgt) for src, tgt in _candidate_order(ctx.variables)
+        if (src, tgt) not in constraints.blacklist and (src, tgt) not in constraints.whitelist
+    ]
     edges: set[Edge] = set(constraints.whitelist)
     conditional: set[Edge] = set()
     parents: dict[Variable, frozenset[Variable]] = {
         v: frozenset() for v in ctx.variables if v.lag == 0
     }
 
-    improved = True
-    while improved:
-        improved = False
-        children: dict[Variable, list[Variable]] = {}  # edges change only when a move ends the scan
+    # Per target, the sources whose move was found not to improve the score.  A
+    # move's gain depends only on its target's parents, so this holds until a move
+    # into that target; a move blocked by a cycle is checked again in every scan.
+    settled: dict[Variable, set[Variable]] = {v: set() for v in parents}
+    while True:
+        # edges change only when a move ends the scan
+        children: dict[Variable, list[Variable]] = {}
         for src, tgt in edges:
             children.setdefault(src, []).append(tgt)
+        reachable: dict[Variable, set[Variable]] = {}
         for src, tgt in candidates:
-            if (src, tgt) in constraints.blacklist:
+            if src in settled[tgt]:
                 continue
-            if (src, tgt) in constraints.whitelist:
-                continue  # pinned; neither addable nor deletable
-            current = coded.family_score(tgt, parents[tgt])
-            if (src, tgt) in edges:
-                trial = parents[tgt] - {src}
+            current = parents[tgt]
+            if src in current:
+                trial = current - {src}
             else:
                 # No new cycle through conditional or whitelisted edges; in
                 # particular the reverse of an FD edge is never re-modeled.
-                if _conditional_reaches(children, tgt, src):
+                if tgt not in reachable:
+                    reachable[tgt] = _reachable(children, tgt)
+                if src in reachable[tgt]:
                     continue
-                trial = parents[tgt] | {src}
-            gain = coded.family_score(tgt, trial) - current
-            if gain > SCORE_EPS:
-                if (src, tgt) in edges:
-                    edges.discard((src, tgt))
-                    conditional.discard((src, tgt))
-                else:
-                    edges.add((src, tgt))
-                    conditional.add((src, tgt))
-                parents[tgt] = trial
-                _assert_acyclic(conditional)
-                improved = True
+                trial = current | {src}
+            if coded.gain(tgt, current, trial) > SCORE_EPS:
                 break
+            settled[tgt].add(src)
+        else:
+            break
+        # the move adds or deletes its edge
+        edges ^= {(src, tgt)}
+        conditional ^= {(src, tgt)}
+        parents[tgt] = trial
+        settled[tgt].clear()
+        _assert_acyclic(conditional)
     return DAG(tuple(ctx.variables), frozenset(edges))
 
 

@@ -2,9 +2,12 @@
 
 Model files are compared byte for byte: every FD strength, CPT count, mapping,
 rate and domain that the coded pipeline learns is the one that the row-by-row
-pipeline in reference_learning.py learns.
+pipeline in reference_learning.py learns.  Every family score that the structure
+search memoizes equals the reference's float for that family exactly.
 """
+import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,12 +23,17 @@ from edbn import (
     build_k_context,
     build_mapping,
     default_shipping_model,
+    discover_fds,
     generate,
     learn_edbn,
+    learn_structure,
+    make_constraints,
     save_model,
 )
+from edbn import structure
+from edbn.stats import dense_size, tuple_keys
 
-from reference_learning import ReferenceContext, reference_build_mapping, reference_learn
+from reference_learning import ReferenceContext, _FamilyScores, reference_build_mapping, reference_learn
 
 
 def _assert_same_model(log, k, fd_threshold=0.99, structure=None):
@@ -121,3 +129,111 @@ def test_cpt_counts_do_not_overflow_with_many_high_cardinality_parents():
     model = learn_edbn(log, 1, 1.0, structure={(p, child) for p in parents})
     assert len(model.cpts["A"].rows) == 2 * len(starts)  # every event has its own parent values
     _assert_same_model(log, 1, 1.0, {(p, child) for p in parents})
+
+
+# --- the structure search's family scores ------------------------------------------
+
+
+def _search(log, k):
+    """The _CodedContext of one structure search on the log, with everything it memoized."""
+    contexts = []
+
+    class Recording(structure._CodedContext):
+        def __init__(self, ctx):
+            super().__init__(ctx)
+            contexts.append(self)
+
+    ctx = build_k_context(log, k)
+    with mock.patch.object(structure, "_CodedContext", Recording):
+        learn_structure(ctx, make_constraints(ctx.variables, discover_fds(ctx, 0.99)))
+    (coded,) = contexts
+    return coded
+
+
+def _assert_search_scores_equal_reference(log, k):
+    # float equality: every count is summed in the reference's order
+    coded = _search(log, k)
+    reference = _FamilyScores(ReferenceContext(log, k))
+    scored = [(child, parents, score) for child, scores in coded.scores.items() for parents, score in scores.items()]
+    for child, parents, score in scored:
+        assert score == reference(child, parents), (child, sorted(parents))
+    return coded, scored
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_search_scores_equal_reference_on_shipping_log(k):
+    _, scored = _assert_search_scores_equal_reference(generate(default_shipping_model(), 600, 21), k)
+    assert len(scored) > 300
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_search_scores_equal_reference_on_cyclic_log(k):
+    _, scored = _assert_search_scores_equal_reference(_cycle_log(), k)
+    assert scored
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_logs(), st.integers(1, 3))
+def test_search_scores_equal_reference_on_small_logs(log, k):
+    _assert_search_scores_equal_reference(log, k)
+
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_logs(), st.integers(1, 3), st.data())
+def test_gain_is_the_score_difference_wherever_that_could_exceed_the_threshold(log, k, data):
+    ctx = build_k_context(log, k)
+    coded = structure._CodedContext(ctx)
+    child = data.draw(st.sampled_from(ctx.current_variables()))
+    others = [v for v in ctx.variables if v != child]
+    current, trial = (frozenset(data.draw(st.sets(st.sampled_from(others)))) for _ in range(2))
+    difference = coded.family_score(child, trial) - coded.family_score(child, current)
+    gain = coded.gain(child, current, trial)
+    assert gain == difference if difference > structure.SCORE_EPS else gain <= structure.SCORE_EPS
+
+
+def test_gain_equal_to_its_bound_is_kept():
+    # A_0 is a then b, which A_1 (padding, then a) determines: the trial's log-likelihood
+    # is exactly 0, so its score, -2, is the bound, and the gain is 2 ln 2 - 1
+    log = EventLog(AttributeSchema(("A",), "tid"), (Trace("t", (Event("0", ("a",)), Event("1", ("b",)))),))
+    coded = structure._CodedContext(build_k_context(log, 1))
+    gain = coded.gain(Variable("A", 0), frozenset(), frozenset({Variable("A", 1)}))
+    assert gain == pytest.approx(2 * math.log(2) - 1, abs=1e-12)
+
+def test_search_scores_equal_reference_for_a_child_of_very_many_values():
+    # A is unique per event, so A_0 given B_1 (7 codes with padding) has a joint key
+    # space of 7 * 3000, above the 4n+4096 that one bincount pass counts; A_0 is the
+    # first target, so that family is the first to count the parent set {B_1}
+    rng = random.Random(5)
+    traces = [
+        Trace(str(t), tuple(Event(f"{t}-{i}", (f"a{t}-{i}", rng.choice("uvwxyz"), rng.choice("pq"))) for i in range(10)))
+        for t in range(300)
+    ]
+    log = EventLog(AttributeSchema(("A", "B", "C"), "tid"), tuple(traces))
+    coded, _ = _assert_search_scores_equal_reference(log, 1)
+    child, parent = Variable("A", 0), Variable("B", 1)
+    assert frozenset({parent}) in coded.scores[child]
+    family = [(coded.codes[v], coded.cards[v]) for v in (parent, child)]
+    assert tuple_keys(family, coded.n)[1] > dense_size(coded.n)
+
+
+def test_search_counts_each_parent_term_once():
+    log = generate(default_shipping_model(), 2000, 7)
+    evaluated, sums = [], []
+    log_likelihood, sum_n_log_n = structure._CodedContext._log_likelihood, structure._sum_n_log_n
+
+    def recording_log_likelihood(self, child, parents):
+        evaluated.append(parents)
+        return log_likelihood(self, child, parents)
+
+    def recording_sum_n_log_n(counts):
+        sums.append(len(counts))
+        return sum_n_log_n(counts)
+
+    with mock.patch.object(structure._CodedContext, "_log_likelihood", recording_log_likelihood), \
+            mock.patch.object(structure, "_sum_n_log_n", recording_sum_n_log_n):
+        coded = _search(log, 1)
+    # one sum for each evaluated family's joint counts, one more per new parent set
+    assert len(evaluated) == 510
+    assert len(set(evaluated)) == len(coded._parent_terms) == 332
+    assert len(sums) == len(evaluated) + len(set(evaluated))

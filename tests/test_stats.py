@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edbn import FrequencyTable, Variable, entropy, mutual_information, uncertainty_coefficient
-from edbn.stats import is_functional
+from edbn import Variable, entropy, mutual_information, uncertainty_coefficient
+from edbn.stats import is_functional, tuple_keys
 
 
 # --- independent oracles (plain dict counting, direct summation) -------------
@@ -153,18 +154,40 @@ def test_u_is_one_exactly_for_single_valued_mappings(pair):
     assert (uncertainty_coefficient(x, y) == 1.0) == (single_valued or entropy(x) == 0.0)
 
 
-def test_frequency_table():
-    table = FrequencyTable.from_values(["a", "a", "b"])
-    assert table.counts == {"a": 2, "b": 1} and table.total == 3
-    assert table.probabilities() == {"a": 2 / 3, "b": 1 / 3}
-    with pytest.raises(ValueError):
-        FrequencyTable({"a": 1}, 2)
-    with pytest.raises(ValueError):
-        FrequencyTable.from_values([])
+
+# --- tuple keys -----------------------------------------------------------------
 
 
-def test_frequency_table_counts_value_pairs():
-    pairs = [("a", "u"), ("a", "u"), ("b", "v")]
-    table = FrequencyTable.from_values(pairs)
-    assert table.counts == {("a", "u"): 2, ("b", "v"): 1}
-    assert table.total == 3
+def _unique_recoded_tuple_keys(columns, n):
+    """Mixed-radix row keys, re-coded with np.unique's inverse before they outgrow 4n+4096."""
+    keys, size = np.zeros(n, dtype=np.int64), 1
+    for codes, card in columns:
+        if size * card > 4 * n + 4096:
+            uniq, keys = np.unique(keys, return_inverse=True)
+            size = len(uniq)
+        keys, size = keys * card + codes, size * card
+    return keys, size
+
+
+def _assert_tuple_keys_equal_reference(columns, n):
+    keys, size = tuple_keys(columns, n)
+    expected_keys, expected_size = _unique_recoded_tuple_keys(columns, n)
+    assert keys.dtype == np.int64
+    assert np.array_equal(keys, expected_keys)
+    assert size == expected_size
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), st.lists(st.tuples(st.integers(1, 400), st.integers(1, 400)), max_size=6), st.integers(0, 2**32 - 1))
+def test_tuple_keys_equal_unique_recoded_keys(n, shapes, seed):
+    # each column takes at most `used` of its `card` codes, so codes may skip values
+    rng = np.random.default_rng(seed)
+    columns = [(rng.choice(rng.integers(0, card, used), n), card) for card, used in shapes]
+    _assert_tuple_keys_equal_reference(columns, n)
+
+
+@pytest.mark.parametrize("n, cards", [(34, [16] * 17), (300, [16] * 17), (300, [400, 400, 400])])
+def test_tuple_keys_of_many_wide_columns_equal_unique_recoded_keys(n, cards):
+    # three columns of 400 codes over 300 rows re-code a key space above 4n+4096
+    rng = np.random.default_rng(n)
+    _assert_tuple_keys_equal_reference([(rng.integers(0, card, n), card) for card in cards], n)

@@ -1,3 +1,4 @@
+import graphlib
 import math
 import random
 
@@ -17,7 +18,7 @@ from edbn import (
     learn_structure,
     make_constraints,
 )
-from edbn.structure import DAG, StructureConstraints
+from edbn.structure import DAG, StructureConstraints, _assert_acyclic
 
 
 def _single_trace_log(attr_rows, names=("A",)):
@@ -130,6 +131,18 @@ def test_reverse_of_fd_edge_is_never_added(permission_ctx):
     assert (Variable("UserRole", 0), Variable("UserID", 0)) not in conditional
     assert (Variable("UserRole", 0), Variable("UserName", 0)) not in conditional
 
+
+
+def test_assert_acyclic_raises_on_a_cycle_and_passes_a_learned_edge_set(permission_ctx):
+    a, b, c = Variable("A", 0), Variable("B", 0), Variable("C", 0)
+    with pytest.raises(graphlib.CycleError):
+        _assert_acyclic({(a, b), (b, a)})
+    with pytest.raises(graphlib.CycleError):
+        _assert_acyclic({(Variable("A", 1), a), (a, b), (b, c), (c, a)})
+    constraints = make_constraints(permission_ctx.variables, discover_fds(permission_ctx, 0.99))
+    conditional = learn_structure(permission_ctx, constraints).edges - constraints.whitelist
+    assert conditional
+    _assert_acyclic(conditional)
 
 # --- CPTs ---------------------------------------------------------------------
 
