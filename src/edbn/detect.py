@@ -99,16 +99,14 @@ def rank_traces(model: EDBNModel, log: EventLog) -> Ranking:
 
 
 def score_log(model: EDBNModel, log: EventLog) -> list[TraceScore]:
-    """score_trace of every trace of the log, in log order, read from the log's columns (by score_traces)."""
+    """score_trace of every trace of the log, in log order, read from the log's codes (by score_traces)."""
     n = len(log.schema.names)
     if n != len(model.schema.names):
         raise ValueError("event values do not match the model's schema")
-    rows, event_ids = zip(*log.columns), iter(log.event_ids)  # event after event
+    rows, event_ids = zip(*log.codes), iter(log.event_ids)  # event after event
     traces = (tuple(chain.from_iterable(islice(rows, length))) for length in log.trace_lengths)
-    return [
-        _trace_score(model, trace_id, tuple(islice(event_ids, length)), *scored)
-        for trace_id, length, scored in zip(log.trace_ids, log.trace_lengths, model.scoring_tables.score_traces(traces))
-    ]
+    scored = zip(log.trace_ids, log.trace_lengths, model.scoring_tables.score_traces(traces, log.vocabularies))
+    return [_trace_score(model, trace_id, tuple(islice(event_ids, length)), *s) for trace_id, length, s in scored]
 
 
 def explain(score: TraceScore, top_n: int) -> list[tuple[str, str, str, str | None, float]]:
@@ -122,8 +120,11 @@ def explain(score: TraceScore, top_n: int) -> list[tuple[str, str, str, str | No
     values, labels = score.factor_values, score.factor_labels
     n = len(labels)
     entries = []
-    # nsmallest equals sorted(...)[:top_n], so ties keep decomposition order
-    for i in heapq.nsmallest(top_n, range(len(values)), key=values.__getitem__):
+    # the top_n smallest values, ascending, each at its first position not yet taken: the
+    # positions of sorted(range(len(values)), key=values.__getitem__)[:top_n]
+    i, last = -1, None
+    for value in heapq.nsmallest(top_n, values):
+        i, last = values.index(value, i + 1 if value == last else 0), value
         attr, kind, source = labels[i % n]
         entries.append((score.event_ids[i // n], attr, kind, source.column_name if source else None, values[i]))
     return entries

@@ -14,7 +14,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, compress, islice, repeat, tee
-from operator import itemgetter
+from operator import itemgetter, le
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO, Union
 
 # Reserved padding token for missing history. Ingestion rejects logs that
@@ -96,13 +96,15 @@ class Trace:
 
 
 class EventLog:
-    """A log of traces, held as columns when it was parsed.
+    """A log of traces, held as integer codes when it was parsed.
 
-    ``trace_ids`` and ``trace_lengths`` give the traces in log order;
-    ``event_ids`` and each of ``columns`` (schema order) hold one entry per
-    event.  parse_log builds a log from these columns, and its ``traces``
-    are built when first read.  ``EventLog(schema, traces)`` builds a log
-    from traces, checks every event, and derives the columns when first
+    ``trace_ids`` and ``trace_lengths`` give the traces in log order and
+    ``event_ids`` one id per event.  Per attribute (schema order), ``codes``
+    holds one code per event into its entry of ``vocabularies``, the distinct
+    values in order of first appearance.  parse_log builds a log from these
+    codes; its ``columns`` (the values per attribute) and ``traces`` are
+    decoded when first read.  ``EventLog(schema, traces)`` builds a log from
+    traces, checks every event, and derives the other fields when first
     read.  A log is immutable.
     """
 
@@ -124,10 +126,10 @@ class EventLog:
         self.__dict__.update(schema=schema, traces=traces)
 
     @classmethod
-    def _from_columns(cls, schema, trace_ids, trace_lengths, event_ids, columns) -> "EventLog":
+    def _from_codes(cls, schema, event_ids, trace_ids, trace_lengths, vocabularies, codes) -> "EventLog":
         log = cls.__new__(cls)
         log.__dict__.update(schema=schema, trace_ids=trace_ids, trace_lengths=trace_lengths,
-                            event_ids=event_ids, columns=columns)
+                            event_ids=event_ids, vocabularies=vocabularies, codes=codes)
         return log
 
     def __setattr__(self, name, value):
@@ -154,8 +156,19 @@ class EventLog:
 
     @cached_property
     def columns(self) -> tuple[tuple[str, ...], ...]:
+        if "codes" in self.__dict__:  # a parsed log; a log of traces codes these columns
+            return tuple(tuple(map(v.__getitem__, c)) for v, c in zip(self.vocabularies, self.codes))
         values = [e.values for t in self.traces for e in t.events]
         return tuple(zip(*values)) or ((),) * len(self.schema.names)
+
+    @cached_property
+    def vocabularies(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(tuple(dict.fromkeys(column)) for column in self.columns)
+
+    @cached_property
+    def codes(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(map({v: c for c, v in enumerate(vocab)}.__getitem__, column))
+                     for vocab, column in zip(self.vocabularies, self.columns))
 
     @cached_property
     def event_ids(self) -> tuple[str, ...]:
@@ -251,15 +264,27 @@ def _order_keys(values: Sequence[str]) -> Sequence:
     return values if any(map(math.isnan, numbers)) else numbers
 
 
-def _stripped_columns(rows, width: int, used, trace_i: int, attr_is: Sequence[int]):
-    """The stripped values of each used column of ``rows``, or None if a row is faulty."""
+def _code_chunk(rows, width: int, coders, plain, trace_i: int) -> bool:
+    """Appends each coded column's codes and each plain column's stripped values from ``rows``, or
+    returns False at a faulty row.  Only new raw values are stripped and checked: no empty trace id,
+    no PADDING as an attribute value."""
     if set(map(len, rows)) - {width}:
-        return None
+        return False
     fields = list(zip(*rows)) or [()] * width
-    stripped = {i: list(map(str.strip, fields[i])) for i in used}
-    if "" in stripped[trace_i] or any(PADDING in stripped[i] for i in attr_is):
-        return None
-    return stripped
+    for i, (code_of, vocab, codes) in coders.items():
+        try:
+            chunk = list(map(code_of.__getitem__, fields[i]))
+        except KeyError:
+            for raw in [raw for raw in dict.fromkeys(fields[i]) if raw not in code_of]:
+                value = raw.strip()
+                if (not value) if i == trace_i else value == PADDING:
+                    return False
+                code_of[raw] = vocab.setdefault(value, len(vocab))  # equal stripped values share a code
+            chunk = list(map(code_of.__getitem__, fields[i]))
+        codes += chunk
+    for i, values in plain.items():
+        values += map(str.strip, fields[i])
+    return True
 
 
 def _raise_first_fault(reader, start: int, width: int, trace_i: int, attr_is: Sequence[int]) -> None:
@@ -294,8 +319,9 @@ def parse_log(
     or empty input.
 
     The csv module reads the text a chunk of rows at a time; each chunk is
-    checked and transposed into columns, and a faulty chunk is read again row
-    by row to name its first faulty line.
+    transposed, and each attribute and the trace id coded as it is read (see
+    EventLog).  A faulty chunk is read again row by row to name its first
+    faulty line.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -316,62 +342,59 @@ def parse_log(
     col_index: dict[str, int] = {}
     for i, name in enumerate(columns):
         col_index.setdefault(name, i)
-    needed = list(schema.names) + [schema.trace_id_column]
-    if schema.event_order_column:
-        needed.append(schema.event_order_column)
-    if schema.event_id_column:
-        needed.append(schema.event_id_column)
-    for name in needed:
+    optional = [c for c in (schema.event_order_column, schema.event_id_column) if c]
+    for name in (*schema.names, schema.trace_id_column, *optional):
         if name not in col_index:
             raise LogFormatError(f"column {name!r} not found in input")
 
     width, trace_i = len(columns), col_index[schema.trace_id_column]
     attr_is = [col_index[a] for a in schema.names]
-    kept: dict[int, list[str]] = {col_index[name]: [] for name in needed}  # stripped values per used column
-    # equal attribute values and trace ids share one string, so the log holds each value once
-    shared = {i: {} for i in (*attr_is, trace_i)}
+    # per coded column: raw value -> code, stripped value -> code (the vocabulary), codes
+    coders = {i: ({}, {}, []) for i in (*attr_is, trace_i)}
+    plain = {col_index[c]: [] for c in optional}  # stripped values
     read = 0
     while True:
         deque(islice(behind, reader.line_num - read), maxlen=0)  # lines of the header or the last chunk
         read = reader.line_num
         try:
             rows = list(filter(None, islice(reader, _CHUNK_ROWS)))  # a blank line yields []
-            stripped = _stripped_columns(rows, width, kept, trace_i, attr_is)
+            coded = _code_chunk(rows, width, coders, plain, trace_i)
         except csv.Error:
-            stripped = None
-        if stripped is None:
+            coded = False
+        if not coded:
             _raise_first_fault(csv.reader(behind, delimiter=delimiter), read, width, trace_i, attr_is)
         if reader.line_num == read:
             break
-        for i, values in stripped.items():
-            kept[i] += map(shared[i].setdefault, values, values) if i in shared else values
 
-    trace_rows = kept[trace_i]
-    if not trace_rows:
+    _, trace_vocab, trace_codes = coders[trace_i]
+    if not trace_codes:
         raise LogFormatError("empty log")
-    lengths = Counter(trace_rows)  # traces in order of first appearance
-    ordinal = list(map(dict(zip(lengths, range(len(lengths)))).__getitem__, trace_rows))
-    order = sorted(range(len(trace_rows)), key=ordinal.__getitem__)  # stable: file order within a trace
+    # trace codes follow first appearance, so they ascend where each trace's rows are together
+    grouped = all(map(le, trace_codes, islice(trace_codes, 1, None)))
+    order = range(len(trace_codes)) if grouped else sorted(range(len(trace_codes)), key=trace_codes.__getitem__)
+    lengths = Counter(trace_codes).values()  # in code order
     if schema.event_order_column:
-        times, start = kept[col_index[schema.event_order_column]], 0
-        for length in lengths.values():
+        times, start, order = plain[col_index[schema.event_order_column]], 0, list(order)
+        for length in lengths:
             rows_of_trace = order[start : start + length]
             keys = _order_keys([times[i] for i in rows_of_trace])
             order[start : start + length] = [i for _, i in sorted(zip(keys, rows_of_trace), key=itemgetter(0))]
             start += length
-    if schema.event_id_column:
-        event_ids = tuple(map(kept[col_index[schema.event_id_column]].__getitem__, order))
-    else:
-        event_ids = tuple(map(str, order))  # the data row
-    attr_columns = tuple(tuple(map(kept[i].__getitem__, order)) for i in attr_is)
-    traces = (tuple(lengths), tuple(lengths.values()))
+        grouped = order == list(range(len(order)))
+
+    in_order = tuple if grouped else (lambda values: tuple(map(values.__getitem__, order)))
+    # the trace ids, trace lengths, vocabularies and codes
+    coded = (tuple(trace_vocab), tuple(lengths), tuple(tuple(coders[i][1]) for i in attr_is),
+             tuple(in_order(coders[i][2]) for i in attr_is))
+    if not schema.event_id_column:
+        return EventLog._from_codes(schema, tuple(map(str, order)), *coded)  # events named by data row
+    event_ids = in_order(plain[col_index[schema.event_id_column]])
     try:
         _check_unique(event_ids)
     except DuplicateEventIdError as exc:  # a caller may name the events by data row without a second read
-        by_row = replace(schema, event_id_column=None)
-        exc.log = EventLog._from_columns(by_row, *traces, tuple(map(str, order)), attr_columns)
+        exc.log = EventLog._from_codes(replace(schema, event_id_column=None), tuple(map(str, order)), *coded)
         raise
-    return EventLog._from_columns(schema, *traces, event_ids, attr_columns)
+    return EventLog._from_codes(schema, event_ids, *coded)
 
 
 def load_log(path, schema: AttributeSchema, **options) -> EventLog:
@@ -408,7 +431,8 @@ def build_k_context(log: EventLog, k: int) -> KContextLog:
     """Widen every event with the descriptions of its k predecessors, as integer codes.
 
     History slots beyond the start of the trace hold PADDING.  Variables are
-    ordered slice k down to slice 0, schema order within each slice.
+    ordered slice k down to slice 0, schema order within each slice.  The log's
+    codes are taken through the sorted rank of their values: no value is coded again.
     """
     import numpy as np
     if k < 1:
@@ -419,11 +443,11 @@ def build_k_context(log: EventLog, k: int) -> KContextLog:
     # position of each event in its trace: a lag-l slot is padding where it is below l
     position = np.arange(log.event_count) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     current = {}
-    for attr, values in zip(names, log.columns):
-        vocab = sorted(set(values) | {PADDING})
-        code_of = {v: c for c, v in enumerate(vocab)}
-        lag0 = np.fromiter(map(code_of.__getitem__, values), np.int64, len(values))
-        current[attr] = vocab, code_of[PADDING], lag0
+    for attr, values, codes in zip(names, log.vocabularies, log.codes):
+        vocab = sorted((*values, PADDING))
+        rank = dict(zip(vocab, range(len(vocab))))
+        lag0 = np.array(list(map(rank.__getitem__, values)), np.int64)[np.fromiter(codes, np.int64, len(codes))]
+        current[attr] = vocab, rank[PADDING], lag0
     codes, vocabularies = [], []
     for var in variables:
         vocab, pad, lag0 = current[var.attr]

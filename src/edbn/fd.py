@@ -52,10 +52,15 @@ def discover_fds(ctx: KContextLog, threshold: float) -> list[FDEdge]:
     coded = {v: coded_column(codes, len(vocab)) for v, codes, vocab in zip(ctx.variables, ctx.codes, ctx.vocabularies)}
     edges = []
     for target in ctx.current_variables():
+        x = coded[target]
         for source in ctx.variables:
-            if source == target:
+            y = coded[source]
+            # U(target|source) <= H(source) / H(target): a source below the threshold's share of the
+            # target's entropy (less a rounding margin) cannot pass unless it determines the target,
+            # and a source that takes fewer values than the target cannot determine it
+            if source == target or len(y.counts) < len(x.counts) and y.entropy < threshold * x.entropy * (1 - 1e-9):
                 continue
-            u = coded_uncertainty(coded[target], coded[source])
+            u = coded_uncertainty(x, y)
             if u > threshold:
                 edges.append(FDEdge(source, target, u))
     return edges

@@ -17,8 +17,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, cycle
+from operator import getitem, itemgetter
 from typing import Iterable, Iterator, Sequence, Union
 
 from .event_log import (
@@ -308,38 +308,42 @@ class ScoringTables:
             logs.append(math.fsum(map(_log, event)))
         return values, logs
 
-    def score_traces(self, traces: Iterable[tuple[str, ...]]) -> Iterator[tuple[list[float], list[float]]]:
-        """``score_values`` of each trace's row values, each attribute's factors computed once per distinct key.
+    def score_traces(self, traces: Iterable[tuple[int, ...]], vocabularies) -> Iterator[tuple[list[float], list[float]]]:
+        """``score_values`` of each trace, given as its events' codes, event after event, into
+        ``vocabularies`` (one per attribute); each attribute's factors are computed once per distinct key.
 
-        The dicts that hold them live only as long as this generator.  An event with a new key costs
-        more than the per-event path, so once three times such events exceed the events scored by more
-        than 512 (a third of the events, past a cold start), the dicts are dropped and the rest go to
-        score_values.
+        The dicts that hold them are keyed on codes and live only as long as this generator; an event's
+        codes are decoded only for a new key.  An event with a new key costs more than the per-event path,
+        so once three times such events exceed the events scored by more than 512 (a third of the events,
+        past a cold start), the dicts are dropped and the rest are decoded for score_values.
         """
         n, width, traces = self._n_attrs, self._width, iter(traces)
         slices, key_getters = zip(*self._blocks)
+        # per k-context position, the values of its attribute's codes; one code more stands for PADDING
+        decoders = [(*vocab, PADDING) for vocab in vocabularies] * (width // n)
+        padding = tuple(len(vocab) for vocab in vocabularies) * (width // n - 1)
         memos: list[dict] = [{} for _ in slices]  # per attribute: key -> (factor values, their logs)
         events = misses = 0
-        for row_values in traces:
-            flat = self._padding + row_values
+        for row_codes in traces:
+            flat = padding + row_codes
             values, logs = [], []
-            for start in range(0, len(row_values), n):
+            for start in range(0, len(row_codes), n):
                 ctx = flat[start : start + width]
                 keys = [key_of(ctx) for key_of in key_getters]
                 try:
                     blocks = list(map(dict.__getitem__, memos, keys))
                 except KeyError:  # a new key: compute the event's factors once
                     misses += 1
-                    event_logs = list(map(_log, event := self.factors(ctx)))
+                    event_logs = list(map(_log, event := self.factors(tuple(map(getitem, decoders, ctx)))))
                     blocks = [memo.setdefault(key, (event[s], event_logs[s])) for memo, key, s in zip(memos, keys, slices)]
                 values += chain.from_iterable(map(itemgetter(0), blocks))
                 logs.append(math.fsum(chain.from_iterable(map(itemgetter(1), blocks))))  # fsum is exact: any order
             yield values, logs
-            events += len(row_values) // n
+            events += len(row_codes) // n
             if 3 * misses > events + 512:  # the slack keeps the first, cold events from deciding
                 break
         del memos
-        yield from map(self.score_values, traces)
+        yield from (self.score_values(tuple(map(getitem, cycle(decoders[:n]), codes))) for codes in traces)
 
 
 def decompose(

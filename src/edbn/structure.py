@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from graphlib import TopologicalSorter
 from typing import Iterable, Sequence
 
 from .event_log import KContextLog, Variable
@@ -175,14 +174,6 @@ def _reachable(children: dict[Variable, list[Variable]], start: Variable) -> set
     return seen
 
 
-def _assert_acyclic(edges: Iterable[Edge]) -> None:
-    """Raise graphlib.CycleError if the edges hold a directed cycle."""
-    predecessors: dict[Variable, list[Variable]] = {}
-    for src, tgt in edges:
-        predecessors.setdefault(tgt, []).append(src)
-    TopologicalSorter(predecessors).prepare()
-
-
 def _candidate_order(variables: Sequence[Variable]) -> list[Edge]:
     sources = sorted(variables, key=lambda v: (v.lag, v.attr))
     targets = sorted((v for v in variables if v.lag == 0), key=lambda v: v.attr)
@@ -205,7 +196,6 @@ def learn_structure(ctx: KContextLog, constraints: StructureConstraints) -> DAG:
         if (src, tgt) not in constraints.blacklist and (src, tgt) not in constraints.whitelist
     ]
     edges: set[Edge] = set(constraints.whitelist)
-    conditional: set[Edge] = set()
     parents: dict[Variable, frozenset[Variable]] = {
         v: frozenset() for v in ctx.variables if v.lag == 0
     }
@@ -227,8 +217,9 @@ def learn_structure(ctx: KContextLog, constraints: StructureConstraints) -> DAG:
             if src in current:
                 trial = current - {src}
             else:
-                # No new cycle through conditional or whitelisted edges; in
-                # particular the reverse of an FD edge is never re-modeled.
+                # No new cycle through conditional or whitelisted edges, so the
+                # conditional edges stay acyclic; in particular the reverse of
+                # an FD edge is never re-modeled.
                 if tgt not in reachable:
                     reachable[tgt] = _reachable(children, tgt)
                 if src in reachable[tgt]:
@@ -241,10 +232,8 @@ def learn_structure(ctx: KContextLog, constraints: StructureConstraints) -> DAG:
             break
         # the move adds or deletes its edge
         edges ^= {(src, tgt)}
-        conditional ^= {(src, tgt)}
         parents[tgt] = trial
         settled[tgt].clear()
-        _assert_acyclic(conditional)
     return DAG(tuple(ctx.variables), frozenset(edges))
 
 

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from edbn import event_log, read_model
+from edbn import default_shipping_model, event_log, generate, inject_anomalies, read_model, write_log
 from edbn.cli import main
 
 from conftest import PERMISSION_ROWS_FULL, PERMISSION_ROWS
@@ -168,6 +168,37 @@ def test_module_entry_point_runs(tmp_path):
     )
     assert result.returncode == 0
     assert (tmp_path / "x.csv").exists()
+
+
+SCORE_WITHOUT_NUMPY = """
+import sys
+from edbn import AttributeSchema, explain, load_log, read_model, score_prefix
+from edbn.cli import main
+
+model_path, log_path, out = sys.argv[1:]
+assert main(["score", "--model", model_path, "--log", log_path, "--out", out, "--explain", "3"]) == 0
+model = read_model(model_path)
+trace = load_log(log_path, AttributeSchema(model.schema.names, "case_id")).traces[0]
+assert explain(score_prefix(model, trace.events[:2], trace.trace_id), 3)
+assert "numpy" not in sys.modules, "scoring loaded numpy"
+"""
+
+
+def test_scoring_never_loads_numpy(tmp_path, capsys):
+    # numpy adds about 13 MB to a process that only loads models and scores logs
+    process = default_shipping_model()
+    write_log(generate(process, 60, 5), tmp_path / "train.csv")
+    write_log(inject_anomalies(generate(process, 20, 6), 0.2, 7).log, tmp_path / "test.csv")
+    assert main(["train", "--log", str(tmp_path / "train.csv"), "--trace-col", "case_id",
+                 "--out", str(tmp_path / "model.json")]) == 0
+    result = subprocess.run(
+        [sys.executable, "-c", SCORE_WITHOUT_NUMPY, str(tmp_path / "model.json"), str(tmp_path / "test.csv"),
+         str(tmp_path / "ranking.csv")],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "ranking.csv.explain.txt").read_text(encoding="utf-8").count("event") == 3 * 20
 
 
 def test_invalid_flag_values_fail(permission_file, capsys):

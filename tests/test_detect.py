@@ -4,6 +4,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edbn import (
     AttributeSchema,
@@ -19,6 +21,7 @@ from edbn import (
     score_prefix,
     score_trace,
 )
+from edbn.detect import TraceScore
 
 from test_model import oracle_event_probability
 
@@ -177,6 +180,26 @@ def test_explain_requires_positive_top_n(permission_model, permission_log):
     result = score_trace(permission_model, permission_log.traces[0])
     with pytest.raises(ValueError):
         explain(result, 0)
+
+
+FACTOR_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_explain_takes_the_positions_of_a_stable_sort(n_labels, data):
+    # ties, exact zeros and -0.0 next to 0.0 keep decomposition order; each factor's
+    # position has its own (event id, attribute), so a wrong position shows
+    n_events = data.draw(st.integers(1, 12))
+    values = tuple(data.draw(st.lists(FACTOR_VALUES, min_size=n_events * n_labels, max_size=n_events * n_labels)))
+    labels = tuple((f"a{j}", "value", None) for j in range(n_labels))
+    score = TraceScore("t", 0.5, n_events, -1.0, tuple(f"e{i}" for i in range(n_events)), values, labels)
+    for top_n in (1, 3, 5, 50, data.draw(st.integers(1, len(values) + 5))):
+        expected = [(f"e{i // n_labels}", f"a{i % n_labels}", "value", None, values[i])
+                    for i in sorted(range(len(values)), key=values.__getitem__)[:top_n]]
+        entries = explain(score, top_n)
+        assert entries == expected
+        assert [repr(e[4]) for e in entries] == [repr(e[4]) for e in expected]  # -0.0 is not 0.0
 
 
 # --- concurrency and invariance --------------------------------------------------

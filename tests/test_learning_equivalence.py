@@ -31,9 +31,15 @@ from edbn import (
     save_model,
 )
 from edbn import structure
-from edbn.stats import dense_size, tuple_keys
+from edbn.stats import coded_column, dense_size, tuple_keys
 
-from reference_learning import ReferenceContext, _FamilyScores, reference_build_mapping, reference_learn
+from reference_learning import (
+    ReferenceContext,
+    _FamilyScores,
+    reference_build_mapping,
+    reference_discover_fds,
+    reference_learn,
+)
 
 
 def _assert_same_model(log, k, fd_threshold=0.99, structure=None):
@@ -107,6 +113,40 @@ def test_coded_learner_equals_reference_on_small_logs(log, k, impose, data):
         legal = [(s, t) for s in variables for t in variables if t.lag == 0 and s != t]
         structure = data.draw(st.sets(st.sampled_from(legal)))
     _assert_same_model(log, k, 0.99, structure)
+
+
+# --- FD discovery ------------------------------------------------------------------
+
+FD_THRESHOLDS = [1e-6, 0.5, 0.99, 1.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_logs(), st.integers(1, 3), st.sampled_from(FD_THRESHOLDS))
+def test_fd_discovery_equals_reference_on_small_logs(log, k, threshold):
+    # discover_fds skips the pairs that the entropy bound U(X|Y) <= H(Y)/H(X) rules out
+    found = discover_fds(build_k_context(log, k), threshold)
+    assert found == reference_discover_fds(ReferenceContext(log, k), threshold)  # strengths included
+
+
+@pytest.mark.parametrize("threshold", [*FD_THRESHOLDS, math.nextafter(1.0, 0.0)])
+def test_fd_discovery_keeps_a_bijective_pair_whose_entropies_round_apart(threshold):
+    # B relabels A in reverse order, so their code counts come in opposite orders and
+    # their entropies differ in the last bits, though each determines the other: H(B)
+    # is even below the largest threshold under 1 times H(A)
+    counts = {"a": 9, "b": 5, "c": 2, "d": 9, "e": 6}
+    relabel = dict(zip("abcde", "zyxwv"))
+    values = [v for v, count in counts.items() for _ in range(count)]
+    random.Random(1).shuffle(values)
+    events = tuple(Event(str(i), (v, relabel[v])) for i, v in enumerate(values))
+    log = EventLog(AttributeSchema(("A", "B"), "tid"), (Trace("t", events),))
+    ctx = build_k_context(log, 1)
+    entropies = {v: coded_column(c, len(vocab)).entropy for v, c, vocab in zip(ctx.variables, ctx.codes, ctx.vocabularies)}
+    assert entropies[Variable("B", 0)] < math.nextafter(1.0, 0.0) * entropies[Variable("A", 0)]
+    found = discover_fds(ctx, threshold)
+    assert found == reference_discover_fds(ReferenceContext(log, 1), threshold)
+    pair = {(e.source, e.target): e.strength for e in found if e.source.lag == 0}
+    assert pair == ({} if threshold == 1.0 else {(Variable("B", 0), Variable("A", 0)): 1.0,
+                                                 (Variable("A", 0), Variable("B", 0)): 1.0})
 
 
 def test_cpt_counts_do_not_overflow_with_many_high_cardinality_parents():

@@ -1,11 +1,13 @@
-"""The columnar parse_log equals the row-by-row parser kept in reference_parsing.py.
+"""The coded parse_log equals the row-by-row parser kept in reference_parsing.py.
 
 Both must return the same traces, events and ids, or raise the same error
-type with the same message, line number included.  The inputs cover quoted
-delimiters and line breaks, blank lines, padded values, a UTF-8 BOM, numeric
-and text order columns, headerless input, missing and repeated event ids,
-short and long rows, empty trace ids and the reserved padding token; chunks
-as small as one line put record boundaries everywhere.
+type with the same message, line number included; and the k-context of a
+parsed log, taken from its codes, must equal that of the log built from its
+traces.  The inputs cover quoted delimiters and line breaks, blank lines,
+padded values, a UTF-8 BOM, numeric and text order columns, headerless
+input, missing and repeated event ids, short and long rows, empty trace ids
+and the reserved padding token; chunks as small as one line put record
+boundaries everywhere.
 """
 import csv
 import io
@@ -14,6 +16,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +28,7 @@ from edbn import (
     Event,
     EventLog,
     Trace,
+    build_k_context,
     default_shipping_model,
     generate,
     learn_edbn,
@@ -115,19 +119,50 @@ def delimited_logs(draw):
     return out.getvalue(), schema, delimiter, header, columns
 
 
+def parse_at(chunk_rows, text, schema, **options):
+    """parse_log reading ``chunk_rows`` rows at a time, or None where the text is faulty."""
+    with mock.patch.object(edbn.event_log, "_CHUNK_ROWS", chunk_rows):
+        try:
+            return parse_log(text, schema, **options)
+        except (ValueError, csv.Error):
+            return None
+
+
+def _assert_same_k_context(text, schema, chunk_rows, **options):
+    # the parsed log's codes, taken through their values' sorted ranks, give the
+    # k-context that the values of its traces give when coded afresh
+    log = parse_at(chunk_rows, text, schema, **options)
+    if log is None:
+        return
+    for k in (1, 2, 3):
+        parsed = build_k_context(log, k)
+        built = build_k_context(EventLog(schema, log.traces), k)
+        assert parsed.vocabularies == built.vocabularies
+        assert all(map(np.array_equal, parsed.codes, built.codes))
+        assert (parsed.event_ids, parsed.trace_ids) == (built.event_ids, built.trace_ids)
+
+
+CHUNK_ROWS = st.sampled_from([1, 2, 3, 4, 4096])
+
+
 @settings(max_examples=300, deadline=None)
-@given(delimited_logs(), st.sampled_from([1, 2, 3, 4096]), st.booleans())
+@given(delimited_logs(), CHUNK_ROWS, st.booleans())
 def test_columnar_parser_equals_the_reference(case, chunk_rows, bom):
     text, schema, delimiter, header, columns = case
     options = {"delimiter": delimiter, "header": header, "column_names": None if header else columns}
     _assert_same_outcome(text, bom, schema, chunk_rows, **options)
+    _assert_same_k_context(text, schema, chunk_rows, **options)
+
+
+RAW_BODIES = st.text(alphabet='ab,"\n\r \t_\0', max_size=40)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(alphabet='ab,"\n\r \t_\0', max_size=40), st.sampled_from([1, 2, 4096]), st.booleans())
+@given(RAW_BODIES, CHUNK_ROWS, st.booleans())
 def test_columnar_parser_equals_the_reference_on_raw_text(body, chunk_rows, bom):
     # unterminated quotes, quotes inside fields, stray line breaks and NUL bytes, as csv reads them
     _assert_same_outcome("a,b\n" + body, bom, AttributeSchema(("a",), "b"), chunk_rows)
+    _assert_same_k_context("a,b\n" + body, AttributeSchema(("a",), "b"), chunk_rows)
 
 
 def test_a_field_over_the_csv_limit_fails_as_csv_fails():

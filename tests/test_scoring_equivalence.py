@@ -34,6 +34,7 @@ from edbn.event_log import context_row_for
 from edbn.model import ScoringTables
 
 from reference_scoring import ReferenceScore, reference_ranking
+from test_parsing_equivalence import CHUNK_ROWS, RAW_BODIES, delimited_logs, parse_at
 
 CASES = [("shipping", 1), ("shipping", 2), ("cycle", 1), ("cycle", 2)]
 
@@ -213,3 +214,37 @@ def test_batch_ranking_falls_back_to_per_event_scoring_when_keys_rarely_repeat(m
         assert entry.factor_values == ref.factor_values
         assert entry.zero_factor_count == ref.zero_factor_count
         assert explain(entry, 3) == explain(ref, 3)
+
+
+# --- a parsed log, scored from its codes -------------------------------------------
+
+
+def _logs_to_score():
+    """(text, schema, parse options) as the parser's equivalence tests draw them."""
+    written = delimited_logs().map(lambda case: (case[0], case[1], {
+        "delimiter": case[2], "header": case[3], "column_names": None if case[3] else case[4]}))
+    raw = RAW_BODIES.map(lambda body: ("a,b\n" + body, AttributeSchema(("a",), "b"), {}))
+    return st.one_of(written, raw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_logs_to_score(), CHUNK_ROWS, st.integers(1, 3))
+def test_batch_ranking_of_a_parsed_log_equals_that_of_its_traces(case, chunk_rows, k):
+    # padded values and trace ids, interleaved traces and an order column are coded
+    # as they are read; the first half of the traces trains the model, so the others
+    # bring values it never saw
+    text, schema, options = case
+    log = parse_at(chunk_rows, text, schema, **options)
+    if log is None:
+        return
+    built = EventLog(schema, log.traces)
+    model = learn_edbn(EventLog(schema, log.traces[: (len(log.traces) + 1) // 2]), k, 0.99)
+    parsed_ranking, built_ranking = rank_traces(model, log), rank_traces(model, built)
+    assert parsed_ranking.trace_ids() == built_ranking.trace_ids()
+    for entry, ref in zip(parsed_ranking, built_ranking):
+        assert entry.event_ids == ref.event_ids
+        assert entry.log_score == ref.log_score
+        assert entry.score == ref.score
+        assert entry.factor_values == ref.factor_values
+        for top_n in (1, 3):
+            assert explain(entry, top_n) == explain(ref, top_n)

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edbn import (
     AttributeSchema,
@@ -13,12 +15,16 @@ from edbn import (
     Variable,
     aic_score,
     build_k_context,
+    default_shipping_model,
     discover_fds,
     fit_cpts,
+    generate,
     learn_structure,
     make_constraints,
 )
-from edbn.structure import DAG, StructureConstraints, _assert_acyclic
+from edbn.structure import DAG, StructureConstraints
+
+from test_learning_equivalence import _cycle_log, small_logs
 
 
 def _single_trace_log(attr_rows, names=("A",)):
@@ -133,16 +139,41 @@ def test_reverse_of_fd_edge_is_never_added(permission_ctx):
 
 
 
-def test_assert_acyclic_raises_on_a_cycle_and_passes_a_learned_edge_set(permission_ctx):
+def _assert_acyclic(edges):
+    predecessors = {}
+    for src, tgt in edges:
+        predecessors.setdefault(tgt, []).append(src)
+    graphlib.TopologicalSorter(predecessors).prepare()  # raises graphlib.CycleError on a cycle
+
+
+def _learned_conditional_edges(log, k):
+    ctx = build_k_context(log, k)
+    constraints = make_constraints(ctx.variables, discover_fds(ctx, 0.99))
+    return learn_structure(ctx, constraints).edges - constraints.whitelist
+
+
+def test_the_acyclicity_check_sees_a_cycle():
     a, b, c = Variable("A", 0), Variable("B", 0), Variable("C", 0)
     with pytest.raises(graphlib.CycleError):
         _assert_acyclic({(a, b), (b, a)})
     with pytest.raises(graphlib.CycleError):
         _assert_acyclic({(Variable("A", 1), a), (a, b), (b, c), (c, a)})
-    constraints = make_constraints(permission_ctx.variables, discover_fds(permission_ctx, 0.99))
-    conditional = learn_structure(permission_ctx, constraints).edges - constraints.whitelist
-    assert conditional
-    _assert_acyclic(conditional)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_learned_conditional_edges_are_acyclic(k):
+    # the search checks no cycle after a move: its candidate check must rule every one out
+    for log in (generate(default_shipping_model(), 600, 21), _cycle_log()):
+        conditional = _learned_conditional_edges(log, k)
+        assert conditional
+        _assert_acyclic(conditional)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_logs(), st.integers(1, 2))
+def test_learned_conditional_edges_are_acyclic_on_small_logs(log, k):
+    _assert_acyclic(_learned_conditional_edges(log, k))
+
 
 # --- CPTs ---------------------------------------------------------------------
 
