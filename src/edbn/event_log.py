@@ -21,7 +21,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO, Union
 # contain it as a value.
 PADDING = "__NONE__"
 
-_CHUNK_ROWS = 4096  # parse_log reads, checks and transposes this many rows at a time
+_CHUNK_ROWS = 4096  # parse_log reads, checks and codes this many lines (csv: rows) at a time
+_LAST_CHAR = itemgetter(slice(-1, None))
 
 
 class LogFormatError(ValueError):
@@ -264,13 +265,33 @@ def _order_keys(values: Sequence[str]) -> Sequence:
     return values if any(map(math.isnan, numbers)) else numbers
 
 
-def _code_chunk(rows, width: int, coders, plain, trace_i: int) -> bool:
-    """Appends each coded column's codes and each plain column's stripped values from ``rows``, or
-    returns False at a faulty row.  Only new raw values are stripped and checked: no empty trace id,
-    no PADDING as an attribute value."""
-    if set(map(len, rows)) - {width}:
-        return False
-    fields = list(zip(*rows)) or [()] * width
+def _split_columns(lines: list[str], delimiter: str, width: int) -> list | None:
+    """The columns of ``lines`` split at the delimiter, or None where csv might read them otherwise.
+
+    csv treats a quote, CR and NUL specially, fails a field over its limit, and ends a row at
+    the end of each item; so no item may hold those, and each must be one line ending in a
+    line break.  Blank lines are skipped, as csv skips them; every other line must hold
+    ``width - 1`` delimiters.
+    """
+    text = "".join(lines)
+    if ('"' in text or "\r" in text or "\0" in text or delimiter == "\n"
+            or max(map(len, lines)) > csv.field_size_limit()
+            or set(map(_LAST_CHAR, lines)) != {"\n"} or text.count("\n") != len(lines)):
+        return None
+    if "\n" in lines:
+        lines = [line for line in lines if line != "\n"]
+        text = "".join(lines)
+    if set(map(str.count, lines, repeat(delimiter))) - {width - 1}:
+        return None
+    fields = text.replace("\n", delimiter).split(delimiter)
+    fields.pop()  # the empty field after the last line break
+    return [fields[i::width] for i in range(width)]
+
+
+def _code_chunk(fields, coders, plain, trace_i: int) -> bool:
+    """Appends each coded column's codes and each plain column's stripped values from ``fields``,
+    the chunk's columns, or returns False at a faulty value.  Only new raw values are stripped
+    and checked: no empty trace id, no PADDING as an attribute value."""
     for i, (code_of, vocab, codes) in coders.items():
         try:
             chunk = list(map(code_of.__getitem__, fields[i]))
@@ -318,15 +339,16 @@ def parse_log(
     LogFormatError for malformed rows (with line number), unknown columns,
     or empty input.
 
-    The csv module reads the text a chunk of rows at a time; each chunk is
-    transposed, and each attribute and the trace id coded as it is read (see
-    EventLog).  A faulty chunk is read again row by row to name its first
-    faulty line.
+    The text is read a chunk of lines at a time.  A chunk that csv would read
+    as plain splits at the delimiter (see _split_columns) is split with
+    str.split; from the first chunk that is not, csv reads the rest a chunk of
+    rows at a time, as a quoted field may span lines.  Each attribute and the
+    trace id is coded as it is read (see EventLog).  A faulty chunk is read
+    again row by row to name its first faulty line.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
-    # ``behind`` holds the lines of the chunk being read, to read them again on a fault
-    lines, behind = tee(source)
+    lines = iter(source)
     reader = csv.reader(lines, delimiter=delimiter)
 
     if header:
@@ -352,17 +374,29 @@ def parse_log(
     # per coded column: raw value -> code, stripped value -> code (the vocabulary), codes
     coders = {i: ({}, {}, []) for i in (*attr_is, trace_i)}
     plain = {col_index[c]: [] for c in optional}  # stripped values
+    start = reader.line_num  # lines of the header
+    while chunk := list(islice(lines, _CHUNK_ROWS)):
+        fields = _split_columns(chunk, delimiter, width)
+        if fields is None:
+            break
+        if not _code_chunk(fields, coders, plain, trace_i):
+            _raise_first_fault(csv.reader(chunk, delimiter=delimiter), start, width, trace_i, attr_is)
+        start += len(chunk)
+    # csv reads the rest; ``behind`` holds the lines of the chunk being read, to read them again on a fault
+    lines, behind = tee(chain(chunk, lines))
+    reader = csv.reader(lines, delimiter=delimiter)
     read = 0
     while True:
-        deque(islice(behind, reader.line_num - read), maxlen=0)  # lines of the header or the last chunk
+        deque(islice(behind, reader.line_num - read), maxlen=0)  # lines of the last chunk
         read = reader.line_num
         try:
             rows = list(filter(None, islice(reader, _CHUNK_ROWS)))  # a blank line yields []
-            coded = _code_chunk(rows, width, coders, plain, trace_i)
+            coded = not set(map(len, rows)) - {width} and _code_chunk(
+                list(zip(*rows)) or [()] * width, coders, plain, trace_i)
         except csv.Error:
             coded = False
         if not coded:
-            _raise_first_fault(csv.reader(behind, delimiter=delimiter), read, width, trace_i, attr_is)
+            _raise_first_fault(csv.reader(behind, delimiter=delimiter), start + read, width, trace_i, attr_is)
         if reader.line_num == read:
             break
 

@@ -41,17 +41,17 @@ def tuple_keys(columns: Sequence[tuple[np.ndarray, int]], n: int) -> tuple[np.nd
     (keys, size), *rest = columns
     for codes, card in rest:
         if size * card > dense_size(n):
-            keys, size = _dense_ranks(keys, size)
+            keys, size = dense_ranks(keys, size)
         keys = keys * card
         keys += codes
         size *= card
     return keys, size
 
 
-def _dense_ranks(keys: np.ndarray, size: int) -> tuple[np.ndarray, int]:
+def dense_ranks(keys: np.ndarray, size: int) -> tuple[np.ndarray, int]:
     """Each key's rank among the distinct keys, and their number: np.unique's inverse."""
     import numpy as np
-    if size > dense_size(len(keys)):  # only after two columns of very many codes
+    if size > dense_size(len(keys)):  # only for keys of very many values
         uniq, inverse = np.unique(keys, return_inverse=True)
         return inverse, len(uniq)
     rank = np.cumsum(np.bincount(keys, minlength=size) > 0) - 1

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .event_log import KContextLog, Variable
 from .fd import FDEdge
-from .stats import dense_size, tuple_keys
+from .stats import dense_ranks, dense_size, tuple_keys
 
 Edge = tuple[Variable, Variable]
 
@@ -261,9 +261,11 @@ def fit_cpts(ctx: KContextLog, dag: DAG, fds: Iterable[FDEdge]) -> dict[str, CPT
     for child in ctx.current_variables():
         parents = tuple(sorted(dag.parents_of(child, exclude=fd_edges), key=var_pos.__getitem__))
         columns = [var_pos[p] for p in parents] + [var_pos[child]]
-        key, _ = tuple_keys([(ctx.codes[i], len(ctx.vocabularies[i])) for i in columns], len(ctx))
         # one cell per distinct (parents, child) key, decoded at its first row
-        _, first, counts = np.unique(key, return_index=True, return_counts=True)
+        cell, cells = dense_ranks(*tuple_keys([(ctx.codes[i], len(ctx.vocabularies[i])) for i in columns], len(ctx)))
+        first = np.full(cells, len(ctx))
+        np.minimum.at(first, cell, np.arange(len(ctx)))
+        counts = np.bincount(cell, minlength=cells)
         rows: dict = {}
         for row, count in sorted(zip(first.tolist(), counts.tolist())):
             *cfg, value = (ctx.vocabularies[i][ctx.codes[i][row]] for i in columns)

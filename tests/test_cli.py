@@ -1,14 +1,23 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import edbn
 from edbn import default_shipping_model, event_log, generate, inject_anomalies, read_model, write_log
 from edbn.cli import main
 
 from conftest import PERMISSION_ROWS_FULL, PERMISSION_ROWS
 
 SCHEMA_FLAGS = ["--trace-col", "tID", "--attrs", "Type,Activity,UserID,UserName,UserRole"]
+
+
+def _child_env():
+    """The environment of a child Python that imports the edbn these tests import."""
+    paths = [str(Path(edbn.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
 
 @pytest.fixture()
@@ -165,6 +174,7 @@ def test_module_entry_point_runs(tmp_path):
          "--n-traces", "5", "--seed", "1"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert result.returncode == 0
     assert (tmp_path / "x.csv").exists()
@@ -196,6 +206,7 @@ def test_scoring_never_loads_numpy(tmp_path, capsys):
          str(tmp_path / "ranking.csv")],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "ranking.csv.explain.txt").read_text(encoding="utf-8").count("event") == 3 * 20

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from edbn import (
     AttributeSchema,
+    DAG,
     Event,
     EventLog,
     FDEdge,
@@ -24,6 +25,7 @@ from edbn import (
     build_mapping,
     default_shipping_model,
     discover_fds,
+    fit_cpts,
     generate,
     learn_edbn,
     learn_structure,
@@ -38,6 +40,7 @@ from reference_learning import (
     _FamilyScores,
     reference_build_mapping,
     reference_discover_fds,
+    reference_fit_cpts,
     reference_learn,
 )
 
@@ -169,6 +172,47 @@ def test_cpt_counts_do_not_overflow_with_many_high_cardinality_parents():
     model = learn_edbn(log, 1, 1.0, structure={(p, child) for p in parents})
     assert len(model.cpts["A"].rows) == 2 * len(starts)  # every event has its own parent values
     _assert_same_model(log, 1, 1.0, {(p, child) for p in parents})
+
+
+# --- CPTs ----------------------------------------------------------------------------
+
+
+def _ordered_cpts(cpts):
+    # rows, counts and totals in dict order: the model file keeps it
+    return [(attr, cpt.child, cpt.parents, [(cfg, list(cell.items())) for cfg, cell in cpt.rows.items()],
+             list(cpt.row_totals.items())) for attr, cpt in cpts.items()]
+
+
+def _assert_same_cpts(log, k, edges):
+    ctx = build_k_context(log, k)
+    fds = discover_fds(ctx, 0.99)
+    dag = DAG(ctx.variables, frozenset(edges) | {(fd.source, fd.target) for fd in fds})
+    assert _ordered_cpts(fit_cpts(ctx, dag, fds)) == _ordered_cpts(reference_fit_cpts(ReferenceContext(log, k), dag, fds))
+    return ctx
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_logs(), st.integers(1, 3), st.data())
+def test_cpts_equal_reference_on_small_logs(log, k, data):
+    variables = ReferenceContext(log, k).variables
+    legal = [(s, t) for s in variables for t in variables if t.lag == 0 and s != t]
+    _assert_same_cpts(log, k, data.draw(st.sets(st.sampled_from(legal))))
+
+
+def test_cpts_equal_reference_for_a_child_of_very_many_values():
+    # A is unique per event, so A_0 given B_1 and C_0 has a key space of 7 * 2 * 3000,
+    # above the 4n+4096 that one bincount pass counts; B_0 given B_1 counts densely
+    rng = random.Random(7)
+    traces = [
+        Trace(str(t), tuple(Event(f"{t}-{i}", (f"a{t}-{i}", rng.choice("uvwxyz"), rng.choice("pq"))) for i in range(10)))
+        for t in range(300)
+    ]
+    log = EventLog(AttributeSchema(("A", "B", "C"), "tid"), tuple(traces))
+    a0, b0, b1, c0 = Variable("A", 0), Variable("B", 0), Variable("B", 1), Variable("C", 0)
+    ctx = _assert_same_cpts(log, 1, {(b1, a0), (c0, a0), (b1, b0)})
+    sizes = {child: tuple_keys([(ctx.codes[ctx.index_of(v)], len(ctx.vocabulary(v))) for v in family], len(ctx))[1]
+             for child, family in ((a0, (b1, c0, a0)), (b0, (b1, b0)))}
+    assert sizes[a0] > dense_size(len(ctx)) >= sizes[b0]
 
 
 # --- the structure search's family scores ------------------------------------------

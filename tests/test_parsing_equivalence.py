@@ -176,6 +176,113 @@ def test_a_field_over_the_csv_limit_fails_as_csv_fails():
         csv.field_size_limit(limit)
 
 
+# --- the split path and the switch to csv ---------------------------------------------
+
+SPLIT_SCHEMA = AttributeSchema(("a",), "b")
+SPLIT_CHUNK_ROWS = (1, 2, 3, 4, 4096)
+
+
+def _split_taken(text, schema, chunk_rows, **options):
+    """Per chunk that parse_log offered to _split_columns, whether it was split (not left to csv)."""
+    taken, split = [], edbn.event_log._split_columns
+
+    def recording(*args):
+        fields = split(*args)
+        taken.append(fields is not None)
+        return fields
+
+    with mock.patch.object(edbn.event_log, "_split_columns", recording):
+        with mock.patch.object(edbn.event_log, "_CHUNK_ROWS", chunk_rows):
+            _outcome(parse_log, text, schema, **options)
+    return taken
+
+
+def _assert_same_at_every_chunk_size(text, schema=SPLIT_SCHEMA, **options):
+    for chunk_rows in SPLIT_CHUNK_ROWS:
+        _assert_same_outcome(text, False, schema, chunk_rows, **options)
+    return _outcome(parse_log, text, schema, **options)
+
+
+def test_a_quoted_field_over_two_lines_after_a_quote_free_chunk_switches_to_csv():
+    text = "a,b\n" + "x,t1\n" * 4 + '"p\nq",t1\n' + "y,t2\n" * 3
+    outcome = _assert_same_at_every_chunk_size(text)
+    assert outcome == [("t1", [(str(i), ("x",)) for i in range(4)] + [("4", ("p\nq",))]),
+                       ("t2", [(str(i), ("y",)) for i in range(5, 8)])]
+    for chunk_rows in (1, 2, 3, 4):
+        taken = _split_taken(text, SPLIT_SCHEMA, chunk_rows)
+        assert taken == [True] * (4 // chunk_rows) + [False]  # csv reads the rest
+    assert _split_taken(text, SPLIT_SCHEMA, 4096) == [False]
+
+
+@pytest.mark.parametrize("fault, message", [("z\n", "expected 2 fields, got 1"), ("z,t1,w\n", "expected 2 fields, got 3"),
+                                            ("z, \n", "empty trace id"), (f"{PADDING},t1\n", "reserved token")])
+@pytest.mark.parametrize("quoted", [False, True])
+def test_a_fault_is_named_by_its_line_on_both_paths(fault, message, quoted):
+    # line 6 is faulty, inside a split chunk, or after a quoted field on line 4 has sent the text to csv
+    text = "a,b\nx,t1\n\n" + ('"x",t1\n' if quoted else "x,t1\n") + "y,t2\n" + fault + "y,t2\n"
+    error, text_of_error = _assert_same_at_every_chunk_size(text)
+    assert error is edbn.event_log.LogFormatError and text_of_error.startswith(f"line 6: {message}")
+    # two-line chunks: a line of another width is left to csv too, which names it
+    expected = [True, False] if quoted else [True, True, "fields" not in message]
+    assert _split_taken(text, SPLIT_SCHEMA, 2) == expected
+
+
+def test_blank_lines_inside_and_at_the_end_of_a_chunk_are_skipped():
+    text = "a,b\nx,t1\n\ny,t1\n\n\nz,t2\n\n"
+    assert _assert_same_at_every_chunk_size(text) == [("t1", [("0", ("x",)), ("1", ("y",))]), ("t2", [("2", ("z",))])]
+    for chunk_rows in SPLIT_CHUNK_ROWS:
+        assert all(_split_taken(text, SPLIT_SCHEMA, chunk_rows))  # a chunk of blank lines too
+    # blank lines count in the line numbers
+    assert _assert_same_at_every_chunk_size(text + "\nw, \n") == (edbn.event_log.LogFormatError, "line 10: empty trace id")
+
+
+@pytest.mark.parametrize("last", ["z,t2", "z", "z,"])
+def test_a_last_line_without_a_line_break(last):
+    _assert_same_at_every_chunk_size("a,b\nx,t1\ny,t1\n" + last)
+
+
+def test_nul_in_quote_free_text_is_left_to_csv():
+    # csv reads NUL as a character from Python 3.11 and rejects it before
+    text = "a,b\nx,t1\ny\0z,t1\nw,t2\n"
+    _assert_same_at_every_chunk_size(text)
+    assert _split_taken(text, SPLIT_SCHEMA, 1) == [True, False]
+
+
+@pytest.mark.parametrize("field", [60, 101])
+def test_a_line_over_the_csv_field_limit_is_left_to_csv(field):
+    # a 60-character field fits the limit of 100 and its 125-character line does not
+    schema = AttributeSchema(("a", "c"), "b")
+    text = "a,b,c\nx,t1,y\n" + "x" * field + ",t1," + "y" * 60 + "\nz,t2,w\n"
+    limit = csv.field_size_limit(100)
+    try:
+        outcome = _assert_same_at_every_chunk_size(text, schema)
+        assert (outcome[0] is csv.Error) == (field > 100)
+        assert _split_taken(text, schema, 1) == [True, False]
+    finally:
+        csv.field_size_limit(limit)
+
+
+@pytest.mark.parametrize("lines", [
+    ["a,b\n", "x,t1", "y,t1\n"],  # an item that does not end its line: csv ends the row there
+    ["a,b\n", "x,", "t1\n"],
+    ["a,b\n", "x,t1\ny,t1\n"],  # two lines in one item: csv fails
+    ["a,b\n", "x\ny,t1\n"],  # as many delimiters as one line holds
+    ["a,b\n", "x,t1", "c\nd,t2\n"],  # as many line breaks as items
+    ["a,b\n", "x,t1\n", ""],  # an empty item: a blank row to csv
+    ["a,b\n", "", "x,t1\n"],
+])
+def test_items_that_are_not_one_line_are_left_to_csv(lines):
+    for chunk_rows in SPLIT_CHUNK_ROWS:
+        with mock.patch.object(edbn.event_log, "_CHUNK_ROWS", chunk_rows):
+            assert _outcome(parse_log, lines, SPLIT_SCHEMA) == _outcome(reference_parse_log, lines, SPLIT_SCHEMA)
+
+
+def test_a_line_break_as_the_delimiter_is_left_to_csv():
+    # csv ends a row at a line break before it looks for a delimiter
+    options = {"delimiter": "\n", "header": False, "column_names": ["a", "b"]}
+    _assert_same_at_every_chunk_size("x\ny\n", **options)
+
+
 def test_a_parsed_log_equals_the_log_of_its_traces():
     text = "a,tid,id\nx,t2,3\ny,t1,1\nz,t2,2\n"
     log = parse_log(text, AttributeSchema(("a",), "tid", event_id_column="id"))
