@@ -452,15 +452,6 @@ def write_log(log: EventLog, path, *, delimiter: str = ",") -> None:
         fh.write(serialize_log(log, delimiter=delimiter))
 
 
-def writer_schema(schema: AttributeSchema) -> AttributeSchema:
-    """Schema that reads back the output of serialize_log / write_log."""
-    return AttributeSchema(
-        names=schema.names,
-        trace_id_column=schema.trace_id_column,
-        event_id_column="event_id",
-    )
-
-
 def build_k_context(log: EventLog, k: int) -> KContextLog:
     """Widen every event with the descriptions of its k predecessors, as integer codes.
 

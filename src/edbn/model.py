@@ -16,8 +16,8 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain, cycle
+from functools import cached_property, partial
+from itertools import accumulate, chain, groupby
 from operator import getitem, itemgetter
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -203,6 +203,7 @@ def relation_probability(model: EDBNModel, attr: str, x: str, parent_values: tup
 
 # Takes the unseen branch of every factor function: no log or model holds it.
 _UNSEEN = object()
+_CHUNK_EVENTS = 512  # ScoringTables.score_traces reads whole traces, a chunk of about this many events at a time
 
 
 def _tuple_getter(positions: Sequence[int]):
@@ -222,9 +223,10 @@ class ScoringTables:
     value_probability, relation_probability or fdm_probability, so factors read
     from the tables equal those functions' results bit for bit.
 
-    ``_blocks`` holds per attribute the slice of ``labels`` that its factors fill
-    and an itemgetter of its key, the k-context values they read: its value, its
-    CPT parents and its FD sources, each once.  Equal keys give equal factors.
+    ``_blocks`` holds per attribute the k-context positions of its key, the values
+    its entry of ``_plan`` reads (its value, its CPT parents and its FD sources,
+    each once), and a copy of that entry that reads the key's values in place of
+    the k-context.  Equal keys give equal factors.
     """
 
     def __init__(self, model: EDBNModel):
@@ -233,10 +235,8 @@ class ScoringTables:
         self._width = len(model.variables)
         self._padding = (PADDING,) * (self._width - self._n_attrs)
         labels: list[tuple[str, str, Variable | None]] = []
-        plan = []
-        blocks = []
+        plan, blocks = [], []
         for attr in model.schema.names:
-            lo = len(labels)
             labels.append((attr, VALUE, None))
             values = {x: value_probability(model, attr, x) for x in model.active_domains[attr]}
             relation = None
@@ -250,12 +250,8 @@ class ScoringTables:
                     )
                     for cfg, counts in cpt.rows.items()
                 }
-                unseen_parents = (_UNSEEN,) * len(cpt.parents)
-                relation = (
-                    _tuple_getter([pos[p] for p in cpt.parents]),
-                    rows,
-                    relation_probability(model, attr, _UNSEEN, unseen_parents),
-                )
+                relation = (_tuple_getter(parent_pos := [pos[p] for p in cpt.parents]), rows,
+                            relation_probability(model, attr, _UNSEEN, (_UNSEEN,) * len(cpt.parents)))
             fds = []
             for m in model.mappings_into(attr):
                 labels.append((attr, FD_CHECK, m.edge.source))
@@ -264,18 +260,21 @@ class ScoringTables:
                 violate = next((fdm_probability(m, x, _UNSEEN) for x in m.map), agree)
                 fds.append((pos[m.edge.source], m.map, agree, violate))
             unseen_value = value_probability(model, attr, _UNSEEN)
-            plan.append((pos[Variable(attr, 0)], values, unseen_value, relation, tuple(fds)))
-            key = dict.fromkeys([pos[Variable(attr, 0)], *(pos[p] for p in cpt.parents), *(f[0] for f in fds)])
-            blocks.append((slice(lo, len(labels)), itemgetter(*key)))
+            plan.append((x_pos := pos[Variable(attr, 0)], values, unseen_value, relation, tuple(fds)))
+            key = tuple(dict.fromkeys([x_pos, *(pos[p] for p in cpt.parents), *(f[0] for f in fds)]))
+            at = key.index  # the position in the key of a k-context position
+            blocks.append((key, ((0, values, unseen_value, relation and (_tuple_getter([*map(at, parent_pos)]), *relation[1:]),
+                                  tuple((at(f[0]), *f[1:]) for f in fds)),)))
         self.labels = tuple(labels)
         self._plan = tuple(plan)
         self._blocks = tuple(blocks)
 
-    def factors(self, ctx: Sequence[str]) -> list[float]:
-        """One event's factor values, laid out as ``labels``, from its k-context values."""
+    def factors(self, ctx: Sequence[str], plan: Sequence | None = None) -> list[float]:
+        """One event's factor values, laid out as ``labels``, from its k-context values; or, given
+        ``plan``, the factor values of its entries from the values they read."""
         out: list[float] = []
         append = out.append
-        for x_pos, values, unseen_value, relation, fds in self._plan:
+        for x_pos, values, unseen_value, relation, fds in self._plan if plan is None else plan:
             x = ctx[x_pos]
             append(values.get(x, unseen_value))
             if relation is not None:
@@ -308,42 +307,56 @@ class ScoringTables:
             logs.append(math.fsum(map(_log, event)))
         return values, logs
 
-    def score_traces(self, traces: Iterable[tuple[int, ...]], vocabularies) -> Iterator[tuple[list[float], list[float]]]:
-        """``score_values`` of each trace, given as its events' codes, event after event, into
-        ``vocabularies`` (one per attribute); each attribute's factors are computed once per distinct key.
+    def score_traces(self, codes, vocabularies, trace_lengths) -> Iterator[tuple[list[float], list[float]]]:
+        """``score_values`` of each trace of a log held as code columns (per attribute, one code per event
+        into its entry of ``vocabularies``), whose traces are runs of ``trace_lengths`` events.
 
-        The dicts that hold them are keyed on codes and live only as long as this generator; an event's
-        codes are decoded only for a new key.  An event with a new key costs more than the per-event path,
-        so once three times such events exceed the events scored by more than 512 (a third of the events,
-        past a cold start), the dicts are dropped and the rest are decoded for score_values.
+        A chunk of whole traces, about _CHUNK_EVENTS events, at a time: a key position's column is its
+        attribute's codes shifted by its lag within each trace, PADDING coded one past the vocabulary.
+        Each attribute's key column maps through a dict, alive as long as this generator, of its blocks
+        (factor values, their logs), each computed once per distinct key from that key's values alone.
         """
-        n, width, traces = self._n_attrs, self._width, iter(traces)
-        slices, key_getters = zip(*self._blocks)
-        # per k-context position, the values of its attribute's codes; one code more stands for PADDING
-        decoders = [(*vocab, PADDING) for vocab in vocabularies] * (width // n)
-        padding = tuple(len(vocab) for vocab in vocabularies) * (width // n - 1)
-        memos: list[dict] = [{} for _ in slices]  # per attribute: key -> (factor values, their logs)
-        events = misses = 0
-        for row_codes in traces:
-            flat = padding + row_codes
-            values, logs = [], []
-            for start in range(0, len(row_codes), n):
-                ctx = flat[start : start + width]
-                keys = [key_of(ctx) for key_of in key_getters]
-                try:
-                    blocks = list(map(dict.__getitem__, memos, keys))
-                except KeyError:  # a new key: compute the event's factors once
-                    misses += 1
-                    event_logs = list(map(_log, event := self.factors(tuple(map(getitem, decoders, ctx)))))
-                    blocks = [memo.setdefault(key, (event[s], event_logs[s])) for memo, key, s in zip(memos, keys, slices)]
-                values += chain.from_iterable(map(itemgetter(0), blocks))
-                logs.append(math.fsum(chain.from_iterable(map(itemgetter(1), blocks))))  # fsum is exact: any order
-            yield values, logs
-            events += len(row_codes) // n
-            if 3 * misses > events + 512:  # the slack keeps the first, cold events from deciding
-                break
-        del memos
-        yield from (self.score_values(tuple(map(getitem, cycle(decoders[:n]), codes))) for codes in traces)
+        n, k, width = self._n_attrs, self._width // self._n_attrs - 1, len(self.labels)
+        decoders = [(*vocab, PADDING) for vocab in vocabularies]
+        logs_of, sources, memos = _Memo(_log), [], []
+        for positions, plan in self._blocks:
+            sources.append([(p % n, k - p // n) for p in positions])  # (attribute, lag) of each position
+            memos.append(_Memo(partial(self._block, plan, [decoders[p % n] for p in positions], logs_of)))
+        needed = set(chain.from_iterable(sources))
+        for _, chunk in groupby(zip(accumulate(trace_lengths, initial=0), trace_lengths),
+                                key=lambda trace: trace[0] // _CHUNK_EVENTS):  # (first event, length) of each trace
+            chunk = list(chunk)
+            lo, hi = chunk[0][0], sum(chunk[-1])  # the chunk's first event, and the end of its last trace
+            columns = {}
+            for a, lag in needed:
+                pad = len(decoders[a]) - 1
+                column = columns[a, lag] = [pad] * min(lag, hi - lo)
+                column += codes[a][lo : hi - lag]
+                for start, length in chunk[1:] if lag else ():
+                    column[start - lo : start - lo + min(lag, length)] = [pad] * min(lag, length)
+            # per attribute, the factor values and the logs of each event's block
+            values, logs = zip(*(zip(*map(memo.__getitem__, zip(*map(columns.__getitem__, source))))
+                                 for memo, source in zip(memos, sources)))
+            values = list(chain.from_iterable(chain.from_iterable(zip(*values))))  # event after event
+            logs = list(map(math.fsum, map(chain.from_iterable, zip(*logs))))  # fsum is exact: any order
+            for start, length in chunk:
+                yield values[(start - lo) * width : (start - lo + length) * width], logs[start - lo : start - lo + length]
+
+    def _block(self, plan, decoders, logs_of, key) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """An attribute's factor values and their logs from its key's codes, as tuples of floats: untracked by gc."""
+        values = tuple(self.factors(tuple(map(getitem, decoders, key)), plan))
+        return values, tuple(map(logs_of.__getitem__, values))
+
+
+class _Memo(dict):
+    """A dict that computes the value of a missing key once, by ``compute``."""
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
 
 
 def decompose(

@@ -118,17 +118,6 @@ def mutual_information(col_x: Sequence, col_y: Sequence, base: float | None = No
     return max(mi, 0.0)
 
 
-def is_functional(col_x: Sequence, col_y: Sequence) -> bool:
-    """True iff the empirical mapping Y -> X is single-valued on these rows."""
-    if len(col_x) != len(col_y):
-        raise ValueError("columns differ in length")
-    seen: dict = {}
-    for xv, yv in zip(col_x, col_y):
-        if seen.setdefault(yv, xv) != xv:
-            return False
-    return True
-
-
 def uncertainty_coefficient(col_x: Sequence, col_y: Sequence) -> float:
     """U(X|Y) = I(X;Y) / H(X) in [0, 1]; how much Y tells about X.
 

@@ -115,8 +115,8 @@ def _validate_model(model: ProcessModel) -> None:
             raise ProcessModelError(f"attribute {attr!r} has no rule")
     for act, targets in model.transitions.items():
         for nxt, weight in targets.items():
-            if weight <= 0:
-                raise ProcessModelError(f"transition {act!r}->{nxt!r} has nonpositive weight")
+            if type(weight) not in (int, float) or not 0 < weight < math.inf:
+                raise ProcessModelError(f"transition {act!r}->{nxt!r} weight must be a positive number, got {weight!r}")
     # The walk terminates on any end activity, so at least one must be reachable.
     seen = {model.start_activity}
     frontier = [model.start_activity]
@@ -332,9 +332,15 @@ def _rule_from_json(attr: str, raw: dict) -> Rule:
     raise ProcessModelError(f"{attr!r}: unknown rule kind {kind!r}")
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ProcessModelError(f"{where} must be a JSON object, got {value!r:.40}")
+    return value
+
+
 def parse_process_model(text: str) -> ProcessModel:
     try:
-        doc = json.loads(text)
+        doc = _object(json.loads(text), "process model")
     except json.JSONDecodeError as exc:
         raise ProcessModelError(f"not a valid process model: {exc}") from None
     try:
@@ -345,8 +351,8 @@ def parse_process_model(text: str) -> ProcessModel:
             activity_attribute=doc["activity_attribute"],
             start_activity=doc["start_activity"],
             end_activities=frozenset(doc["end_activities"]),
-            transitions={a: dict(t) for a, t in doc["transitions"].items()},
-            rules={a: _rule_from_json(a, r) for a, r in doc["rules"].items()},
+            transitions={a: dict(_object(t, f"transitions[{a!r}]")) for a, t in _object(doc["transitions"], "transitions").items()},
+            rules={a: _rule_from_json(a, _object(r, f"rules[{a!r}]")) for a, r in _object(doc["rules"], "rules").items()},
         )
     except KeyError as exc:
         raise ProcessModelError(f"process model misses field {exc.args[0]!r}") from None
@@ -382,6 +388,8 @@ def write_labels(labeled: LabeledLog, path) -> None:
 def read_labels(path) -> dict[str, str]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
+        if missing := {"trace_id", "label"}.difference(reader.fieldnames or ()):
+            raise ValueError(f"labels file {str(path)!r} has no {min(missing)!r} column")
         labels = {}
         for row in reader:
             if row["label"] not in (NORMAL, ANOMALOUS):

@@ -16,7 +16,6 @@ from edbn import (
     serialize_k_context,
     serialize_log,
 )
-from edbn.event_log import writer_schema
 
 from conftest import ATTRS, PERMISSION_ROWS_FULL, PERMISSION_ROWS
 
@@ -101,7 +100,7 @@ def _assert_same_log(left, right):
 
 def test_event_id_column_round_trips_interleaved_logs(permission_full_log):
     text = serialize_log(permission_full_log)
-    reparsed = parse_log(text, writer_schema(permission_full_log.schema))
+    reparsed = parse_log(text, AttributeSchema(ATTRS, "tID", event_id_column="event_id"))
     _assert_same_log(reparsed, permission_full_log)
 
 
@@ -205,7 +204,7 @@ def test_padding_count_formula(log, k):
 @settings(max_examples=30)
 @given(small_logs())
 def test_serialize_parse_round_trip(log):
-    reparsed = parse_log(serialize_log(log), writer_schema(log.schema))
+    reparsed = parse_log(serialize_log(log), AttributeSchema(log.schema.names, log.schema.trace_id_column, event_id_column="event_id"))
     _assert_same_log(reparsed, log)
 
 

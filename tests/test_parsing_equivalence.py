@@ -38,7 +38,6 @@ from edbn import (
     write_log,
 )
 from edbn.cli import main
-from edbn.event_log import writer_schema
 
 from reference_parsing import reference_load_log, reference_parse_log
 
@@ -348,7 +347,7 @@ def test_training_and_scoring_a_parsed_log_build_no_events(tmp_path, counted_eve
                  "--out", str(tmp_path / "model.json")]) == 0
     assert main(["score", "--model", str(tmp_path / "model.json"), "--log", str(tmp_path / "test.csv"),
                  "--out", str(tmp_path / "ranking.csv"), "--explain", "3"]) == 0
-    schema = writer_schema(process.schema())
+    schema = AttributeSchema(process.attributes, process.trace_id_column, event_id_column="event_id")
     log = load_log(tmp_path / "test.csv", schema)
     ranking = rank_traces(learn_edbn(load_log(tmp_path / "train.csv", schema), 1), log)
     assert len(ranking) == 20 and counted_events == []

@@ -6,6 +6,7 @@ per-factor path computed, and the sums are taken the same way.
 """
 import random
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -27,10 +28,13 @@ from edbn import (
     generate,
     inject_anomalies,
     learn_edbn,
+    parse_log,
     rank_traces,
     score_trace,
+    serialize_log,
 )
 from edbn.event_log import context_row_for
+from edbn import model as model_module
 from edbn.model import ScoringTables
 
 from reference_scoring import ReferenceScore, reference_ranking
@@ -152,14 +156,15 @@ def imposed_models(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(imposed_models())
-def test_batch_ranking_equals_per_trace_scoring(case):
-    # rank_traces reuses factor blocks across events and traces; score_trace
+@given(imposed_models(), st.sampled_from([1, 2, 3, 5, 512]))
+def test_batch_ranking_equals_per_trace_scoring(case, chunk_events):
+    # rank_traces reuses factor blocks across events, traces and chunks; score_trace
     # computes every event's factors.  Two models in a row: no block may
     # leak from one model's ranking into another's.
     *models, log = case
     for model in models:
-        ranking = rank_traces(model, log)
+        with patch.object(model_module, "_CHUNK_EVENTS", chunk_events):
+            ranking = rank_traces(model, log)
         assert sorted(ranking.trace_ids()) == sorted(log.trace_ids)
         for entry in ranking:
             ref = score_trace(model, log.trace_by_id(entry.trace_id))
@@ -185,18 +190,29 @@ def _unique_item(log, is_unique):
 
 
 LOW_REUSE = {
-    "every event": (lambda t, e: True, True),
-    "every other event": (lambda t, e: e % 2 == 0, True),
-    "second half of the log": (lambda t, e: t >= 150, True),
-    "none": (lambda t, e: False, False),
+    "every event": lambda t, e: True,
+    "every other event": lambda t, e: e % 2 == 0,
+    "second half of the log": lambda t, e: t >= 150,
+    "none": lambda t, e: False,
 }
 
 
-@pytest.mark.parametrize("unique", LOW_REUSE.values(), ids=LOW_REUSE.keys())
-def test_batch_ranking_falls_back_to_per_event_scoring_when_keys_rarely_repeat(monkeypatch, unique):
-    # where over a third of the events bring a new key, the reuse costs more
-    # than it saves; past a cold start, the traces left are scored event by event
-    is_unique, falls_back = unique
+def _assert_scored_as_per_trace(model, ranking, log):
+    assert sorted(ranking.trace_ids()) == sorted(log.trace_ids)
+    for entry in ranking:
+        ref = score_trace(model, log.trace_by_id(entry.trace_id))
+        assert entry.event_ids == ref.event_ids
+        assert entry.log_score == ref.log_score
+        assert entry.score == ref.score
+        assert entry.factor_values == ref.factor_values
+        assert entry.zero_factor_count == ref.zero_factor_count
+        assert explain(entry, 3) == explain(ref, 3)
+
+
+@pytest.mark.parametrize("is_unique", LOW_REUSE.values(), ids=LOW_REUSE.keys())
+def test_batch_ranking_never_scores_event_by_event_when_keys_rarely_repeat(monkeypatch, is_unique):
+    # an attribute unique per event, like an amount, brings a new key at every event;
+    # only its own blocks and those of keys that read it are computed anew
     process = default_shipping_model()
     model = learn_edbn(generate(process, 300, 41), 1, 0.99)
     log = _unique_item(generate(process, 300, 42), is_unique)
@@ -204,16 +220,42 @@ def test_batch_ranking_falls_back_to_per_event_scoring_when_keys_rarely_repeat(m
     per_event, calls = ScoringTables.score_values, []
     monkeypatch.setattr(ScoringTables, "score_values", lambda *args: calls.append(1) or per_event(*args))
     ranking = rank_traces(model, log)
-    assert bool(calls) == falls_back
-    assert sorted(ranking.trace_ids()) == sorted(log.trace_ids)
-    assert len(calls) < len(log.trace_ids)  # the first traces reused blocks
-    for entry in ranking:
-        ref = score_trace(model, log.trace_by_id(entry.trace_id))
-        assert entry.log_score == ref.log_score
-        assert entry.score == ref.score
-        assert entry.factor_values == ref.factor_values
-        assert entry.zero_factor_count == ref.zero_factor_count
-        assert explain(entry, 3) == explain(ref, 3)
+    assert calls == []
+    monkeypatch.undo()
+    _assert_scored_as_per_trace(model, ranking, log)
+
+
+def _chunk_log(lengths, b_values="uv"):
+    # A cycles a -> b -> c from "a" (A at lag 1 determines A, with a padded source at
+    # each trace start); B is random
+    rng = random.Random(len(lengths))
+    return EventLog(AttributeSchema(("A", "B"), "tid"), tuple(
+        Trace(f"t{t}", tuple(Event(f"t{t}-{i}", ("abc"[i % 3], rng.choice(b_values))) for i in range(n)))
+        for t, n in enumerate(lengths)
+    ))
+
+
+CHUNKED = {
+    # traces whose events straddle each chunk boundary of _CHUNK_EVENTS
+    "straddling": [7] * 200,
+    # one trace longer than a chunk, between short ones
+    "longer than a chunk": [3, 2, model_module._CHUNK_EVENTS * 2 + 5, 1, 4],
+    # traces shorter than k, next to longer ones
+    "shorter than k": [1, 2, 1, 3, 1, 1, 2, 5, 1],
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("lengths", CHUNKED.values(), ids=CHUNKED.keys())
+def test_batch_ranking_is_exact_across_chunks_and_padding(lengths, k):
+    # the test log's B brings a value training never saw; the same traces are scored
+    # as a log of traces and as that log parsed
+    model = learn_edbn(_chunk_log([4, 1, 6, 2, 5] * 8), k, 0.99)
+    assert model.fd_mappings and any(model.cpts[a].parents for a in ("A", "B"))
+    built = _chunk_log(lengths, "uvw")
+    parsed = parse_log(serialize_log(built), AttributeSchema(("A", "B"), "tid", event_id_column="event_id"))
+    for log in (built, parsed):
+        _assert_scored_as_per_trace(model, rank_traces(model, log), built)
 
 
 # --- a parsed log, scored from its codes -------------------------------------------

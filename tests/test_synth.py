@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -12,6 +13,7 @@ from edbn import (
     generate,
     inject_anomalies,
     parse_process_model,
+    read_labels,
     serialize_log,
     uncertainty_coefficient,
 )
@@ -200,6 +202,48 @@ def test_config_validation_errors():
         parse_process_model('{"name": "x"}')
     with pytest.raises(ProcessModelError, match="not a valid"):
         parse_process_model("{nope")
+
+
+def _linear_doc(**fields):
+    return json.dumps({
+        "name": "toy", "trace_id_column": "case", "attributes": ["activity", "x"],
+        "activity_attribute": "activity", "start_activity": "start", "end_activities": ["finish"],
+        "transitions": {"start": {"finish": 1.0}}, "rules": {"x": {"kind": "constant", "value": "c"}},
+        **fields,
+    })
+
+
+def test_process_model_must_be_a_json_object():
+    with pytest.raises(ProcessModelError, match="process model must be a JSON object"):
+        parse_process_model("[]")
+
+
+def test_transitions_must_be_a_json_object():
+    with pytest.raises(ProcessModelError, match="transitions must be a JSON object"):
+        parse_process_model(_linear_doc(transitions=[]))
+
+
+def test_rule_must_be_a_json_object():
+    with pytest.raises(ProcessModelError, match=r"rules\['x'\] must be a JSON object"):
+        parse_process_model(_linear_doc(rules={"x": "constant"}))
+
+
+def test_transition_weight_must_be_a_number():
+    with pytest.raises(ProcessModelError, match="'start'->'finish' weight must be a positive number, got '1'"):
+        parse_process_model(_linear_doc(transitions={"start": {"finish": "1"}}))
+    assert parse_process_model(_linear_doc()).transitions == {"start": {"finish": 1.0}}
+
+
+def test_labels_file_without_a_label_column_names_the_column(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("trace_id,details\nt0,\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"labels file '{path}' has no 'label' column")):
+        read_labels(path)
+    path.write_text("case,label\nt0,normal\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="no 'trace_id' column"):
+        read_labels(path)
+    path.write_text("trace_id,label\nt0,normal\n", encoding="utf-8")
+    assert read_labels(path) == {"t0": NORMAL}
 
 
 def test_nonpositive_weight_rejected():
