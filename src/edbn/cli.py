@@ -265,6 +265,7 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
     return RunConfig(**fields)
 
 
+_PARSER = _build_parser()  # built once: each build leaves its parser/action cycles to the cyclic gc
 COMMANDS = {
     "generate": cmd_generate,
     "train": cmd_train,
@@ -274,8 +275,7 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _PARSER.parse_args(argv)
     try:
         config = _config_from(ns)
         return COMMANDS[config.subcommand](config)

@@ -214,19 +214,24 @@ def _tuple_getter(positions: Sequence[int]):
     return itemgetter(*positions)
 
 
+def _fixed_point(rates: Iterable[float]) -> tuple[float, dict[float, int | float]]:
+    """(2 ** -S, {rate: log(rate) * 2 ** S}), S = max(53 - exponent of each nonzero finite log); log(0) is -inf."""
+    shift = max((53 - math.frexp(math.log(r))[1] for r in rates if 0.0 < r < 1.0), default=0)
+    return 2.0 ** -shift, {r: int(math.ldexp(math.log(r), shift)) if r else -math.inf for r in rates}
+
+
 class ScoringTables:
     """A model's factors as float tables, compiled once from its exact rationals.
 
-    Every event has the same factor layout, ``labels``: per attribute in schema
-    order its value factor, its relation factor when it has CPT parents, then
-    one FD check per mapping into it.  Every table float comes from one call of
-    value_probability, relation_probability or fdm_probability, so factors read
-    from the tables equal those functions' results bit for bit.
+    Every event has the same factor layout, ``labels``: per attribute in schema order its value factor,
+    its relation factor when it has CPT parents, then one FD check per mapping into it.  Every table
+    float comes from one call of value_probability, relation_probability or fdm_probability, so factors
+    read from the tables equal those functions' results bit for bit.
 
-    ``_blocks`` holds per attribute the k-context positions of its key, the values
-    its entry of ``_plan`` reads (its value, its CPT parents and its FD sources,
-    each once), and a copy of that entry that reads the key's values in place of
-    the k-context.  Equal keys give equal factors.
+    ``_blocks`` holds per attribute the k-context positions of its key, the values its entry of ``_plan``
+    reads (its value, its CPT parents and its FD sources, each once), and a copy of that entry that reads
+    the key's values in place of the k-context.  Equal keys give equal factors.  ``_fixed`` maps every
+    float a factor can take to its log as a fixed-point int, exactly (_fixed_point).
     """
 
     def __init__(self, model: EDBNModel):
@@ -235,7 +240,7 @@ class ScoringTables:
         self._width = len(model.variables)
         self._padding = (PADDING,) * (self._width - self._n_attrs)
         labels: list[tuple[str, str, Variable | None]] = []
-        plan, blocks = [], []
+        plan, blocks, rates = [], [], []  # rates: every float a factor can take
         for attr in model.schema.names:
             labels.append((attr, VALUE, None))
             values = {x: value_probability(model, attr, x) for x in model.active_domains[attr]}
@@ -252,6 +257,7 @@ class ScoringTables:
                 }
                 relation = (_tuple_getter(parent_pos := [pos[p] for p in cpt.parents]), rows,
                             relation_probability(model, attr, _UNSEEN, (_UNSEEN,) * len(cpt.parents)))
+                rates += [relation[2], *chain.from_iterable([*row.values(), unseen] for row, unseen in rows.values())]
             fds = []
             for m in model.mappings_into(attr):
                 labels.append((attr, FD_CHECK, m.edge.source))
@@ -260,6 +266,7 @@ class ScoringTables:
                 violate = next((fdm_probability(m, x, _UNSEEN) for x in m.map), agree)
                 fds.append((pos[m.edge.source], m.map, agree, violate))
             unseen_value = value_probability(model, attr, _UNSEEN)
+            rates += [*values.values(), unseen_value, *chain.from_iterable(f[2:] for f in fds)]
             plan.append((x_pos := pos[Variable(attr, 0)], values, unseen_value, relation, tuple(fds)))
             key = tuple(dict.fromkeys([x_pos, *(pos[p] for p in cpt.parents), *(f[0] for f in fds)]))
             at = key.index  # the position in the key of a k-context position
@@ -268,6 +275,7 @@ class ScoringTables:
         self.labels = tuple(labels)
         self._plan = tuple(plan)
         self._blocks = tuple(blocks)
+        self._scale, self._fixed = _fixed_point(rates)
 
     def factors(self, ctx: Sequence[str], plan: Sequence | None = None) -> list[float]:
         """One event's factor values, laid out as ``labels``, from its k-context values; or, given
@@ -314,14 +322,14 @@ class ScoringTables:
         A chunk of whole traces, about _CHUNK_EVENTS events, at a time: a key position's column is its
         attribute's codes shifted by its lag within each trace, PADDING coded one past the vocabulary.
         Each attribute's key column maps through a dict, alive as long as this generator, of its blocks
-        (factor values, their logs), each computed once per distinct key from that key's values alone.
+        (factor values, the int sum of their fixed-point logs), each computed once per distinct key from that
+        key's values alone.  An event's log, its blocks' int sum times _scale, is math.fsum of its factors'
+        logs bit for bit: the int sum is exact, and only its conversion to float rounds, half to even.
         """
         n, k, width = self._n_attrs, self._width // self._n_attrs - 1, len(self.labels)
         decoders = [(*vocab, PADDING) for vocab in vocabularies]
-        logs_of, sources, memos = _Memo(_log), [], []
-        for positions, plan in self._blocks:
-            sources.append([(p % n, k - p // n) for p in positions])  # (attribute, lag) of each position
-            memos.append(_Memo(partial(self._block, plan, [decoders[p % n] for p in positions], logs_of)))
+        sources = [[(p % n, k - p // n) for p in key] for key, _ in self._blocks]  # (attribute, lag) of each position
+        memos = [_Memo(partial(self._block, plan, [decoders[p % n] for p in key])) for key, plan in self._blocks]
         needed = set(chain.from_iterable(sources))
         for _, chunk in groupby(zip(accumulate(trace_lengths, initial=0), trace_lengths),
                                 key=lambda trace: trace[0] // _CHUNK_EVENTS):  # (first event, length) of each trace
@@ -334,18 +342,19 @@ class ScoringTables:
                 column += codes[a][lo : hi - lag]
                 for start, length in chunk[1:] if lag else ():
                     column[start - lo : start - lo + min(lag, length)] = [pad] * min(lag, length)
-            # per attribute, the factor values and the logs of each event's block
-            values, logs = zip(*(zip(*map(memo.__getitem__, zip(*map(columns.__getitem__, source))))
-                                 for memo, source in zip(memos, sources)))
-            values = list(chain.from_iterable(chain.from_iterable(zip(*values))))  # event after event
-            logs = list(map(math.fsum, map(chain.from_iterable, zip(*logs))))  # fsum is exact: any order
+            # per attribute, each event's block; then the factor values and the logs, event after event
+            blocks = [list(map(memo.__getitem__, zip(*map(columns.__getitem__, source))))
+                      for memo, source in zip(memos, sources)]
+            values = list(chain.from_iterable(chain.from_iterable(zip(*[map(itemgetter(0), b) for b in blocks]))))
+            logs = list(map(self._scale.__mul__, map(sum, zip(*[map(itemgetter(1), b) for b in blocks]))))
             for start, length in chunk:
                 yield values[(start - lo) * width : (start - lo + length) * width], logs[start - lo : start - lo + length]
 
-    def _block(self, plan, decoders, logs_of, key) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """An attribute's factor values and their logs from its key's codes, as tuples of floats: untracked by gc."""
-        values = tuple(self.factors(tuple(map(getitem, decoders, key)), plan))
-        return values, tuple(map(logs_of.__getitem__, values))
+    def _block(self, plan, decoders, key) -> tuple[tuple[float, ...], int | float]:
+        """An attribute's factor values from its key's codes, as a tuple of floats (untracked by gc), and the
+        sum of their fixed-point logs: an int, or -inf when a factor is zero."""
+        values = tuple(self.factors(list(map(getitem, decoders, key)), plan))
+        return values, sum(map(self._fixed.__getitem__, values))
 
 
 class _Memo(dict):

@@ -320,39 +320,42 @@ def inject_anomalies(log: EventLog, fraction: float, seed: int) -> LabeledLog:
 
 
 def _rule_from_json(attr: str, raw: dict) -> Rule:
-    kind = raw.get("kind")
+    kind, where = raw.get("kind"), f"rules[{attr!r}]"
     if kind == "constant":
         return Rule(kind="constant", value=str(raw["value"]))
     if kind == "pool":
-        return Rule(kind="pool", values=tuple(raw["values"]), scope=raw.get("scope", "event"))
+        values = _json(raw["values"], f"{where} values", list)
+        return Rule(kind="pool", values=tuple(values), scope=raw.get("scope", "event"))
     if kind == "derived":
         return Rule(kind="derived", source=raw["source"], mapping=dict(raw["mapping"]))
     if kind == "activity_choice":
-        return Rule(kind="activity_choice", pools={a: tuple(p) for a, p in raw["pools"].items()})
+        pools = _json(raw["pools"], f"{where} pools").items()
+        return Rule(kind="activity_choice", pools={a: tuple(_json(p, f"{where} pools[{a!r}]", list)) for a, p in pools})
     raise ProcessModelError(f"{attr!r}: unknown rule kind {kind!r}")
 
 
-def _object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ProcessModelError(f"{where} must be a JSON object, got {value!r:.40}")
+def _json(value, where: str, kind: type = dict):
+    if not isinstance(value, kind):
+        raise ProcessModelError(f"{where} must be a JSON {'object' if kind is dict else 'list'}, got {value!r:.40}")
     return value
 
 
 def parse_process_model(text: str) -> ProcessModel:
     try:
-        doc = _object(json.loads(text), "process model")
+        doc = _json(json.loads(text), "process model")
     except json.JSONDecodeError as exc:
         raise ProcessModelError(f"not a valid process model: {exc}") from None
     try:
         return ProcessModel(
             name=doc.get("name", "unnamed"),
             trace_id_column=doc["trace_id_column"],
-            attributes=tuple(doc["attributes"]),
+            attributes=tuple(_json(doc["attributes"], "attributes", list)),
             activity_attribute=doc["activity_attribute"],
             start_activity=doc["start_activity"],
-            end_activities=frozenset(doc["end_activities"]),
-            transitions={a: dict(_object(t, f"transitions[{a!r}]")) for a, t in _object(doc["transitions"], "transitions").items()},
-            rules={a: _rule_from_json(a, _object(r, f"rules[{a!r}]")) for a, r in _object(doc["rules"], "rules").items()},
+            end_activities=frozenset(_json(doc["end_activities"], "end_activities", list)),
+            transitions={a: dict(_json(t, f"transitions[{a!r}]"))
+                         for a, t in _json(doc["transitions"], "transitions").items()},
+            rules={a: _rule_from_json(a, _json(r, f"rules[{a!r}]")) for a, r in _json(doc["rules"], "rules").items()},
         )
     except KeyError as exc:
         raise ProcessModelError(f"process model misses field {exc.args[0]!r}") from None
@@ -394,7 +397,9 @@ def read_labels(path) -> dict[str, str]:
         for row in reader:
             if row["label"] not in (NORMAL, ANOMALOUS):
                 raise ValueError(f"unknown label {row['label']!r} for trace {row['trace_id']!r}")
-            labels[row["trace_id"]] = row["label"]
+            if labels.setdefault(row["trace_id"], row["label"]) != row["label"]:
+                raise ValueError(f"labels file {str(path)!r} line {reader.line_num}: trace {row['trace_id']!r} "
+                                 f"is labeled both {labels[row['trace_id']]!r} and {row['label']!r}")
     if not labels:
         raise ValueError("labels file is empty")
     return labels

@@ -220,6 +220,27 @@ def test_invalid_flag_values_fail(permission_file, capsys):
     assert code != 0
     capsys.readouterr()
 
+def test_main_reuses_one_parser_across_calls_and_failed_parses(tmp_path, permission_file, permission_full_file,
+                                                              capsys, monkeypatch):
+    model_path, ranking = tmp_path / "m.json", tmp_path / "ranking.csv"
+    assert main(["train", "--log", str(permission_file), "--out", str(model_path), *SCHEMA_FLAGS]) == 0
+    monkeypatch.setattr(edbn.cli, "_build_parser", None)  # main must not build another parser
+    argv = ["score", "--model", str(model_path), "--log", str(permission_full_file), "--out", str(ranking),
+            "--explain", "2", *SCHEMA_FLAGS]
+    outputs = []
+    for bad in (None, ["score", "--model", str(model_path)], ["score", "--no-such-flag"], None):
+        if bad is not None:
+            with pytest.raises(SystemExit) as failed:
+                main(bad)
+            assert failed.value.code == 2
+            assert "error:" in capsys.readouterr().err
+            continue
+        capsys.readouterr()
+        assert main(argv) == 0
+        outputs.append((capsys.readouterr(), ranking.read_bytes(), Path(f"{ranking}.explain.txt").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_headerless_tab_delimited_train(tmp_path, capsys):
     path = tmp_path / "plain.tsv"
     rows = [["a", "u", "1"], ["b", "v", "1"], ["a", "u", "2"], ["b", "v", "2"]]

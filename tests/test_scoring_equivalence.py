@@ -4,8 +4,10 @@ Scores, zero-factor counts, rankings, explanations and decompositions are
 compared with ``==``, never a tolerance: the tables hold the floats that the
 per-factor path computed, and the sums are taken the same way.
 """
+import math
 import random
 from dataclasses import replace
+from itertools import chain
 from unittest.mock import patch
 
 import pytest
@@ -33,6 +35,7 @@ from edbn import (
     score_trace,
     serialize_log,
 )
+from edbn.detect import score_log
 from edbn.event_log import context_row_for
 from edbn import model as model_module
 from edbn.model import ScoringTables
@@ -290,3 +293,67 @@ def test_batch_ranking_of_a_parsed_log_equals_that_of_its_traces(case, chunk_row
         assert entry.factor_values == ref.factor_values
         for top_n in (1, 3):
             assert explain(entry, top_n) == explain(ref, top_n)
+
+
+# --- fixed-point log sums ------------------------------------------------------------
+
+
+def _factor_floats():
+    """Floats a factor can take: any in [0, 1], a few ulps below 1.0, tiny rates and exact zeros."""
+    below_one = st.integers(1, 64).map(lambda n: 1.0 - n * 2.0 ** -53)
+    tiny = st.one_of(st.floats(5e-324, 1e-290), st.integers(2, 10 ** 9).map(lambda n: 1 / n))
+    return st.one_of(st.floats(0.0, 1.0), below_one, tiny, st.just(0.0), st.just(1.0))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.lists(_factor_floats(), min_size=1, max_size=5), min_size=1, max_size=13),
+       st.lists(_factor_floats(), max_size=20))
+def test_fixed_point_log_sums_equal_fsum_bit_for_bit(blocks, other_rates):
+    # an event's factors, split into its attributes' blocks, among the other floats the model's factors take
+    factors = list(chain.from_iterable(blocks))
+    scale, fixed = model_module._fixed_point([*other_rates, *factors])
+    total = sum(sum(map(fixed.__getitem__, block)) for block in blocks)  # as ScoringTables sums an event
+    assert (scale * total).hex() == math.fsum(map(model_module._log, factors)).hex()
+    # the least shift that gives the lowest mantissa bit of every nonzero finite log a weight of at least 1
+    logs = {r: math.log(r) for r in [*other_rates, *factors] if 0.0 < r < 1.0}
+    shift = max((53 - math.frexp(x)[1] for x in logs.values()), default=0)
+    assert scale == 2.0 ** -shift
+    assert all(fixed[r] == math.ldexp(x, shift) and type(fixed[r]) is int for r, x in logs.items())
+
+
+def test_fixed_point_shift_of_the_nearest_float_below_one():
+    # the smallest nonzero |log| bounds the shift: log(1 - 2 ** -53) is about -2 ** -53
+    scale, fixed = model_module._fixed_point([1.0 - 2.0 ** -53, 0.5, 0.0, 1.0])
+    assert scale == 2.0 ** -105
+    assert fixed[0.0] == -math.inf and fixed[1.0] == 0
+    assert fixed[0.5] == math.ldexp(math.log(0.5), 105)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("unique_item", [False, True], ids=["shipping", "item unique per event"])
+def test_score_log_equals_score_trace_bit_for_bit(k, unique_item):
+    # every event's log from the blocks' fixed-point sums equals math.fsum of its factors' logs, and
+    # so every trace's log score equals that of score_trace, which sums each event's logs with fsum
+    process = default_shipping_model()
+    model = learn_edbn(generate(process, 300, 51), k, 0.99)
+    log = inject_anomalies(generate(process, 120, 52), 0.3, 53).log
+    if unique_item:
+        log = _unique_item(log, lambda t, e: True)
+    tables = model.scoring_tables
+    scored = score_log(model, log)
+    per_trace = tables.score_traces(log.codes, log.vocabularies, log.trace_lengths)
+    assert len(scored) == len(log.traces)
+    event_logs = []
+    for trace, entry, (values, logs) in zip(log.traces, scored, per_trace):
+        ref = score_trace(model, trace)
+        assert (entry.trace_id, entry.event_ids) == (ref.trace_id, ref.event_ids)
+        assert entry.log_score.hex() == ref.log_score.hex()
+        assert entry.score.hex() == ref.score.hex()
+        assert entry.factor_values == ref.factor_values
+        assert entry.zero_factor_count == ref.zero_factor_count == ref.factor_values.count(0.0)
+        ref_values, ref_logs = tables.score(trace.events)
+        assert values == ref_values
+        assert [x.hex() for x in logs] == [x.hex() for x in ref_logs]
+        event_logs += logs
+    # both kinds of event are compared: with a zero factor and without
+    assert {x == -math.inf for x in event_logs} == {True, False}

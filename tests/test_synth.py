@@ -234,6 +234,41 @@ def test_transition_weight_must_be_a_number():
     assert parse_process_model(_linear_doc()).transitions == {"start": {"finish": 1.0}}
 
 
+def test_attributes_must_be_a_json_list():
+    with pytest.raises(ProcessModelError, match="attributes must be a JSON list, got 5"):
+        parse_process_model(_linear_doc(attributes=5))
+
+
+def test_end_activities_must_be_a_json_list():
+    with pytest.raises(ProcessModelError, match="end_activities must be a JSON list, got 3"):
+        parse_process_model(_linear_doc(end_activities=3))
+
+
+def test_pool_values_must_be_a_json_list():
+    with pytest.raises(ProcessModelError, match=r"rules\['x'\] values must be a JSON list, got 3"):
+        parse_process_model(_linear_doc(rules={"x": {"kind": "pool", "values": 3}}))
+
+
+def test_activity_choice_pools_must_be_a_json_object_of_lists():
+    with pytest.raises(ProcessModelError, match=r"rules\['x'\] pools must be a JSON object, got \[\]"):
+        parse_process_model(_linear_doc(rules={"x": {"kind": "activity_choice", "pools": []}}))
+    with pytest.raises(ProcessModelError, match=r"rules\['x'\] pools\['start'\] must be a JSON list, got 3"):
+        parse_process_model(_linear_doc(rules={"x": {"kind": "activity_choice", "pools": {"start": 3}}}))
+    pools = {"start": ["a"], "finish": ["b", "c"]}
+    model = parse_process_model(_linear_doc(rules={"x": {"kind": "activity_choice", "pools": pools}}))
+    assert model.rules["x"].pools == {"start": ("a",), "finish": ("b", "c")}
+
+
+def test_labels_file_giving_a_trace_two_labels_names_the_trace_and_line(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("trace_id,label\nt0,normal\nt1,normal\nt1,anomalous\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"labels file '{path}' line 4: trace 't1' is labeled both "
+                                                   "'normal' and 'anomalous'")):
+        read_labels(path)
+    path.write_text("trace_id,label\nt0,normal\nt0,normal\n", encoding="utf-8")
+    assert read_labels(path) == {"t0": NORMAL}
+
+
 def test_labels_file_without_a_label_column_names_the_column(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text("trace_id,details\nt0,\n", encoding="utf-8")
