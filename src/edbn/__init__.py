@@ -21,7 +21,6 @@ from .event_log import (
     build_k_context,
     load_log,
     parse_log,
-    serialize_k_context,
     serialize_log,
     write_log,
 )

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, compress, islice, repeat, tee
 from operator import itemgetter, le
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO, Union
+from typing import Iterable, NamedTuple, Sequence, TextIO, Union
 
 # Reserved padding token for missing history. Ingestion rejects logs that
 # contain it as a value.
@@ -186,11 +186,6 @@ class EventLog:
     @property
     def event_count(self) -> int:
         return len(self.event_ids)
-
-    def iter_events(self) -> Iterator[tuple[Trace, Event]]:
-        for trace in self.traces:
-            for event in trace.events:
-                yield trace, event
 
     def trace_by_id(self, trace_id: str) -> Trace:
         for trace in self.traces:
@@ -493,16 +488,6 @@ def context_row_for(log_schema: AttributeSchema, events: Sequence[Event], index:
         parts.extend(events[index - lag].values if index - lag >= 0 else pad)
     parts.extend(events[index].values)
     return KContextRow(tuple(parts), events[index].id, "")
-
-
-def serialize_k_context(ctx: KContextLog, *, delimiter: str = ",") -> str:
-    """Delimited export: trace_id, event_id, then <Attr>_<slice> columns; padding as __NONE__."""
-    out = io.StringIO()
-    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
-    writer.writerow(["trace_id", "event_id", *(v.column_name for v in ctx.variables)])
-    for row in ctx.rows:
-        writer.writerow([row.trace_id, row.event_id, *row.values])
-    return out.getvalue()
 
 
 def active_domain(source: Union[EventLog, KContextLog], variables) -> set:

@@ -228,9 +228,11 @@ class ScoringTables:
     float comes from one call of value_probability, relation_probability or fdm_probability, so factors
     read from the tables equal those functions' results bit for bit.
 
-    ``_blocks`` holds per attribute the k-context positions of its key, the values its entry of ``_plan``
-    reads (its value, its CPT parents and its FD sources, each once), and a copy of that entry that reads
-    the key's values in place of the k-context.  Equal keys give equal factors.  ``_fixed`` maps every
+    An attribute's key is the k-context positions its entry of ``_plan`` reads: its value, its CPT parents
+    and its FD sources.  ``_blocks`` holds one entry per run of attributes, taken in schema order, where
+    each attribute joins the current run when its key shares a position with the union of the run's keys:
+    the run's key, that union with each position once, and its members' ``_plan`` entries, reading the
+    key's values in place of the k-context.  Equal keys give equal factors.  ``_fixed`` maps every
     float a factor can take to its log as a fixed-point int, exactly (_fixed_point).
     """
 
@@ -268,13 +270,19 @@ class ScoringTables:
             unseen_value = value_probability(model, attr, _UNSEEN)
             rates += [*values.values(), unseen_value, *chain.from_iterable(f[2:] for f in fds)]
             plan.append((x_pos := pos[Variable(attr, 0)], values, unseen_value, relation, tuple(fds)))
-            key = tuple(dict.fromkeys([x_pos, *(pos[p] for p in cpt.parents), *(f[0] for f in fds)]))
-            at = key.index  # the position in the key of a k-context position
-            blocks.append((key, ((0, values, unseen_value, relation and (_tuple_getter([*map(at, parent_pos)]), *relation[1:]),
-                                  tuple((at(f[0]), *f[1:]) for f in fds)),)))
+            own = [x_pos, *(pos[p] for p in cpt.parents), *(f[0] for f in fds)]
+            if not blocks or blocks[-1][0].keys().isdisjoint(own):
+                blocks.append(({}, []))  # a new run
+            key, run = blocks[-1]  # key: the run's k-context positions -> their positions in its key
+            for p in own:
+                key.setdefault(p, len(key))
+            at = key.__getitem__
+            run.append((at(x_pos), values, unseen_value,
+                        relation and (_tuple_getter([*map(at, parent_pos)]), *relation[1:]),
+                        tuple((at(f[0]), *f[1:]) for f in fds)))
         self.labels = tuple(labels)
         self._plan = tuple(plan)
-        self._blocks = tuple(blocks)
+        self._blocks = tuple((tuple(key), tuple(run)) for key, run in blocks)
         self._scale, self._fixed = _fixed_point(rates)
 
     def factors(self, ctx: Sequence[str], plan: Sequence | None = None) -> list[float]:
@@ -321,10 +329,10 @@ class ScoringTables:
 
         A chunk of whole traces, about _CHUNK_EVENTS events, at a time: a key position's column is its
         attribute's codes shifted by its lag within each trace, PADDING coded one past the vocabulary.
-        Each attribute's key column maps through a dict, alive as long as this generator, of its blocks
-        (factor values, the int sum of their fixed-point logs), each computed once per distinct key from that
-        key's values alone.  An event's log, its blocks' int sum times _scale, is math.fsum of its factors'
-        logs bit for bit: the int sum is exact, and only its conversion to float rounds, half to even.
+        Each run's key column maps through a dict, alive as long as this generator, of its blocks (its
+        members' factor values, the int sum of their fixed-point logs), each computed once per distinct key
+        from that key's values alone.  An event's log, its blocks' int sum times _scale, is math.fsum of its
+        factors' logs bit for bit: the int sum is exact, and only its conversion to float rounds, half to even.
         """
         n, k, width = self._n_attrs, self._width // self._n_attrs - 1, len(self.labels)
         decoders = [(*vocab, PADDING) for vocab in vocabularies]
@@ -351,7 +359,7 @@ class ScoringTables:
                 yield values[(start - lo) * width : (start - lo + length) * width], logs[start - lo : start - lo + length]
 
     def _block(self, plan, decoders, key) -> tuple[tuple[float, ...], int | float]:
-        """An attribute's factor values from its key's codes, as a tuple of floats (untracked by gc), and the
+        """A run's factor values from its key's codes, as a tuple of floats (untracked by gc), and the
         sum of their fixed-point logs: an int, or -inf when a factor is zero."""
         values = tuple(self.factors(list(map(getitem, decoders, key)), plan))
         return values, sum(map(self._fixed.__getitem__, values))

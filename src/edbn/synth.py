@@ -389,17 +389,21 @@ def write_labels(labeled: LabeledLog, path) -> None:
 
 
 def read_labels(path) -> dict[str, str]:
+    """trace id -> label from a labels file; a malformed file raises ValueError naming it and the line."""
+    where = f"labels file {str(path)!r}"
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if missing := {"trace_id", "label"}.difference(reader.fieldnames or ()):
-            raise ValueError(f"labels file {str(path)!r} has no {min(missing)!r} column")
+            raise ValueError(f"{where} has no {min(missing)!r} column in its header, line {max(reader.line_num, 1)}")
         labels = {}
         for row in reader:
-            if row["label"] not in (NORMAL, ANOMALOUS):
-                raise ValueError(f"unknown label {row['label']!r} for trace {row['trace_id']!r}")
-            if labels.setdefault(row["trace_id"], row["label"]) != row["label"]:
-                raise ValueError(f"labels file {str(path)!r} line {reader.line_num}: trace {row['trace_id']!r} "
-                                 f"is labeled both {labels[row['trace_id']]!r} and {row['label']!r}")
-    if not labels:
-        raise ValueError("labels file is empty")
+            at, trace_id, label = f"{where} line {reader.line_num}", row["trace_id"], row["label"]
+            if trace_id is None or label is None:
+                raise ValueError(f"{at}: no {'trace_id' if trace_id is None else 'label'!r} field")
+            if label not in (NORMAL, ANOMALOUS):
+                raise ValueError(f"{at}: unknown label {label!r} for trace {trace_id!r}")
+            if labels.setdefault(trace_id, label) != label:
+                raise ValueError(f"{at}: trace {trace_id!r} is labeled both {labels[trace_id]!r} and {label!r}")
+        if not labels:
+            raise ValueError(f"{where} line {reader.line_num}: no trace is labeled")
     return labels

@@ -191,7 +191,7 @@ def reference_learn(log, k, fd_threshold=0.99, structure=None):
         dag = DAG(ctx.variables, frozenset(structure) | fd_pairs)
     cpts = reference_fit_cpts(ctx, dag, fds)
     n = len(ctx.rows)
-    domains = {a: frozenset(e.values[i] for _, e in log.iter_events()) for i, a in enumerate(log.schema.names)}
+    domains = {a: frozenset(e.values[i] for t in log.traces for e in t.events) for i, a in enumerate(log.schema.names)}
     return EDBNModel(
         k=k,
         schema=log.schema,

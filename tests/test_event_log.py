@@ -13,7 +13,6 @@ from edbn import (
     active_domain,
     build_k_context,
     parse_log,
-    serialize_k_context,
     serialize_log,
 )
 
@@ -147,14 +146,6 @@ def test_context_row_count_matches_event_count(permission_log, permission_ctx):
     assert len(permission_ctx.rows) == permission_log.event_count
 
 
-def test_context_export_headers_and_padding(permission_ctx):
-    text = serialize_k_context(permission_ctx)
-    lines = text.splitlines()
-    assert lines[0].startswith("trace_id,event_id,Type_1,Activity_1")
-    assert lines[0].endswith("Type_0,Activity_0,UserID_0,UserName_0,UserRole_0")
-    assert PADDING in lines[1]  # trace head row
-
-
 values_st = st.text(alphabet="abcxyz,\"'|", min_size=1, max_size=3).filter(str.strip)
 
 
@@ -179,7 +170,7 @@ def small_logs(draw):
 def test_dropping_history_recovers_event_descriptions(log, k):
     ctx = build_k_context(log, k)
     n = len(log.schema.names)
-    by_id = {e.id: e for _, e in log.iter_events()}
+    by_id = {e.id: e for t in log.traces for e in t.events}
     for row in ctx.rows:
         assert row.values[-n:] == by_id[row.event_id].values
 

@@ -38,7 +38,7 @@ from edbn import (
 from edbn.detect import score_log
 from edbn.event_log import context_row_for
 from edbn import model as model_module
-from edbn.model import ScoringTables
+from edbn.model import FD_CHECK, RELATION, VALUE, ScoringTables
 
 from reference_scoring import ReferenceScore, reference_ranking
 from test_parsing_equivalence import CHUNK_ROWS, RAW_BODIES, delimited_logs, parse_at
@@ -179,10 +179,65 @@ def test_batch_ranking_equals_per_trace_scoring(case, chunk_events):
                 assert explain(entry, top_n) == explain(ref, top_n)
 
 
-def _unique_item(log, is_unique):
-    # the item of every event for which is_unique(trace index, event index) holds
+# --- runs of key-sharing attributes ----------------------------------------------------
+
+
+def _assert_runs_follow_the_walk(model):
+    """Return the runs' keys, after checking that ScoringTables grouped the attributes in schema order
+    into runs whose members each share a key position with the run's earlier members, and that the
+    runs' plans, concatenated, are ``_plan`` read through their keys and give ``labels``."""
+    tables, pos = model.scoring_tables, model._var_positions
+    attrs = iter(zip(model.schema.names, tables._plan, strict=True))
+    ctx = list(range(len(model.variables)))  # each k-context value is its own position
+    labels, previous = [], []
+    for key, run in tables._blocks:
+        union = []  # the k-context positions of the run's members so far, in order
+        for x_pos, values, unseen_value, relation, fds in run:
+            attr, (plan_x, plan_values, plan_unseen, plan_relation, plan_fds) = next(attrs)
+            own = [plan_x, *map(pos.get, model.cpts[attr].parents),
+                   *(pos[m.edge.source] for m in model.mappings_into(attr))]
+            if union:
+                assert not set(own).isdisjoint(union)  # it shares a position with the run's earlier members
+            else:
+                assert set(own).isdisjoint(previous)  # it starts a run: it shares none with the run before
+            union += own
+            assert (key[x_pos], values, unseen_value) == (plan_x, plan_values, plan_unseen)
+            labels.append((attr, VALUE, None))
+            if relation is not None:
+                labels.append((attr, RELATION, None))
+                assert relation[0](key) == plan_relation[0](ctx) and relation[1:] == plan_relation[1:]
+            assert [(key[f[0]], *f[1:]) for f in fds] == [*plan_fds]
+            labels += [(attr, FD_CHECK, model.variables[key[f[0]]]) for f in fds]
+        assert key == tuple(dict.fromkeys(union))
+        previous = key
+    assert next(attrs, None) is None
+    assert tuple(labels) == tables.labels
+    return [key for key, _ in tables._blocks]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_shipping_attributes_are_scored_in_runs_of_key_sharing_attributes(k):
+    # the 13 attributes' keys: 7 read activity and the user columns, 3 item and 2 customer
+    model = learn_edbn(generate(default_shipping_model(), 2000, 7), k, 0.99)
+    keys = _assert_runs_follow_the_walk(model)
+    assert [len(key) for key in keys] == [8, 5, 4, 2]
+    for before, after in zip(keys, keys[1:]):
+        assert set(before).isdisjoint(after)
+
+
+@settings(max_examples=150, deadline=None)
+@given(imposed_models())
+def test_imposed_models_are_scored_in_runs_of_key_sharing_attributes(case):
+    # a later member of a run may share a position with the run before it: only the
+    # member that starts a run must share none
+    for model in case[:2]:
+        _assert_runs_follow_the_walk(model)
+
+
+def _unique_value(log, is_unique, attr="item"):
+    # the value of attr of every event for which is_unique(trace index, event index) holds
     # becomes a value no other event has, like an amount or a timestamp column
-    col = log.schema.names.index("item")
+    col = log.schema.names.index(attr)
     return EventLog(log.schema, tuple(
         Trace(t.trace_id, tuple(
             Event(e.id, e.values[:col] + (f"u-{e.id}",) + e.values[col + 1:]) if is_unique(ti, ei) else e
@@ -215,15 +270,22 @@ def _assert_scored_as_per_trace(model, ranking, log):
 @pytest.mark.parametrize("is_unique", LOW_REUSE.values(), ids=LOW_REUSE.keys())
 def test_batch_ranking_never_scores_event_by_event_when_keys_rarely_repeat(monkeypatch, is_unique):
     # an attribute unique per event, like an amount, brings a new key at every event;
-    # only its own blocks and those of keys that read it are computed anew
+    # only the block of the run that reads it is computed anew: at most one per event
     process = default_shipping_model()
     model = learn_edbn(generate(process, 300, 41), 1, 0.99)
-    log = _unique_item(generate(process, 300, 42), is_unique)
+    unmodified = generate(process, 300, 42)
+    log = _unique_value(unmodified, is_unique)
     assert len(log.event_ids) > 3000
     per_event, calls = ScoringTables.score_values, []
+    block, blocks = ScoringTables._block, []
     monkeypatch.setattr(ScoringTables, "score_values", lambda *args: calls.append(1) or per_event(*args))
+    monkeypatch.setattr(ScoringTables, "_block", lambda *args: blocks.append(1) or block(*args))
+    rank_traces(model, unmodified)
+    distinct = len(blocks)
+    blocks.clear()
     ranking = rank_traces(model, log)
     assert calls == []
+    assert len(blocks) <= distinct + len(log.event_ids)
     monkeypatch.undo()
     _assert_scored_as_per_trace(model, ranking, log)
 
@@ -329,16 +391,26 @@ def test_fixed_point_shift_of_the_nearest_float_below_one():
     assert fixed[0.5] == math.ldexp(math.log(0.5), 105)
 
 
+UNIQUE = {
+    "shipping": (None, None),
+    "item unique per event": ("item", lambda t, e: True),
+    # user_id is read by the widest run's key; an unseen user_id violates an FD into it,
+    # so only every other event's is unique, to leave events with a finite log
+    "user_id unique at every other event": ("user_id", lambda t, e: e % 2 == 0),
+}
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("unique_item", [False, True], ids=["shipping", "item unique per event"])
-def test_score_log_equals_score_trace_bit_for_bit(k, unique_item):
+@pytest.mark.parametrize("unique", UNIQUE.values(), ids=UNIQUE.keys())
+def test_score_log_equals_score_trace_bit_for_bit(k, unique):
     # every event's log from the blocks' fixed-point sums equals math.fsum of its factors' logs, and
     # so every trace's log score equals that of score_trace, which sums each event's logs with fsum
     process = default_shipping_model()
     model = learn_edbn(generate(process, 300, 51), k, 0.99)
     log = inject_anomalies(generate(process, 120, 52), 0.3, 53).log
-    if unique_item:
-        log = _unique_item(log, lambda t, e: True)
+    attr, is_unique = unique
+    if attr:
+        log = _unique_value(log, is_unique, attr)
     tables = model.scoring_tables
     scored = score_log(model, log)
     per_trace = tables.score_traces(log.codes, log.vocabularies, log.trace_lengths)

@@ -2,6 +2,8 @@ import json
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from edbn import (
     ANOMALOUS,
@@ -189,7 +191,7 @@ def test_fresh_values_are_unseen(clean_log):
         for m in mutations:
             if m.kind == "fresh_value":
                 i = clean_log.schema.index_of(m.attribute)
-                seen = {e.values[i] for _, e in clean_log.iter_events()}
+                seen = {e.values[i] for t in clean_log.traces for e in t.events}
                 assert m.new_value not in seen
 
 
@@ -279,6 +281,70 @@ def test_labels_file_without_a_label_column_names_the_column(tmp_path):
         read_labels(path)
     path.write_text("trace_id,label\nt0,normal\n", encoding="utf-8")
     assert read_labels(path) == {"t0": NORMAL}
+
+
+def test_labels_file_with_an_unknown_label_or_a_missing_field_names_the_file_and_line(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("trace_id,label\nt0,normal\nt1,odd\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"labels file '{path}' line 3: unknown label 'odd' for trace 't1'")):
+        read_labels(path)
+    path.write_text("trace_id,label,details\nt0,normal,\nt1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"labels file '{path}' line 3: no 'label' field")):
+        read_labels(path)
+    path.write_text("label,details,trace_id\nnormal,,t0\nnormal,x\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"labels file '{path}' line 3: no 'trace_id' field")):
+        read_labels(path)
+    path.write_text("trace_id,label\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"labels file '{path}' line 1: no trace is labeled")):
+        read_labels(path)
+
+
+LABEL_TOKENS = [",", '"', "\n", "\r", "\r\n", "\x00", "\ufeff", " ", "", "x", NORMAL, ANOMALOUS, "t0001",
+                "trace_id", "label"]
+
+
+@st.composite
+def _mutated_labels(draw, text):
+    """A labels document with one to three edits: a token inserted, a span deleted, or a line
+    replaced by a token, duplicated or moved."""
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        how = draw(st.sampled_from(["insert", "delete", "replace line", "duplicate line", "move line"]))
+        if how == "insert":
+            text = text[:at] + draw(st.sampled_from(LABEL_TOKENS)) + text[at:]
+        elif how == "delete":
+            text = text[:at] + text[at + draw(st.integers(1, 12)):]
+        else:
+            lines = text.splitlines(keepends=True) or [""]
+            i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines)))
+            line = lines[i]
+            if how == "replace line":
+                lines[i] = draw(st.sampled_from(LABEL_TOKENS)) + "\n"
+            elif how == "duplicate line":
+                lines.insert(j, line)
+            else:
+                lines.insert(j, lines.pop(i))
+            text = "".join(lines)
+    return text
+
+
+@pytest.fixture(scope="module")
+def labels_text():
+    return serialize_labels(inject_anomalies(generate(default_shipping_model(), 6, 5), 0.5, 6))
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_labels_reader_rejects_or_loads_every_mutated_file(labels_text, tmp_path, data):
+    text = data.draw(_mutated_labels(labels_text))
+    path = tmp_path / "labels.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    try:
+        labels = read_labels(path)
+    except ValueError as exc:
+        assert re.search(rf"^labels file {re.escape(repr(str(path)))} .*line [1-9]\d*\b", str(exc)), str(exc)
+        return
+    assert labels and set(labels.values()) <= {NORMAL, ANOMALOUS}
 
 
 def test_nonpositive_weight_rejected():
