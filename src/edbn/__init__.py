@@ -13,11 +13,9 @@ from .event_log import (
     Event,
     EventLog,
     KContextLog,
-    KContextRow,
     LogFormatError,
     Trace,
     Variable,
-    active_domain,
     build_k_context,
     load_log,
     parse_log,
@@ -30,7 +28,6 @@ from .model import (
     EventScore,
     Factor,
     ModelFormatError,
-    event_probability,
     learn_edbn,
     load_model,
     read_model,
@@ -46,7 +43,6 @@ from .structure import (
     CPT,
     DAG,
     StructureConstraints,
-    aic_score,
     fit_cpts,
     learn_structure,
     make_constraints,

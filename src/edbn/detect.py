@@ -2,11 +2,11 @@
 
 A trace's score is the geometric mean of its event probabilities (the n-th root of the joint
 probability), so length does not penalize a trace.  Low scores mean anomalous; ranking is
-ascending.  Scoring is read-only on the model and safe to run concurrently.  score_log reads the
-log's code columns a chunk of whole traces at a time, computes the factor block of each run of
-key-sharing attributes once per distinct key and adds an event's blocks' logs as exact fixed-point
-ints, in pure Python (numpy would add about 11 MB).  score_trace and score_prefix compute each
-event's factors and fsum their logs.
+ascending.  Scoring is read-only on the model and safe to run concurrently.  Every scorer reads
+the factor blocks of the model's runs of key-sharing attributes and adds an event's blocks' logs
+as exact fixed-point ints, in pure Python (numpy would add about 11 MB): score_log reads the log's
+code columns a chunk of whole traces at a time and computes each block once per distinct key;
+score_trace and score_prefix compute each event's blocks from its own k-context.
 """
 from __future__ import annotations
 

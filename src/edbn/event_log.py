@@ -478,35 +478,3 @@ def build_k_context(log: EventLog, k: int) -> KContextLog:
         vocabularies.append(tuple(compress(vocab, present)))
     trace_ids = tuple(chain.from_iterable(map(repeat, log.trace_ids, log.trace_lengths)))
     return KContextLog(k, variables, tuple(codes), tuple(vocabularies), log.event_ids, trace_ids)
-
-
-def context_row_for(log_schema: AttributeSchema, events: Sequence[Event], index: int, k: int) -> KContextRow:
-    """k-context row for one event of an (possibly partial) event sequence."""
-    pad = (PADDING,) * len(log_schema.names)
-    parts: list[str] = []
-    for lag in range(k, 0, -1):
-        parts.extend(events[index - lag].values if index - lag >= 0 else pad)
-    parts.extend(events[index].values)
-    return KContextRow(tuple(parts), events[index].id, "")
-
-
-def active_domain(source: Union[EventLog, KContextLog], variables) -> set:
-    """Set of values (single variable) or value tuples (variable sequence) seen in the source.
-
-    On an EventLog, variables are attribute names and PADDING never occurs;
-    on a KContextLog, variables are Variable instances and padding values are
-    included when present.
-    """
-    single = isinstance(variables, (str, Variable))
-    var_list = [variables] if single else list(variables)
-    if not var_list:
-        raise ValueError("variables must be non-empty")
-    if isinstance(source, KContextLog):
-        if single:
-            return set(source.vocabulary(variables))
-        return set(zip(*(source.column(v) for v in var_list)))
-
-    if any(isinstance(v, Variable) and v.lag != 0 for v in var_list):
-        raise ValueError("an EventLog has no history slices")
-    columns = [source.columns[source.schema.index_of(v.attr if isinstance(v, Variable) else v)] for v in var_list]
-    return set(columns[0]) if single else set(zip(*columns))

@@ -16,7 +16,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import accumulate, chain, groupby
 from operator import getitem, itemgetter
 from typing import Iterable, Iterator, Sequence, Union
@@ -26,7 +26,6 @@ from .event_log import (
     AttributeSchema,
     Event,
     EventLog,
-    KContextRow,
     Trace,
     Variable,
     build_k_context,
@@ -221,19 +220,21 @@ def _fixed_point(rates: Iterable[float]) -> tuple[float, dict[float, int | float
 
 
 class ScoringTables:
-    """A model's factors as float tables, compiled once from its exact rationals.
+    """A model's factors as float tables, compiled once from its exact rationals; every driver reads them.
 
     Every event has the same factor layout, ``labels``: per attribute in schema order its value factor,
     its relation factor when it has CPT parents, then one FD check per mapping into it.  Every table
     float comes from one call of value_probability, relation_probability or fdm_probability, so factors
     read from the tables equal those functions' results bit for bit.
 
-    An attribute's key is the k-context positions its entry of ``_plan`` reads: its value, its CPT parents
-    and its FD sources.  ``_blocks`` holds one entry per run of attributes, taken in schema order, where
-    each attribute joins the current run when its key shares a position with the union of the run's keys:
-    the run's key, that union with each position once, and its members' ``_plan`` entries, reading the
-    key's values in place of the k-context.  Equal keys give equal factors.  ``_fixed`` maps every
-    float a factor can take to its log as a fixed-point int, exactly (_fixed_point).
+    An attribute's own positions are the k-context positions of its value, its CPT parents and its FD
+    sources.  ``_blocks`` holds one entry per run of attributes, taken in schema order, where each
+    attribute joins the current run when its own positions share one with the union of the run's: the
+    run's key, that union with each position once, and its members' entries, which read the key's values.
+    ``_fixed`` maps every float a factor can take to its log as a fixed-point int (_fixed_point).  Both
+    drivers, score and score_traces, take a run's factors from _block and an event's log as the int sum
+    of its blocks' logs times _scale: math.fsum of its factors' logs bit for bit, since the int sum is
+    exact and only its conversion to float rounds, half to even.
     """
 
     def __init__(self, model: EDBNModel):
@@ -242,12 +243,19 @@ class ScoringTables:
         self._width = len(model.variables)
         self._padding = (PADDING,) * (self._width - self._n_attrs)
         labels: list[tuple[str, str, Variable | None]] = []
-        plan, blocks, rates = [], [], []  # rates: every float a factor can take
+        blocks, rates = [], []  # rates: every float a factor can take
         for attr in model.schema.names:
+            cpt, mappings = model.cpts[attr], model.mappings_into(attr)
+            own = [pos[Variable(attr, 0)], *(pos[p] for p in cpt.parents), *(pos[m.edge.source] for m in mappings)]
+            if not blocks or blocks[-1][0].keys().isdisjoint(own):
+                blocks.append(({}, []))  # a new run
+            key, run = blocks[-1]  # key: the run's k-context positions -> their positions in its key
+            for p in own:
+                key.setdefault(p, len(key))
+            at = key.__getitem__
             labels.append((attr, VALUE, None))
             values = {x: value_probability(model, attr, x) for x in model.active_domains[attr]}
             relation = None
-            cpt = model.cpts[attr]
             if cpt.parents:
                 labels.append((attr, RELATION, None))
                 rows = {
@@ -257,87 +265,60 @@ class ScoringTables:
                     )
                     for cfg, counts in cpt.rows.items()
                 }
-                relation = (_tuple_getter(parent_pos := [pos[p] for p in cpt.parents]), rows,
+                relation = (_tuple_getter([at(pos[p]) for p in cpt.parents]), rows,
                             relation_probability(model, attr, _UNSEEN, (_UNSEEN,) * len(cpt.parents)))
                 rates += [relation[2], *chain.from_iterable([*row.values(), unseen] for row, unseen in rows.values())]
             fds = []
-            for m in model.mappings_into(attr):
+            for m in mappings:
                 labels.append((attr, FD_CHECK, m.edge.source))
                 agree = fdm_probability(m, _UNSEEN, _UNSEEN)
                 # any mapped source with an unseen target violates; an empty map never does
                 violate = next((fdm_probability(m, x, _UNSEEN) for x in m.map), agree)
-                fds.append((pos[m.edge.source], m.map, agree, violate))
+                fds.append((at(pos[m.edge.source]), m.map, agree, violate))
             unseen_value = value_probability(model, attr, _UNSEEN)
             rates += [*values.values(), unseen_value, *chain.from_iterable(f[2:] for f in fds)]
-            plan.append((x_pos := pos[Variable(attr, 0)], values, unseen_value, relation, tuple(fds)))
-            own = [x_pos, *(pos[p] for p in cpt.parents), *(f[0] for f in fds)]
-            if not blocks or blocks[-1][0].keys().isdisjoint(own):
-                blocks.append(({}, []))  # a new run
-            key, run = blocks[-1]  # key: the run's k-context positions -> their positions in its key
-            for p in own:
-                key.setdefault(p, len(key))
-            at = key.__getitem__
-            run.append((at(x_pos), values, unseen_value,
-                        relation and (_tuple_getter([*map(at, parent_pos)]), *relation[1:]),
-                        tuple((at(f[0]), *f[1:]) for f in fds)))
+            run.append((at(own[0]), values, unseen_value, relation, tuple(fds)))
         self.labels = tuple(labels)
-        self._plan = tuple(plan)
         self._blocks = tuple((tuple(key), tuple(run)) for key, run in blocks)
         self._scale, self._fixed = _fixed_point(rates)
-
-    def factors(self, ctx: Sequence[str], plan: Sequence | None = None) -> list[float]:
-        """One event's factor values, laid out as ``labels``, from its k-context values; or, given
-        ``plan``, the factor values of its entries from the values they read."""
-        out: list[float] = []
-        append = out.append
-        for x_pos, values, unseen_value, relation, fds in self._plan if plan is None else plan:
-            x = ctx[x_pos]
-            append(values.get(x, unseen_value))
-            if relation is not None:
-                parents_of, rows, unseen_parents = relation
-                row = rows.get(parents_of(ctx))
-                append(unseen_parents if row is None else row[0].get(x, row[1]))
-            for src_pos, expected_of, agree, violate in fds:
-                expected = expected_of.get(ctx[src_pos])
-                append(agree if expected is None or expected == x else violate)
-        return out
 
     def score(self, events: Sequence[Event]) -> tuple[list[float], list[float]]:
         """Factor values of an event sequence, event after event, and each event's log-probability.
 
-        History comes from the sequence itself, padded at the head.
+        History comes from the sequence itself, padded at the head.  Each event reads every run's key
+        from its k-context window and computes the run's block from it, with no memo.
         """
         if any(len(e.values) != self._n_attrs for e in events):
             raise ValueError("event values do not match the model's schema")
-        return self.score_values(tuple(chain.from_iterable(e.values for e in events)))
-
-    def score_values(self, row_values: tuple[str, ...]) -> tuple[list[float], list[float]]:
-        """``score`` of the events whose attribute values ``row_values`` holds, event after event."""
-        n = self._n_attrs
-        flat = self._padding + row_values
-        values: list[float] = []
-        logs: list[float] = []
-        for start in range(0, len(row_values), n):
-            event = self.factors(flat[start : start + self._width])
-            values += event
-            logs.append(math.fsum(map(_log, event)))
+        flat = self._padding + tuple(chain.from_iterable(e.values for e in events))
+        runs = [(_tuple_getter(key), plan) for key, plan in self._blocks]
+        block, scale, width = self._block, self._scale, self._width
+        values, logs = [], []
+        for start in range(0, len(flat) - len(self._padding), self._n_attrs):
+            window = flat[start : start + width]
+            total = 0
+            for key_of, plan in runs:
+                run_values, run_log = block(plan, key_of(window))
+                values += run_values
+                total += run_log
+            logs.append(float(total) * scale)
         return values, logs
 
     def score_traces(self, codes, vocabularies, trace_lengths) -> Iterator[tuple[list[float], list[float]]]:
-        """``score_values`` of each trace of a log held as code columns (per attribute, one code per event
-        into its entry of ``vocabularies``), whose traces are runs of ``trace_lengths`` events.
+        """``score`` of each trace of a log held as code columns (per attribute, one code per event into
+        its entry of ``vocabularies``), whose traces are runs of ``trace_lengths`` events.
 
         A chunk of whole traces, about _CHUNK_EVENTS events, at a time: a key position's column is its
         attribute's codes shifted by its lag within each trace, PADDING coded one past the vocabulary.
-        Each run's key column maps through a dict, alive as long as this generator, of its blocks (its
-        members' factor values, the int sum of their fixed-point logs), each computed once per distinct key
-        from that key's values alone.  An event's log, its blocks' int sum times _scale, is math.fsum of its
-        factors' logs bit for bit: the int sum is exact, and only its conversion to float rounds, half to even.
+        Each run's key column maps through a dict, alive as long as this generator, of its blocks, each
+        computed once per distinct key by decoding the key's codes for _block.
         """
         n, k, width = self._n_attrs, self._width // self._n_attrs - 1, len(self.labels)
         decoders = [(*vocab, PADDING) for vocab in vocabularies]
         sources = [[(p % n, k - p // n) for p in key] for key, _ in self._blocks]  # (attribute, lag) of each position
-        memos = [_Memo(partial(self._block, plan, [decoders[p % n] for p in key])) for key, plan in self._blocks]
+        memos = [_Memo(lambda codes, plan=plan, decoders=[decoders[p % n] for p in key]:
+                       self._block(plan, list(map(getitem, decoders, codes))))
+                 for key, plan in self._blocks]
         needed = set(chain.from_iterable(sources))
         for _, chunk in groupby(zip(accumulate(trace_lengths, initial=0), trace_lengths),
                                 key=lambda trace: trace[0] // _CHUNK_EVENTS):  # (first event, length) of each trace
@@ -358,11 +339,24 @@ class ScoringTables:
             for start, length in chunk:
                 yield values[(start - lo) * width : (start - lo + length) * width], logs[start - lo : start - lo + length]
 
-    def _block(self, plan, decoders, key) -> tuple[tuple[float, ...], int | float]:
-        """A run's factor values from its key's codes, as a tuple of floats (untracked by gc), and the
-        sum of their fixed-point logs: an int, or -inf when a factor is zero."""
-        values = tuple(self.factors(list(map(getitem, decoders, key)), plan))
-        return values, sum(map(self._fixed.__getitem__, values))
+    def _block(self, plan, key) -> tuple[tuple[float, ...], int | float]:
+        """A run's factor values, laid out as its members' labels, from its key's values: a tuple of floats
+        (untracked by gc), and the sum of their fixed-point logs, an int, or -inf when a factor is zero.
+        This is the only code that turns k-context values into factor values."""
+        out: list[float] = []
+        append = out.append
+        for x_at, values, unseen_value, relation, fds in plan:
+            x = key[x_at]
+            append(values.get(x, unseen_value))
+            if relation is not None:
+                parents_of, rows, unseen_parents = relation
+                row = rows.get(parents_of(key))
+                append(unseen_parents if row is None else row[0].get(x, row[1]))
+            for src_at, expected_of, agree, violate in fds:
+                expected = expected_of.get(key[src_at])
+                append(agree if expected is None or expected == x else violate)
+        factors = tuple(out)
+        return factors, sum(map(self._fixed.__getitem__, factors))
 
 
 class _Memo(dict):
@@ -387,18 +381,6 @@ def decompose(
         EventScore(eid, tuple(Factor(*label, v) for label, v in zip(labels, values[i * n : (i + 1) * n])))
         for i, eid in enumerate(event_ids)
     ]
-
-
-def event_probability(model: EDBNModel, ctx_row: KContextRow) -> EventScore:
-    """Per-attribute product of value, relation and FD factors, with breakdown.
-
-    The returned EventScore's probability is the product of its factors;
-    accumulate via log_probability where exact zeros matter.
-    """
-    if len(ctx_row.values) != len(model.variables):
-        raise ValueError("context row does not match the model's k and schema")
-    tables = model.scoring_tables
-    return decompose(tables.labels, (ctx_row.event_id,), tables.factors(ctx_row.values))[0]
 
 
 def event_scores(model: EDBNModel, events: Sequence[Event]) -> list[EventScore]:

@@ -237,16 +237,6 @@ def learn_structure(ctx: KContextLog, constraints: StructureConstraints) -> DAG:
     return DAG(tuple(ctx.variables), frozenset(edges))
 
 
-def aic_score(ctx: KContextLog, dag: DAG, whitelist: frozenset[Edge] = frozenset()) -> float:
-    """AIC score of a DAG on a k-context (parents exclude whitelisted edges)."""
-    coded = _CodedContext(ctx)
-    total = 0.0
-    for child in ctx.current_variables():
-        parents = frozenset(dag.parents_of(child, exclude=whitelist))
-        total += coded.family_score(child, parents)
-    return total
-
-
 def fit_cpts(ctx: KContextLog, dag: DAG, fds: Iterable[FDEdge]) -> dict[str, CPT]:
     """Empirical-frequency CPTs, one per slice-0 attribute.
 

@@ -25,6 +25,7 @@ ANOMALOUS = "anomalous"
 MUTATION_KINDS = ("swap_adjacent", "delete_event", "duplicate_event", "replace_value", "fresh_value")
 
 _WALK_LIMIT = 10_000
+_JSON_TYPES = {dict: "object", list: "list", str: "string"}
 
 
 class ProcessModelError(ValueError):
@@ -84,7 +85,7 @@ def _possible_values(model: ProcessModel) -> dict[str, set[str]]:
                 missing = model.activities - set(rule.pools)
                 if missing:
                     raise ProcessModelError(
-                        f"{attr!r}: no pool for activities {sorted(missing)}"
+                        f"rules[{attr!r}] pools: no pool for activities {sorted(missing)}"
                     )
                 possible[attr] = {v for pool in rule.pools.values() for v in pool}
             elif rule.kind == "derived":
@@ -93,41 +94,49 @@ def _possible_values(model: ProcessModel) -> dict[str, set[str]]:
                 missing = possible[rule.source] - set(rule.mapping)
                 if missing:
                     raise ProcessModelError(
-                        f"{attr!r}: derivation from {rule.source!r} misses {sorted(missing)}"
+                        f"rules[{attr!r}]: derivation from {rule.source!r} misses {sorted(missing)}"
                     )
                 possible[attr] = {rule.mapping[v] for v in possible[rule.source]}
             else:
-                raise ProcessModelError(f"{attr!r}: unknown rule kind {rule.kind!r}")
+                raise ProcessModelError(f"rules[{attr!r}]: unknown rule kind {rule.kind!r}")
             remaining.remove(attr)
             progress = True
     if remaining:
-        raise ProcessModelError(f"cyclic or dangling derivations: {sorted(remaining)}")
+        raise ProcessModelError(f"rules: cyclic or dangling derivations: {sorted(remaining)}")
     return possible
 
 
 def _validate_model(model: ProcessModel) -> None:
-    if len(set(model.attributes)) != len(model.attributes):
-        raise ProcessModelError("attribute names must be unique")
+    try:
+        model.schema()  # unique, non-empty string names, and a trace id column that is none of them
+    except (TypeError, ValueError) as exc:
+        raise ProcessModelError(f"attributes or trace_id_column: {exc}") from None
     if model.activity_attribute not in model.attributes:
         raise ProcessModelError("activity_attribute must be one of the attributes")
     for attr in model.attributes:
         if attr != model.activity_attribute and attr not in model.rules:
-            raise ProcessModelError(f"attribute {attr!r} has no rule")
+            raise ProcessModelError(f"attributes: {attr!r} has no rule in rules")
     for act, targets in model.transitions.items():
         for nxt, weight in targets.items():
             if type(weight) not in (int, float) or not 0 < weight < math.inf:
-                raise ProcessModelError(f"transition {act!r}->{nxt!r} weight must be a positive number, got {weight!r}")
-    # The walk terminates on any end activity, so at least one must be reachable.
+                raise ProcessModelError(f"transitions: {act!r}->{nxt!r} weight must be a positive number, got {weight!r}")
+    # The walk ends at the first end activity it reaches: one must be reachable, and every other
+    # activity that the walk can reach needs a successor.
     seen = {model.start_activity}
     frontier = [model.start_activity]
     while frontier:
         act = frontier.pop()
-        for nxt in model.transitions.get(act, ()):
+        if act in model.end_activities:
+            continue
+        if not model.transitions.get(act):
+            raise ProcessModelError(f"activity {act!r}, reachable from start_activity, has no transitions "
+                                    "and is not in end_activities")
+        for nxt in model.transitions[act]:
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
     if not (set(model.end_activities) & seen):
-        raise ProcessModelError("no end activity is reachable from the start activity")
+        raise ProcessModelError("end_activities: no end activity is reachable from start_activity")
     values = _possible_values(model)
     for attr, vals in values.items():
         if PADDING in vals:
@@ -153,11 +162,8 @@ def _evaluation_order(model: ProcessModel) -> list[str]:
 def _walk(model: ProcessModel, rng: random.Random) -> list[str]:
     path = [model.start_activity]
     while path[-1] not in model.end_activities:
-        targets = model.transitions.get(path[-1])
-        if not targets:
-            raise ProcessModelError(f"dead-end activity {path[-1]!r}")
-        names = list(targets)
-        step = rng.choices(names, weights=[targets[t] for t in names])[0]
+        targets = model.transitions[path[-1]]  # not empty: _validate_model rules out dead ends
+        step = rng.choices(list(targets), weights=list(targets.values()))[0]
         path.append(step)
         if len(path) > _WALK_LIMIT:
             raise ProcessModelError("random walk failed to reach an end activity")
@@ -231,6 +237,9 @@ class LabeledLog:
         for trace_id in self.log.trace_ids:
             if trace_id not in self.labels:
                 raise ValueError(f"trace {trace_id!r} has no label")
+        traces = set(self.log.trace_ids)
+        if (extra := next((t for t in self.labels if t not in traces), None)) is not None:
+            raise ValueError(f"trace {extra!r} is labeled but not in the log")
 
 
 def _applicable_kinds(events: Sequence[Event], replace_attrs: Sequence[str]) -> list[str]:
@@ -322,21 +331,29 @@ def inject_anomalies(log: EventLog, fraction: float, seed: int) -> LabeledLog:
 def _rule_from_json(attr: str, raw: dict) -> Rule:
     kind, where = raw.get("kind"), f"rules[{attr!r}]"
     if kind == "constant":
-        return Rule(kind="constant", value=str(raw["value"]))
+        return Rule(kind="constant", value=_json(raw["value"], f"{where} value", str))
     if kind == "pool":
-        values = _json(raw["values"], f"{where} values", list)
-        return Rule(kind="pool", values=tuple(values), scope=raw.get("scope", "event"))
+        values = _json(raw["values"], f"{where} values", list, strings=True)
+        if (scope := raw.get("scope", "event")) not in ("event", "trace"):
+            raise ProcessModelError(f"{where} scope must be 'event' or 'trace', got {scope!r:.40}")
+        return Rule(kind="pool", values=tuple(values), scope=scope)
     if kind == "derived":
-        return Rule(kind="derived", source=raw["source"], mapping=dict(raw["mapping"]))
+        source = _json(raw["source"], f"{where} source", str)
+        return Rule(kind="derived", source=source, mapping=dict(_json(raw["mapping"], f"{where} mapping", strings=True)))
     if kind == "activity_choice":
         pools = _json(raw["pools"], f"{where} pools").items()
-        return Rule(kind="activity_choice", pools={a: tuple(_json(p, f"{where} pools[{a!r}]", list)) for a, p in pools})
-    raise ProcessModelError(f"{attr!r}: unknown rule kind {kind!r}")
+        return Rule(kind="activity_choice",
+                    pools={a: tuple(_json(p, f"{where} pools[{a!r}]", list, strings=True)) for a, p in pools})
+    raise ProcessModelError(f"{where}: unknown rule kind {kind!r}")
 
 
-def _json(value, where: str, kind: type = dict):
+def _json(value, where: str, kind: type = dict, strings: bool = False):
+    """value if it has JSON type ``kind``; with ``strings``, a list of one or more strings or an object of strings."""
     if not isinstance(value, kind):
-        raise ProcessModelError(f"{where} must be a JSON {'object' if kind is dict else 'list'}, got {value!r:.40}")
+        raise ProcessModelError(f"{where} must be a JSON {_JSON_TYPES[kind]}, got {value!r:.40}")
+    items = value.values() if kind is dict else value
+    if strings and not (all(isinstance(v, str) for v in items) and (items or kind is dict)):
+        raise ProcessModelError(f"{where} must hold {'' if kind is dict else 'one or more '}JSON strings, got {value!r:.40}")
     return value
 
 
@@ -348,11 +365,11 @@ def parse_process_model(text: str) -> ProcessModel:
     try:
         return ProcessModel(
             name=doc.get("name", "unnamed"),
-            trace_id_column=doc["trace_id_column"],
-            attributes=tuple(_json(doc["attributes"], "attributes", list)),
-            activity_attribute=doc["activity_attribute"],
-            start_activity=doc["start_activity"],
-            end_activities=frozenset(_json(doc["end_activities"], "end_activities", list)),
+            trace_id_column=_json(doc["trace_id_column"], "trace_id_column", str),
+            attributes=tuple(_json(doc["attributes"], "attributes", list, strings=True)),
+            activity_attribute=_json(doc["activity_attribute"], "activity_attribute", str),
+            start_activity=_json(doc["start_activity"], "start_activity", str),
+            end_activities=frozenset(_json(doc["end_activities"], "end_activities", list, strings=True)),
             transitions={a: dict(_json(t, f"transitions[{a!r}]"))
                          for a, t in _json(doc["transitions"], "transitions").items()},
             rules={a: _rule_from_json(a, _json(r, f"rules[{a!r}]")) for a, r in _json(doc["rules"], "rules").items()},

@@ -6,13 +6,21 @@ key and explanation are read from those objects.
 """
 import math
 
-from edbn.event_log import Variable, context_row_for
+from edbn.event_log import PADDING, Variable
 from edbn.model import FD_CHECK, RELATION, VALUE, EventScore, Factor
 
 
-def reference_event_probability(model, ctx_row):
+def reference_context(model, events, index):
+    """The k-context values of events[index]: the k events before it, padded at the head, then its own."""
+    pad = (PADDING,) * len(model.schema.names)
+    parts = []
+    for lag in range(model.k, 0, -1):
+        parts.extend(events[index - lag].values if index - lag >= 0 else pad)
+    return (*parts, *events[index].values)
+
+
+def reference_event_probability(model, event_id, values):
     pos = {v: i for i, v in enumerate(model.variables)}
-    values = ctx_row.values
     factors = []
     for attr in model.schema.names:
         x = values[pos[Variable(attr, 0)]]
@@ -37,15 +45,15 @@ def reference_event_probability(model, ctx_row):
             else:
                 value = float(mapping.violation_rate)
             factors.append(Factor(attr, FD_CHECK, mapping.edge.source, value))
-    return EventScore(ctx_row.event_id, tuple(factors))
+    return EventScore(event_id, tuple(factors))
 
 
 class ReferenceScore:
     def __init__(self, model, trace):
         self.trace_id = trace.trace_id
         self.decomposition = tuple(
-            reference_event_probability(model, context_row_for(model.schema, trace.events, i, model.k))
-            for i in range(len(trace.events))
+            reference_event_probability(model, event.id, reference_context(model, trace.events, i))
+            for i, event in enumerate(trace.events)
         )
         self.log_score = math.fsum(s.log_probability for s in self.decomposition) / len(trace.events)
         self.score = math.exp(self.log_score) if self.log_score > -math.inf else 0.0

@@ -168,6 +168,22 @@ def test_evaluate_single_class_labels_fails(tmp_path, capsys):
     assert code != 0 and "error in evaluate" in err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text + "zzz,anomalous,\n", "trace 'zzz' is labeled but not in the log"),
+    (lambda text: text.replace("\nt0001,", "\nt0001x,"), "trace 't0001' has no label"),
+], ids=["extra row", "mistyped id"])
+def test_evaluate_rejects_labels_that_do_not_match_the_log(tmp_path, capsys, edit, message):
+    train_path, test_path, labels_path = tmp_path / "train.csv", tmp_path / "test.csv", tmp_path / "labels.csv"
+    main(["generate", "--out", str(train_path), "--n-traces", "30", "--seed", "1"])
+    main(["generate", "--out", str(test_path), "--labels", str(labels_path),
+          "--n-traces", "30", "--fraction", "0.2", "--seed", "2"])
+    labels_path.write_text(edit(labels_path.read_text(encoding="utf-8")), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["evaluate", "--train-log", str(train_path), "--log", str(test_path),
+                 "--labels", str(labels_path), "--trace-col", "case_id"])
+    assert (code, capsys.readouterr().err) == (1, f"error in label: {message}\n")
+
+
 def test_module_entry_point_runs(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "edbn", "generate", "--out", str(tmp_path / "x.csv"),

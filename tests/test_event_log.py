@@ -10,8 +10,8 @@ from edbn import (
     LogFormatError,
     Trace,
     Variable,
-    active_domain,
     build_k_context,
+    learn_edbn,
     parse_log,
     serialize_log,
 )
@@ -199,34 +199,34 @@ def test_serialize_parse_round_trip(log):
     _assert_same_log(reparsed, log)
 
 
-# --- active domains ----------------------------------------------------------
+# --- active domains: the lag-0 vocabularies of the k-context, which the model keeps ----------
 
 
 def test_active_domain_examples(permission_log):
-    assert active_domain(permission_log, "UserRole") == {"employee", "manager", "sales-manager"}
-    assert len(active_domain(permission_log, "Activity")) == 6
+    domains = learn_edbn(permission_log, 1, 0.99).active_domains
+    assert domains["UserRole"] == {"employee", "manager", "sales-manager"}
+    assert len(domains["Activity"]) == 6
 
 
 def test_active_domain_constant_column():
     schema = AttributeSchema(("A", "B"), "tid")
     log = parse_log("A,B,tid\nk,1,1\nk,2,1\n", schema)
-    assert active_domain(log, "A") == {"k"}
+    assert learn_edbn(log, 1, 0.99).active_domains["A"] == {"k"}
 
 
 def test_active_domain_tuples_and_padding(permission_log, permission_ctx):
-    pairs = active_domain(permission_log, ["UserID", "UserRole"])
+    pairs = set(zip(*(permission_ctx.column(Variable(a, 0)) for a in ("UserID", "UserRole"))))
     assert ("001", "employee") in pairs and len(pairs) == 4
-    hist = active_domain(permission_ctx, Variable("UserID", 1))
-    assert PADDING in hist
+    # padding is in a history slice's vocabulary, never in an attribute's active domain
+    assert PADDING in permission_ctx.vocabulary(Variable("UserID", 1))
+    assert PADDING not in learn_edbn(permission_log, 1, 0.99).active_domains["UserID"]
 
 
 def test_active_domain_unknown_variable(permission_log, permission_ctx):
     with pytest.raises(ValueError):
-        active_domain(permission_log, "NoSuch")
+        permission_log.schema.index_of("NoSuch")
     with pytest.raises(ValueError):
-        active_domain(permission_ctx, Variable("NoSuch", 0))
-    with pytest.raises(ValueError):
-        active_domain(permission_log, [])
+        permission_ctx.vocabulary(Variable("NoSuch", 0))
 
 
 def test_empty_trace_id_is_an_error():
@@ -244,8 +244,3 @@ def test_event_arity_checked_at_log_construction():
     schema = AttributeSchema(("A", "B"), "tid")
     with pytest.raises(ValueError, match="values"):
         EventLog(schema, (Trace("1", (Event("0", ("only-one",)),)),))
-
-
-def test_history_variable_rejected_on_event_log(permission_log):
-    with pytest.raises(ValueError, match="history"):
-        active_domain(permission_log, Variable("UserID", 1))

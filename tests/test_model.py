@@ -16,7 +16,6 @@ from edbn import (
     Trace,
     Variable,
     build_k_context,
-    event_probability,
     learn_edbn,
     load_model,
     relation_probability,
@@ -25,7 +24,6 @@ from edbn import (
     trace_probability,
     value_probability,
 )
-from edbn.event_log import context_row_for
 from edbn.model import EDBNModel, event_scores
 from edbn.structure import DAG, fit_cpts
 
@@ -180,7 +178,7 @@ def test_empty_structure_identity():
         active_domains={"A": frozenset({"x", "y"}), "B": frozenset({"u", "v"})},
         training_event_count=2,
     )
-    score = event_probability(model, context_row_for(schema, log.traces[0].events, 0, 1))
+    score = event_scores(model, log.traces[0].events)[0]
     assert score.probability == 1.0
 
 
@@ -411,12 +409,10 @@ def test_learn_requires_nonempty_log(permission_log):
         learn_edbn(EventLog(permission_log.schema, ()), 1, 0.99)
 
 
-def test_event_probability_rejects_wrong_arity(permission_log):
-    from edbn import KContextRow
-
+def test_event_scores_rejects_wrong_arity(permission_log):
     model = learn_edbn(permission_log, 1, 0.99)
-    with pytest.raises(ValueError, match="does not match"):
-        event_probability(model, KContextRow(("just", "two"), "e", "t"))
+    with pytest.raises(ValueError, match="do not match"):
+        event_scores(model, [Event("e", ("just", "two"))])
 
 
 def test_relation_probability_rejects_wrong_parent_arity(imposed_structure_model):

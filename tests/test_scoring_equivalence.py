@@ -32,15 +32,15 @@ from edbn import (
     learn_edbn,
     parse_log,
     rank_traces,
+    score_prefix,
     score_trace,
     serialize_log,
 )
 from edbn.detect import score_log
-from edbn.event_log import context_row_for
 from edbn import model as model_module
 from edbn.model import FD_CHECK, RELATION, VALUE, ScoringTables
 
-from reference_scoring import ReferenceScore, reference_ranking
+from reference_scoring import ReferenceScore, reference_context, reference_ranking
 from test_parsing_equivalence import CHUNK_ROWS, RAW_BODIES, delimited_logs, parse_at
 
 CASES = [("shipping", 1), ("shipping", 2), ("cycle", 1), ("cycle", 2)]
@@ -75,21 +75,31 @@ def cases():
     return {(name, k): build[name](k) for name, k in CASES}
 
 
+def _assert_equals_reference(entry, ref):
+    assert entry.log_score == ref.log_score
+    assert entry.score == ref.score
+    assert entry.zero_factor_count == ref.zero_factor_count
+    assert entry.decomposition == ref.decomposition
+    every = len(entry.factor_values)
+    for top_n in (1, 3, every):
+        assert explain(entry, top_n) == ref.explain(top_n)
+
+
 @pytest.mark.parametrize("case", CASES, ids=[f"{n}-k{k}" for n, k in CASES])
 def test_compiled_scoring_equals_per_factor_reference(cases, case):
+    # both drivers of the tables: the batch ranking, and score_trace and score_prefix event by event
     model, log = cases[case]
     references = {t.trace_id: ReferenceScore(model, t) for t in log.traces}
     ranking = rank_traces(model, log)
     assert ranking.trace_ids() == reference_ranking(references.values())
     for entry in ranking:
-        ref = references[entry.trace_id]
-        assert entry.log_score == ref.log_score
-        assert entry.score == ref.score
-        assert entry.zero_factor_count == ref.zero_factor_count
-        assert entry.decomposition == ref.decomposition
-        every = len(entry.factor_values)
-        for top_n in (1, 3, every):
-            assert explain(entry, top_n) == ref.explain(top_n)
+        _assert_equals_reference(entry, references[entry.trace_id])
+    for trace in log.traces:
+        _assert_equals_reference(score_trace(model, trace), references[trace.trace_id])
+        for n in range(1, len(trace.events) + 1):
+            prefix = trace.events[:n]
+            ref = ReferenceScore(model, Trace(trace.trace_id, prefix))
+            _assert_equals_reference(score_prefix(model, prefix, trace.trace_id), ref)
 
 
 def test_cases_reach_every_factor_branch(cases):
@@ -99,7 +109,7 @@ def test_cases_reach_every_factor_branch(cases):
         pos = {v: i for i, v in enumerate(model.variables)}
         for trace in log.traces:
             for i in range(len(trace.events)):
-                row = context_row_for(model.schema, trace.events, i, model.k).values
+                row = reference_context(model, trace.events, i)
                 for attr in model.schema.names:
                     x = row[pos[Variable(attr, 0)]]
                     if x not in model.active_domains[attr]:
@@ -184,30 +194,43 @@ def test_batch_ranking_equals_per_trace_scoring(case, chunk_events):
 
 def _assert_runs_follow_the_walk(model):
     """Return the runs' keys, after checking that ScoringTables grouped the attributes in schema order
-    into runs whose members each share a key position with the run's earlier members, and that the
-    runs' plans, concatenated, are ``_plan`` read through their keys and give ``labels``."""
+    into runs whose members each share a key position with the run's earlier members, that each member
+    reads its value, CPT parents and FD sources through the run's key with the value table, CPT rows and
+    FD maps rebuilt here from the model, and that the members' factors, concatenated, give ``labels``."""
     tables, pos = model.scoring_tables, model._var_positions
-    attrs = iter(zip(model.schema.names, tables._plan, strict=True))
-    ctx = list(range(len(model.variables)))  # each k-context value is its own position
+    attrs = iter(model.schema.names)
     labels, previous = [], []
     for key, run in tables._blocks:
         union = []  # the k-context positions of the run's members so far, in order
-        for x_pos, values, unseen_value, relation, fds in run:
-            attr, (plan_x, plan_values, plan_unseen, plan_relation, plan_fds) = next(attrs)
-            own = [plan_x, *map(pos.get, model.cpts[attr].parents),
-                   *(pos[m.edge.source] for m in model.mappings_into(attr))]
+        for x_at, values, unseen_value, relation, fds in run:
+            attr = next(attrs)
+            cpt, mappings = model.cpts[attr], model.mappings_into(attr)
+            parents = tuple(map(pos.__getitem__, cpt.parents))
+            own = [pos[Variable(attr, 0)], *parents, *(pos[m.edge.source] for m in mappings)]
             if union:
                 assert not set(own).isdisjoint(union)  # it shares a position with the run's earlier members
             else:
                 assert set(own).isdisjoint(previous)  # it starts a run: it shares none with the run before
             union += own
-            assert (key[x_pos], values, unseen_value) == (plan_x, plan_values, plan_unseen)
+            rate = model.new_value[attr]
+            assert key[x_at] == own[0]
+            assert values == dict.fromkeys(model.active_domains[attr], float(1 - rate))
+            assert unseen_value == float(rate)
             labels.append((attr, VALUE, None))
-            if relation is not None:
+            if cpt.parents:
                 labels.append((attr, RELATION, None))
-                assert relation[0](key) == plan_relation[0](ctx) and relation[1:] == plan_relation[1:]
-            assert [(key[f[0]], *f[1:]) for f in fds] == [*plan_fds]
-            labels += [(attr, FD_CHECK, model.variables[key[f[0]]]) for f in fds]
+                parents_of, rows, unseen_parents = relation
+                rate = model.new_relation[attr]
+                assert parents_of(key) == parents
+                assert rows == {cfg: ({x: float(1 - rate) * (c / cpt.row_totals[cfg]) for x, c in counts.items()}, 0.0)
+                                for cfg, counts in cpt.rows.items()}
+                assert unseen_parents == float(rate)
+            else:
+                assert relation is None
+            assert [(key[at], expected_of) for at, expected_of, *_ in fds] == [(pos[m.edge.source], m.map) for m in mappings]
+            assert [f[2:] for f in fds] == [(float(1 - m.violation_rate), float(m.violation_rate if m.map else 1 - m.violation_rate))
+                                            for m in mappings]
+            labels += [(attr, FD_CHECK, m.edge.source) for m in mappings]
         assert key == tuple(dict.fromkeys(union))
         previous = key
     assert next(attrs, None) is None
@@ -276,9 +299,9 @@ def test_batch_ranking_never_scores_event_by_event_when_keys_rarely_repeat(monke
     unmodified = generate(process, 300, 42)
     log = _unique_value(unmodified, is_unique)
     assert len(log.event_ids) > 3000
-    per_event, calls = ScoringTables.score_values, []
+    per_event, calls = ScoringTables.score, []
     block, blocks = ScoringTables._block, []
-    monkeypatch.setattr(ScoringTables, "score_values", lambda *args: calls.append(1) or per_event(*args))
+    monkeypatch.setattr(ScoringTables, "score", lambda *args: calls.append(1) or per_event(*args))
     monkeypatch.setattr(ScoringTables, "_block", lambda *args: blocks.append(1) or block(*args))
     rank_traces(model, unmodified)
     distinct = len(blocks)
@@ -403,8 +426,9 @@ UNIQUE = {
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("unique", UNIQUE.values(), ids=UNIQUE.keys())
 def test_score_log_equals_score_trace_bit_for_bit(k, unique):
-    # every event's log from the blocks' fixed-point sums equals math.fsum of its factors' logs, and
-    # so every trace's log score equals that of score_trace, which sums each event's logs with fsum
+    # the batch driver (score_log) and the event-by-event one (ScoringTables.score, under score_trace)
+    # give the same factors and event logs, and every event's log from the blocks' fixed-point sums
+    # equals math.fsum of the reference factors' logs
     process = default_shipping_model()
     model = learn_edbn(generate(process, 300, 51), k, 0.99)
     log = inject_anomalies(generate(process, 120, 52), 0.3, 53).log
@@ -423,9 +447,12 @@ def test_score_log_equals_score_trace_bit_for_bit(k, unique):
         assert entry.score.hex() == ref.score.hex()
         assert entry.factor_values == ref.factor_values
         assert entry.zero_factor_count == ref.zero_factor_count == ref.factor_values.count(0.0)
-        ref_values, ref_logs = tables.score(trace.events)
-        assert values == ref_values
-        assert [x.hex() for x in logs] == [x.hex() for x in ref_logs]
+        event_values, event_logs_of_trace = tables.score(trace.events)
+        assert values == event_values
+        assert [x.hex() for x in logs] == [x.hex() for x in event_logs_of_trace]
+        reference = ReferenceScore(model, trace).decomposition
+        fsums = [math.fsum(math.log(f.value) if f.value else -math.inf for f in ev.factors) for ev in reference]
+        assert [x.hex() for x in event_logs_of_trace] == [x.hex() for x in fsums]
         event_logs += logs
     # both kinds of event are compared: with a zero factor and without
     assert {x == -math.inf for x in event_logs} == {True, False}

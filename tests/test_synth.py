@@ -1,5 +1,7 @@
 import json
+import math
 import re
+from importlib import resources
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from edbn import (
     ANOMALOUS,
     NORMAL,
+    LabeledLog,
     ProcessModelError,
     Variable,
     build_k_context,
@@ -20,6 +23,10 @@ from edbn import (
     uncertainty_coefficient,
 )
 from edbn.synth import serialize_labels
+
+from test_model import _paths
+
+_SHIPPING = resources.files("edbn.data").joinpath("shipping.json").read_text(encoding="utf-8")
 
 
 def _linear_model(extra_rules=None, attributes=None):
@@ -269,6 +276,67 @@ def test_labels_file_giving_a_trace_two_labels_names_the_trace_and_line(tmp_path
         read_labels(path)
     path.write_text("trace_id,label\nt0,normal\nt0,normal\n", encoding="utf-8")
     assert read_labels(path) == {"t0": NORMAL}
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"trace_id_column": 5}, "trace_id_column must be a JSON string, got 5"),
+    ({"trace_id_column": "x"}, "trace_id_column cannot be a modeled attribute"),
+    ({"start_activity": ["start"]}, "start_activity must be a JSON string"),
+    ({"attributes": ["activity", 1]}, "attributes must hold one or more JSON strings"),
+    ({"end_activities": []}, "end_activities must hold one or more JSON strings, got []"),
+    ({"rules": {"x": {"kind": "constant", "value": 5}}}, r"rules['x'] value must be a JSON string, got 5"),
+    ({"rules": {"x": {"kind": "pool", "values": []}}}, r"rules['x'] values must hold one or more JSON strings"),
+    ({"rules": {"x": {"kind": "pool", "values": ["a"], "scope": "case"}}}, r"rules['x'] scope must be 'event' or 'trace'"),
+    ({"rules": {"x": {"kind": "derived", "source": "activity", "mapping": "ab"}}}, r"rules['x'] mapping must be a JSON object"),
+    ({"rules": {"x": {"kind": "derived", "source": "activity", "mapping": {"start": 1}}}},
+     r"rules['x'] mapping must hold JSON strings"),
+    ({"rules": {"x": {"kind": "derived", "source": None, "mapping": {}}}}, r"rules['x'] source must be a JSON string"),
+    ({"rules": {"x": {"kind": "activity_choice", "pools": {"start": ["a"], "finish": []}}}},
+     r"rules['x'] pools['finish'] must hold one or more JSON strings"),
+    ({"transitions": {"start": {"finish": 1.0, "stuck": 1.0}}},
+     "activity 'stuck', reachable from start_activity, has no transitions and is not in end_activities"),
+], ids=["trace-id-column-type", "trace-id-column-is-an-attribute", "start-activity-type", "attribute-type",
+        "no-end-activities", "constant-type", "empty-pool", "pool-scope", "mapping-type", "mapping-value-type", "derivation-source-type",
+        "empty-activity-pool", "dead-end-activity"])
+def test_process_model_names_each_malformed_field(fields, message):
+    with pytest.raises(ProcessModelError, match=re.escape(message)):
+        parse_process_model(_linear_doc(**fields))
+
+
+_RETYPED = [5, -1, 0.5, None, True, "x", "", [], {}, [1], {"a": 1}, math.nan]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_process_model_loader_rejects_or_generates_every_mutated_document(data):
+    # one field of the bundled model retyped: either ProcessModelError names a key on the
+    # field's path, or the model loads and generates
+    doc = json.loads(_SHIPPING)
+    path = data.draw(st.sampled_from(sorted(_paths(doc), key=str)))
+    value = data.draw(st.sampled_from(_RETYPED))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    try:
+        model = parse_process_model(json.dumps(doc))
+    except ProcessModelError as exc:
+        assert any(isinstance(key, str) and key in str(exc) for key in path), str(exc)
+        return
+    generate(model, 30, 1)
+
+
+def test_labels_must_name_exactly_the_log_traces():
+    labeled = inject_anomalies(generate(default_shipping_model(), 4, 1), 0.5, 2)
+    log, labels = labeled.log, labeled.labels
+    with pytest.raises(ValueError, match="trace 'zzz' is labeled but not in the log"):
+        LabeledLog(log, {**labels, "zzz": ANOMALOUS}, {})
+    mistyped = {("t0001x" if t == "t0001" else t): label for t, label in labels.items()}
+    with pytest.raises(ValueError, match="trace 't0001' has no label"):
+        LabeledLog(log, mistyped, {})
+    with pytest.raises(ValueError, match="trace 't0001x' is labeled but not in the log"):
+        LabeledLog(log, {**mistyped, "t0001": labels["t0001"]}, {})
+    assert LabeledLog(log, labels, {}).labels == labels
 
 
 def test_labels_file_without_a_label_column_names_the_column(tmp_path):
