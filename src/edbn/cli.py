@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .detect import TraceScore, explain, rank_traces
@@ -26,38 +26,6 @@ from .synth import (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    log: str | None = None
-    model: str | None = None
-    out: str | None = None
-    train_log: str | None = None
-    labels: str | None = None
-    process_model: str | None = None
-    trace_col: str | None = None
-    order_col: str | None = None
-    attrs: tuple[str, ...] | None = None
-    delimiter: str = ","
-    header: bool = True
-    k: int = 1
-    fd_threshold: float = 0.99
-    seed: int = 0
-    fraction: float = 0.0
-    n_traces: int = 1000
-    explain_n: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("--k must be >= 1")
-        if not 0 < self.fd_threshold <= 1:
-            raise ValueError("--fd-threshold must be in (0, 1]")
-        if not 0 <= self.fraction <= 1:
-            raise ValueError("--fraction must be in [0, 1]")
-        if self.explain_n is not None and self.explain_n < 1:
-            raise ValueError("--explain must be >= 1")
-
-
 class StageError(Exception):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"error in {stage}: {cause}")
@@ -73,14 +41,14 @@ def _stage(name: str, fn, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
-def _header(config: RunConfig, path: str) -> list[str]:
+def _header(config: argparse.Namespace, path: str) -> list[str]:
     """Column names from the log's header row, read as load_log reads it."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         first = next(csv.reader(fh, delimiter=config.delimiter), [])
     return [c.strip() for c in first]
 
 
-def _schema_for(config: RunConfig, path: str) -> AttributeSchema:
+def _schema_for(config: argparse.Namespace, path: str) -> AttributeSchema:
     """Schema from flags; --attrs is the modeled subset (with a header) or the
     full column list in file order (without one)."""
     trace_col = config.trace_col or "trace_id"
@@ -103,14 +71,14 @@ def _schema_for(config: RunConfig, path: str) -> AttributeSchema:
     )
 
 
-def _read_log(config: RunConfig, path: str, schema: AttributeSchema) -> EventLog:
+def _read_log(config: argparse.Namespace, path: str, schema: AttributeSchema) -> EventLog:
     options = {"delimiter": config.delimiter, "header": config.header}
     if not config.header:
         options["column_names"] = list(config.attrs or ())
     return load_log(path, schema, **options)
 
 
-def _read_scored_log(config: RunConfig, schema: AttributeSchema, has_ids: bool) -> EventLog:
+def _read_scored_log(config: argparse.Namespace, schema: AttributeSchema, has_ids: bool) -> EventLog:
     """The log to score, its events named by its event_id column if that is unique, else by data row."""
     try:
         return _read_log(config, config.log, replace(schema, event_id_column="event_id" if has_ids else None))
@@ -118,7 +86,7 @@ def _read_scored_log(config: RunConfig, schema: AttributeSchema, has_ids: bool) 
         return exc.log  # the same read, its events named by data row
 
 
-def cmd_train(config: RunConfig) -> int:
+def cmd_train(config: argparse.Namespace) -> int:
     schema = _stage("schema", _schema_for, config, config.log)
     log = _stage("parse", _read_log, config, config.log, schema)
     model = _stage("learn", learn_edbn, log, config.k, config.fd_threshold)
@@ -153,7 +121,7 @@ def _render_explanation(entry: TraceScore, top_n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_score(config: RunConfig) -> int:
+def cmd_score(config: argparse.Namespace) -> int:
     model = _stage("read-model", read_model, config.model)
     # explanations name events by the log's event_id column when it has one
     has_ids = config.header and "event_id" in _stage("schema", _header, config, config.log)
@@ -179,7 +147,7 @@ def cmd_score(config: RunConfig) -> int:
     return 0
 
 
-def cmd_generate(config: RunConfig) -> int:
+def cmd_generate(config: argparse.Namespace) -> int:
     if config.process_model:
         process = _stage("process-model", load_process_model, config.process_model)
     else:
@@ -195,7 +163,7 @@ def cmd_generate(config: RunConfig) -> int:
     return 0
 
 
-def cmd_evaluate(config: RunConfig) -> int:
+def cmd_evaluate(config: argparse.Namespace) -> int:
     schema = _stage("schema", _schema_for, config, config.train_log)
     train = _stage("parse-train", _read_log, config, config.train_log, schema)
     test_log = _stage("parse-test", _read_log, config, config.log, schema)
@@ -255,14 +223,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    fields = {k: v for k, v in vars(ns).items() if v is not None}
-    if "attrs" in fields:
-        fields["attrs"] = tuple(a.strip() for a in fields["attrs"].split(",") if a.strip())
-    if fields.get("delimiter") == "\\t":  # allow --delimiter '\t' from a shell
-        fields["delimiter"] = "\t"
-    fields.setdefault("order_col", None)
-    return RunConfig(**fields)
+def _config_from(ns: argparse.Namespace) -> argparse.Namespace:
+    """The parsed options, range-checked, with --attrs split at commas and a typed '\\t' delimiter made a tab."""
+    if getattr(ns, "k", 1) < 1:
+        raise ValueError("--k must be >= 1")
+    if not 0 < getattr(ns, "fd_threshold", 1) <= 1:
+        raise ValueError("--fd-threshold must be in (0, 1]")
+    if not 0 <= getattr(ns, "fraction", 0) <= 1:
+        raise ValueError("--fraction must be in [0, 1]")
+    if getattr(ns, "explain_n", None) is not None and ns.explain_n < 1:
+        raise ValueError("--explain must be >= 1")
+    if getattr(ns, "attrs", None) is not None:
+        ns.attrs = tuple(a.strip() for a in ns.attrs.split(",") if a.strip())
+    if ns.delimiter == "\\t":  # allow --delimiter '\t' from a shell
+        ns.delimiter = "\t"
+    return ns
 
 
 _PARSER = _build_parser()  # built once: each build leaves its parser/action cycles to the cyclic gc

@@ -97,34 +97,46 @@ class Trace:
 
 
 class EventLog:
-    """A log of traces, held as integer codes when it was parsed.
+    """A log of traces, held as integer codes.
 
     ``trace_ids`` and ``trace_lengths`` give the traces in log order and
     ``event_ids`` one id per event.  Per attribute (schema order), ``codes``
     holds one code per event into its entry of ``vocabularies``, the distinct
-    values in order of first appearance.  parse_log builds a log from these
-    codes; its ``columns`` (the values per attribute) and ``traces`` are
-    decoded when first read.  ``EventLog(schema, traces)`` builds a log from
-    traces, checks every event, and derives the other fields when first
-    read.  A log is immutable.
+    values in order of first appearance.  ``columns`` (the values per
+    attribute) and ``traces`` are decoded from the codes when first read.
+    parse_log codes a log as it reads it, generate codes the columns it
+    fills, and ``EventLog(schema, traces)`` codes the values of its traces,
+    which it keeps as ``traces``.  A log is immutable.
     """
 
     def __init__(self, schema: AttributeSchema, traces: Sequence[Trace]):
         traces = tuple(traces)
+        events = [e for t in traces for e in t.events]
         n_attrs = len(schema.names)
-        seen_ids: set[str] = set()
-        for trace in traces:
-            for event in trace.events:
-                if len(event.values) != n_attrs:
-                    raise ValueError(
-                        f"event {event.id!r} has {len(event.values)} values, schema has {n_attrs}"
-                    )
-                if PADDING in event.values:
-                    raise ValueError(f"event {event.id!r} uses the reserved token {PADDING!r}")
-                if event.id in seen_ids:
-                    raise DuplicateEventIdError(f"duplicate event id {event.id!r}")
-                seen_ids.add(event.id)
-        self.__dict__.update(schema=schema, traces=traces)
+        if (bad := next((e for e in events if len(e.values) != n_attrs), None)) is not None:
+            raise ValueError(f"event {bad.id!r} has {len(bad.values)} values, schema has {n_attrs}")
+        log = self._from_columns(schema, tuple(e.id for e in events), tuple(t.trace_id for t in traces),
+                                 tuple(map(len, traces)), tuple(zip(*(e.values for e in events))) or ((),) * n_attrs)
+        self.__dict__.update(vars(log), traces=traces)
+
+    @classmethod
+    def _from_columns(cls, schema, event_ids, trace_ids, trace_lengths, columns) -> "EventLog":
+        """The log of these values per attribute, each coded in order of first appearance; a value that is
+        PADDING or not a string raises ValueError naming it, its attribute and its first event."""
+        vocabularies = []
+        for attr, column in zip(schema.names, columns):
+            try:
+                vocab = tuple(dict.fromkeys(column))
+            except TypeError:  # an unhashable value
+                vocab = column
+            if bad := [v for v in vocab if not isinstance(v, str) or v == PADDING]:
+                raise ValueError(f"event {event_ids[column.index(bad[0])]!r} holds {bad[0]!r:.40} as {attr!r}; "
+                                 f"values must be strings other than the reserved token {PADDING!r}")
+            vocabularies.append(vocab)
+        _check_unique(event_ids)
+        codes = tuple(tuple(map({v: c for c, v in enumerate(vocab)}.__getitem__, column))
+                      for vocab, column in zip(vocabularies, columns))
+        return cls._from_codes(schema, event_ids, trace_ids, trace_lengths, tuple(vocabularies), codes)
 
     @classmethod
     def _from_codes(cls, schema, event_ids, trace_ids, trace_lengths, vocabularies, codes) -> "EventLog":
@@ -157,31 +169,7 @@ class EventLog:
 
     @cached_property
     def columns(self) -> tuple[tuple[str, ...], ...]:
-        if "codes" in self.__dict__:  # a parsed log; a log of traces codes these columns
-            return tuple(tuple(map(v.__getitem__, c)) for v, c in zip(self.vocabularies, self.codes))
-        values = [e.values for t in self.traces for e in t.events]
-        return tuple(zip(*values)) or ((),) * len(self.schema.names)
-
-    @cached_property
-    def vocabularies(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(tuple(dict.fromkeys(column)) for column in self.columns)
-
-    @cached_property
-    def codes(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(map({v: c for c, v in enumerate(vocab)}.__getitem__, column))
-                     for vocab, column in zip(self.vocabularies, self.columns))
-
-    @cached_property
-    def event_ids(self) -> tuple[str, ...]:
-        return tuple(e.id for t in self.traces for e in t.events)
-
-    @cached_property
-    def trace_ids(self) -> tuple[str, ...]:
-        return tuple(t.trace_id for t in self.traces)
-
-    @cached_property
-    def trace_lengths(self) -> tuple[int, ...]:
-        return tuple(map(len, self.traces))
+        return tuple(tuple(map(v.__getitem__, c)) for v, c in zip(self.vocabularies, self.codes))
 
     @property
     def event_count(self) -> int:
@@ -428,7 +416,19 @@ def parse_log(
 
 def load_log(path, schema: AttributeSchema, **options) -> EventLog:
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        return parse_log(fh, schema, **options)
+        try:
+            return parse_log(fh, schema, **options)
+        except UnicodeDecodeError:
+            raise LogFormatError(f"log file {str(path)!r} is not UTF-8 text") from None
+
+
+def _read_utf8(path, error: type[ValueError], what: str) -> str:
+    """The text of a file, its line breaks kept; a file that is not UTF-8 raises ``error`` naming it."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise error(f"{what} {str(path)!r} is not UTF-8 text") from None
 
 
 def serialize_log(log: EventLog, *, delimiter: str = ",") -> str:
@@ -436,9 +436,8 @@ def serialize_log(log: EventLog, *, delimiter: str = ",") -> str:
     out = io.StringIO()
     writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
     writer.writerow([log.schema.trace_id_column, "event_id", *log.schema.names])
-    for trace in log.traces:
-        for event in trace.events:
-            writer.writerow([trace.trace_id, event.id, *event.values])
+    trace_ids = chain.from_iterable(map(repeat, log.trace_ids, log.trace_lengths))
+    writer.writerows(zip(trace_ids, log.event_ids, *log.columns))
     return out.getvalue()
 
 

@@ -28,6 +28,7 @@ from .event_log import (
     EventLog,
     Trace,
     Variable,
+    _read_utf8,
     build_k_context,
 )
 from .fd import FDEdge, FDMapping, build_mapping, discover_fds, fdm_probability
@@ -600,5 +601,4 @@ def load_model(text: str) -> EDBNModel:
 
 
 def read_model(path) -> EDBNModel:
-    with open(path, encoding="utf-8") as fh:
-        return load_model(fh.read())
+    return load_model(_read_utf8(path, ModelFormatError, "model file"))

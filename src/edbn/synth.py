@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, Sequence
 
-from .event_log import PADDING, AttributeSchema, Event, EventLog, Trace
+from .event_log import PADDING, AttributeSchema, Event, EventLog, Trace, _read_utf8
 
 NORMAL = "normal"
 ANOMALOUS = "anomalous"
@@ -69,36 +69,33 @@ class ProcessModel:
 
 
 def _possible_values(model: ProcessModel) -> dict[str, set[str]]:
-    """Value closure per attribute; validates derivation coverage and acyclicity."""
+    """Value closure per attribute, in generate's fill order; checks each rule, its coverage and acyclicity."""
     possible: dict[str, set[str]] = {model.activity_attribute: model.activities}
     remaining = [a for a in model.attributes if a != model.activity_attribute]
     progress = True
     while remaining and progress:
         progress = False
         for attr in list(remaining):
-            rule = model.rules[attr]
+            rule, where = model.rules[attr], f"rules[{attr!r}]"
             if rule.kind == "constant":
-                possible[attr] = {rule.value}
+                possible[attr] = {_json(rule.value, f"{where} value", str)}
             elif rule.kind == "pool":
-                possible[attr] = set(rule.values)
+                possible[attr] = set(_strings(rule.values, f"{where} values"))
+                if rule.scope not in ("event", "trace"):
+                    raise ProcessModelError(f"{where} scope must be 'event' or 'trace', got {rule.scope!r:.40}")
             elif rule.kind == "activity_choice":
-                missing = model.activities - set(rule.pools)
-                if missing:
-                    raise ProcessModelError(
-                        f"rules[{attr!r}] pools: no pool for activities {sorted(missing)}"
-                    )
-                possible[attr] = {v for pool in rule.pools.values() for v in pool}
-            elif rule.kind == "derived":
-                if rule.source not in possible:
-                    continue  # source not resolved yet
-                missing = possible[rule.source] - set(rule.mapping)
-                if missing:
-                    raise ProcessModelError(
-                        f"rules[{attr!r}]: derivation from {rule.source!r} misses {sorted(missing)}"
-                    )
-                possible[attr] = {rule.mapping[v] for v in possible[rule.source]}
+                pools = {a: _strings(pool, f"{where} pools[{a!r}]") for a, pool in (rule.pools or {}).items()}
+                if missing := model.activities - set(pools):
+                    raise ProcessModelError(f"{where} pools: no pool for activities {sorted(missing)}")
+                possible[attr] = {v for pool in pools.values() for v in pool}
+            elif rule.kind != "derived":
+                raise ProcessModelError(f"{where}: unknown rule kind {rule.kind!r}")
+            elif _json(rule.source, f"{where} source", str) not in possible:
+                continue  # source not resolved yet
             else:
-                raise ProcessModelError(f"rules[{attr!r}]: unknown rule kind {rule.kind!r}")
+                if missing := possible[rule.source] - set(_strings(rule.mapping, f"{where} mapping")):
+                    raise ProcessModelError(f"{where}: derivation from {rule.source!r} misses {sorted(missing)}")
+                possible[attr] = {rule.mapping[v] for v in possible[rule.source]}
             remaining.remove(attr)
             progress = True
     if remaining:
@@ -107,15 +104,21 @@ def _possible_values(model: ProcessModel) -> dict[str, set[str]]:
 
 
 def _validate_model(model: ProcessModel) -> None:
+    for field in ("trace_id_column", "activity_attribute", "start_activity"):
+        _json(getattr(model, field), field, str)
+    _strings(model.attributes, "attributes")
+    _strings(model.end_activities, "end_activities")
     try:
         model.schema()  # unique, non-empty string names, and a trace id column that is none of them
     except (TypeError, ValueError) as exc:
         raise ProcessModelError(f"attributes or trace_id_column: {exc}") from None
     if model.activity_attribute not in model.attributes:
         raise ProcessModelError("activity_attribute must be one of the attributes")
-    for attr in model.attributes:
-        if attr != model.activity_attribute and attr not in model.rules:
-            raise ProcessModelError(f"attributes: {attr!r} has no rule in rules")
+    ruled = [a for a in model.attributes if a != model.activity_attribute]
+    if missing := [a for a in ruled if a not in model.rules]:
+        raise ProcessModelError(f"attributes: {missing[0]!r} has no rule in rules")
+    if unused := [a for a in model.rules if a not in ruled]:  # _possible_values checks the rules it reads
+        raise ProcessModelError(f"rules[{unused[0]!r}]: not an attribute that takes a rule (activity_attribute takes none)")
     for act, targets in model.transitions.items():
         for nxt, weight in targets.items():
             if type(weight) not in (int, float) or not 0 < weight < math.inf:
@@ -143,22 +146,6 @@ def _validate_model(model: ProcessModel) -> None:
             raise ProcessModelError(f"{attr!r} can produce the reserved token {PADDING!r}")
 
 
-def _evaluation_order(model: ProcessModel) -> list[str]:
-    """Attributes in schema order, with derivations after their sources."""
-    order: list[str] = [model.activity_attribute]
-    pending = [a for a in model.attributes if a != model.activity_attribute]
-    while pending:
-        for attr in pending:
-            rule = model.rules[attr]
-            if rule.kind != "derived" or rule.source in order:
-                order.append(attr)
-                pending.remove(attr)
-                break
-        else:  # pragma: no cover - ruled out by _possible_values
-            raise ProcessModelError(f"cyclic derivations: {sorted(pending)}")
-    return order
-
-
 def _walk(model: ProcessModel, rng: random.Random) -> list[str]:
     path = [model.start_activity]
     while path[-1] not in model.end_activities:
@@ -171,40 +158,39 @@ def _walk(model: ProcessModel, rng: random.Random) -> list[str]:
 
 
 def generate(model: ProcessModel, n_traces: int, seed: int) -> EventLog:
-    """n_traces random start-to-end walks with attributes filled per the rules."""
+    """n_traces random start-to-end walks with attributes filled per the rules.
+
+    Each event's values are appended to one column per attribute, filled with
+    every derivation after its source; the log is coded from these columns,
+    and no Event or Trace is built.
+    """
     if n_traces < 1:
         raise ValueError("n_traces must be >= 1")
-    order = _evaluation_order(model)
-    width = max(4, len(str(n_traces)))
-    traces = []
-    event_counter = 0
+    activity_attr, *order = _possible_values(model)  # the activity attribute, then the others, sources first
+    columns = {attr: [] for attr in model.attributes}
+    fills = [(attr, model.rules[attr], columns[attr]) for attr in order]
+    lengths = []
     for i in range(n_traces):
         rng = random.Random(seed * 2**32 + i)
-        trace_values: dict[str, str] = {}
-        for attr in order:
-            rule = model.rules.get(attr)
-            if rule is not None and rule.kind == "pool" and rule.scope == "trace":
-                trace_values[attr] = rng.choice(rule.values)
-        events = []
-        for activity in _walk(model, rng):
-            row: dict[str, str] = {}
-            for attr in order:
-                if attr == model.activity_attribute:
-                    row[attr] = activity
-                    continue
-                rule = model.rules[attr]
+        trace_values = {attr: rng.choice(rule.values) for attr, rule, _ in fills
+                        if rule.kind == "pool" and rule.scope == "trace"}
+        path = _walk(model, rng)
+        lengths.append(len(path))
+        for activity in path:
+            columns[activity_attr].append(activity)
+            for attr, rule, column in fills:
                 if rule.kind == "constant":
-                    row[attr] = rule.value
+                    column.append(rule.value)
                 elif rule.kind == "pool":
-                    row[attr] = trace_values[attr] if rule.scope == "trace" else rng.choice(rule.values)
+                    column.append(trace_values[attr] if rule.scope == "trace" else rng.choice(rule.values))
                 elif rule.kind == "derived":
-                    row[attr] = rule.mapping[row[rule.source]]
+                    column.append(rule.mapping[columns[rule.source][-1]])
                 else:  # activity_choice
-                    row[attr] = rng.choice(rule.pools[activity])
-            events.append(Event(str(event_counter), tuple(row[a] for a in model.attributes)))
-            event_counter += 1
-        traces.append(Trace(f"t{i:0{width}d}", tuple(events)))
-    return EventLog(model.schema(), tuple(traces))
+                    column.append(rng.choice(rule.pools[activity]))
+    width = max(4, len(str(n_traces)))
+    return EventLog._from_columns(model.schema(), tuple(map(str, range(sum(lengths)))),
+                                  tuple(f"t{i:0{width}d}" for i in range(n_traces)), tuple(lengths),
+                                  tuple(tuple(columns[attr]) for attr in model.attributes))
 
 
 # --- anomaly injection ------------------------------------------------------
@@ -261,19 +247,19 @@ def inject_anomalies(log: EventLog, fraction: float, seed: int) -> LabeledLog:
     """
     if not 0 <= fraction <= 1:
         raise ValueError("fraction must be in [0, 1]")
-    if fraction > 0 and not log.traces:
+    if fraction > 0 and not log.trace_ids:
         raise ValueError("cannot inject anomalies into an empty log")
-    n_mutate = math.ceil(fraction * len(log.traces))
+    n_mutate = math.ceil(fraction * len(log.trace_ids))
     rng = random.Random(seed)
-    chosen = sorted(rng.sample(range(len(log.traces)), n_mutate))
+    chosen = sorted(rng.sample(range(len(log.trace_ids)), n_mutate))
 
-    domains = {a: sorted(set(column)) for a, column in zip(log.schema.names, log.columns)}
+    domains = {a: sorted(vocab) for a, vocab in zip(log.schema.names, log.vocabularies)}
     multi_valued = [a for a in log.schema.names if len(domains[a]) >= 2]
     used_ids = set(log.event_ids)
     fresh_counter = 0
 
     traces = list(log.traces)
-    labels = {t.trace_id: NORMAL for t in log.traces}
+    labels = dict.fromkeys(log.trace_ids, NORMAL)
     details: dict[str, tuple[Mutation, ...]] = {}
 
     for index in chosen:
@@ -331,29 +317,31 @@ def inject_anomalies(log: EventLog, fraction: float, seed: int) -> LabeledLog:
 def _rule_from_json(attr: str, raw: dict) -> Rule:
     kind, where = raw.get("kind"), f"rules[{attr!r}]"
     if kind == "constant":
-        return Rule(kind="constant", value=_json(raw["value"], f"{where} value", str))
+        return Rule(kind="constant", value=raw["value"])
     if kind == "pool":
-        values = _json(raw["values"], f"{where} values", list, strings=True)
-        if (scope := raw.get("scope", "event")) not in ("event", "trace"):
-            raise ProcessModelError(f"{where} scope must be 'event' or 'trace', got {scope!r:.40}")
-        return Rule(kind="pool", values=tuple(values), scope=scope)
+        return Rule(kind="pool", values=tuple(_json(raw["values"], f"{where} values", list)),
+                    scope=raw.get("scope", "event"))
     if kind == "derived":
-        source = _json(raw["source"], f"{where} source", str)
-        return Rule(kind="derived", source=source, mapping=dict(_json(raw["mapping"], f"{where} mapping", strings=True)))
+        return Rule(kind="derived", source=raw["source"], mapping=dict(_json(raw["mapping"], f"{where} mapping")))
     if kind == "activity_choice":
         pools = _json(raw["pools"], f"{where} pools").items()
-        return Rule(kind="activity_choice",
-                    pools={a: tuple(_json(p, f"{where} pools[{a!r}]", list, strings=True)) for a, p in pools})
-    raise ProcessModelError(f"{where}: unknown rule kind {kind!r}")
+        return Rule(kind="activity_choice", pools={a: tuple(_json(p, f"{where} pools[{a!r}]", list)) for a, p in pools})
+    return Rule(kind=kind)  # _possible_values names the unknown kind
 
 
-def _json(value, where: str, kind: type = dict, strings: bool = False):
-    """value if it has JSON type ``kind``; with ``strings``, a list of one or more strings or an object of strings."""
+def _json(value, where: str, kind: type = dict):
+    """value if it has JSON type ``kind``; ProcessModel checks what the values inside hold."""
     if not isinstance(value, kind):
         raise ProcessModelError(f"{where} must be a JSON {_JSON_TYPES[kind]}, got {value!r:.40}")
-    items = value.values() if kind is dict else value
-    if strings and not (all(isinstance(v, str) for v in items) and (items or kind is dict)):
-        raise ProcessModelError(f"{where} must hold {'' if kind is dict else 'one or more '}JSON strings, got {value!r:.40}")
+    return value
+
+
+def _strings(value, where: str):
+    """value if it is a mapping to strings, or holds one or more strings."""
+    mapping = isinstance(value, Mapping)
+    items = value.values() if mapping else value or ()
+    if not (all(isinstance(v, str) for v in items) and (items or mapping)):
+        raise ProcessModelError(f"{where} must hold {'' if mapping else 'one or more '}JSON strings, got {value!r:.40}")
     return value
 
 
@@ -365,11 +353,12 @@ def parse_process_model(text: str) -> ProcessModel:
     try:
         return ProcessModel(
             name=doc.get("name", "unnamed"),
-            trace_id_column=_json(doc["trace_id_column"], "trace_id_column", str),
-            attributes=tuple(_json(doc["attributes"], "attributes", list, strings=True)),
-            activity_attribute=_json(doc["activity_attribute"], "activity_attribute", str),
-            start_activity=_json(doc["start_activity"], "start_activity", str),
-            end_activities=frozenset(_json(doc["end_activities"], "end_activities", list, strings=True)),
+            trace_id_column=doc["trace_id_column"],
+            attributes=tuple(_json(doc["attributes"], "attributes", list)),
+            activity_attribute=doc["activity_attribute"],
+            start_activity=doc["start_activity"],
+            # a frozenset needs hashable items
+            end_activities=frozenset(_strings(_json(doc["end_activities"], "end_activities", list), "end_activities")),
             transitions={a: dict(_json(t, f"transitions[{a!r}]"))
                          for a, t in _json(doc["transitions"], "transitions").items()},
             rules={a: _rule_from_json(a, _json(r, f"rules[{a!r}]")) for a, r in _json(doc["rules"], "rules").items()},
@@ -379,8 +368,7 @@ def parse_process_model(text: str) -> ProcessModel:
 
 
 def load_process_model(path) -> ProcessModel:
-    with open(path, encoding="utf-8") as fh:
-        return parse_process_model(fh.read())
+    return parse_process_model(_read_utf8(path, ProcessModelError, "process model file"))
 
 
 def default_shipping_model() -> ProcessModel:
@@ -393,8 +381,7 @@ def serialize_labels(labeled: LabeledLog) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["trace_id", "label", "details"])
-    for trace in labeled.log.traces:
-        tid = trace.trace_id
+    for tid in labeled.log.trace_ids:
         detail = ";".join(m.describe() for m in labeled.anomaly_details.get(tid, ()))
         writer.writerow([tid, labeled.labels[tid], detail])
     return out.getvalue()
@@ -408,19 +395,18 @@ def write_labels(labeled: LabeledLog, path) -> None:
 def read_labels(path) -> dict[str, str]:
     """trace id -> label from a labels file; a malformed file raises ValueError naming it and the line."""
     where = f"labels file {str(path)!r}"
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if missing := {"trace_id", "label"}.difference(reader.fieldnames or ()):
-            raise ValueError(f"{where} has no {min(missing)!r} column in its header, line {max(reader.line_num, 1)}")
-        labels = {}
-        for row in reader:
-            at, trace_id, label = f"{where} line {reader.line_num}", row["trace_id"], row["label"]
-            if trace_id is None or label is None:
-                raise ValueError(f"{at}: no {'trace_id' if trace_id is None else 'label'!r} field")
-            if label not in (NORMAL, ANOMALOUS):
-                raise ValueError(f"{at}: unknown label {label!r} for trace {trace_id!r}")
-            if labels.setdefault(trace_id, label) != label:
-                raise ValueError(f"{at}: trace {trace_id!r} is labeled both {labels[trace_id]!r} and {label!r}")
-        if not labels:
-            raise ValueError(f"{where} line {reader.line_num}: no trace is labeled")
+    reader = csv.DictReader(io.StringIO(_read_utf8(path, ValueError, "labels file"), newline=""))
+    if missing := {"trace_id", "label"}.difference(reader.fieldnames or ()):
+        raise ValueError(f"{where} has no {min(missing)!r} column in its header, line {max(reader.line_num, 1)}")
+    labels = {}
+    for row in reader:
+        at, trace_id, label = f"{where} line {reader.line_num}", row["trace_id"], row["label"]
+        if trace_id is None or label is None:
+            raise ValueError(f"{at}: no {'trace_id' if trace_id is None else 'label'!r} field")
+        if label not in (NORMAL, ANOMALOUS):
+            raise ValueError(f"{at}: unknown label {label!r} for trace {trace_id!r}")
+        if labels.setdefault(trace_id, label) != label:
+            raise ValueError(f"{at}: trace {trace_id!r} is labeled both {labels[trace_id]!r} and {label!r}")
+    if not labels:
+        raise ValueError(f"{where} line {reader.line_num}: no trace is labeled")
     return labels

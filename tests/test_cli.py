@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -390,3 +391,17 @@ def test_score_parses_the_log_once_when_event_ids_repeat(tmp_path, capsys, monke
     assert len(calls) == 1
     out = capsys.readouterr().out
     assert "event 2:" in out and "event e" not in out  # named by data row, as the ids repeat
+
+
+@pytest.mark.parametrize("read, error", [
+    (lambda path: edbn.load_log(path, edbn.AttributeSchema(("a",), "tid")), edbn.LogFormatError),
+    (edbn.read_model, edbn.ModelFormatError),
+    (edbn.load_process_model, edbn.ProcessModelError),
+    (edbn.read_labels, ValueError),
+], ids=["log", "model", "process-model", "labels"])
+def test_a_file_that_is_not_utf8_raises_its_readers_error_naming_it(tmp_path, read, error):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"a,tid\nx\xff,1\n")
+    with pytest.raises(error, match=re.escape(f"{str(path)!r} is not UTF-8 text")) as raised:
+        read(path)
+    assert not isinstance(raised.value, UnicodeDecodeError)

@@ -197,6 +197,9 @@ def test_padding_count_formula(log, k):
 def test_serialize_parse_round_trip(log):
     reparsed = parse_log(serialize_log(log), AttributeSchema(log.schema.names, log.schema.trace_id_column, event_id_column="event_id"))
     _assert_same_log(reparsed, log)
+    # the log built from traces is coded as parse_log codes the text it serializes to
+    for field in ("vocabularies", "codes", "event_ids", "trace_ids", "trace_lengths"):
+        assert getattr(reparsed, field) == getattr(log, field), field
 
 
 # --- active domains: the lag-0 vocabularies of the k-context, which the model keeps ----------
@@ -244,3 +247,7 @@ def test_event_arity_checked_at_log_construction():
     schema = AttributeSchema(("A", "B"), "tid")
     with pytest.raises(ValueError, match="values"):
         EventLog(schema, (Trace("1", (Event("0", ("only-one",)),)),))
+    fine = Event("0", ("a", "b"))
+    for bad in (PADDING, 5, None, ["a"]):
+        with pytest.raises(ValueError, match=r"event '2' holds .* as 'B'"):
+            EventLog(schema, (Trace("1", (fine, Event("1", ("a", "b")))), Trace("2", (Event("2", ("a", bad)),))))

@@ -35,6 +35,7 @@ from edbn import (
     load_log,
     parse_log,
     rank_traces,
+    serialize_log,
     write_log,
 )
 from edbn.cli import main
@@ -336,6 +337,11 @@ def counted_events(monkeypatch):
 
     monkeypatch.setattr(Event, "__init__", counting_init)
     return made
+
+
+def test_generating_and_serializing_a_log_build_no_events(counted_events):
+    log = generate(default_shipping_model(), 30, 5)
+    assert serialize_log(log).count("\n") == log.event_count + 1 and counted_events == []
 
 
 def test_training_and_scoring_a_parsed_log_build_no_events(tmp_path, counted_events, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -11,6 +12,7 @@ from edbn import (
     ANOMALOUS,
     NORMAL,
     LabeledLog,
+    ProcessModel,
     ProcessModelError,
     Variable,
     build_k_context,
@@ -22,7 +24,7 @@ from edbn import (
     serialize_log,
     uncertainty_coefficient,
 )
-from edbn.synth import serialize_labels
+from edbn.synth import Rule, serialize_labels
 
 from test_model import _paths
 
@@ -457,3 +459,28 @@ def test_activity_choice_requires_full_pool_coverage():
             attributes=["activity", "who"],
             extra_rules={"who": {"kind": "activity_choice", "pools": {"start": ["u"]}}},
         )
+
+
+def test_generated_shipping_data_is_pinned():
+    # SHA-256 of the generated log, of the log with anomalies injected and of their labels
+    log = generate(default_shipping_model(), 200, 42)
+    labeled = inject_anomalies(log, 0.1, 43)
+    digests = [hashlib.sha256(text.encode("utf-8")).hexdigest()
+               for text in (serialize_log(log), serialize_log(labeled.log), serialize_labels(labeled))]
+    assert digests == ["3cf4cb020896555089ffc87f54f11d69ad58c1769e30104c7bb9f5db4ef49eb6",
+                       "f74b31987d4f21cf17f8981db3f580e853a564cf2d4b45c1f09020ce4f44a13b",
+                       "a6b28be510d8bfbf359bd2fb534f6e5e7966d1ce0d01418184f144224c719e17"]
+
+
+@pytest.mark.parametrize("rule", [Rule(kind="pool", values=()), Rule(kind="constant", value=5)],
+                         ids=["empty-pool", "constant-type"])
+def test_a_process_model_built_in_code_is_checked_as_a_parsed_one(rule):
+    with pytest.raises(ProcessModelError, match=re.escape("rules['x']")):
+        ProcessModel("t", "case", ("activity", "x"), "activity", "s", frozenset({"e"}), {"s": {"e": 1.0}}, {"x": rule})
+
+
+@pytest.mark.parametrize("attr", ["activity", "zzz"])
+def test_a_rule_that_no_attribute_uses_is_rejected(attr):
+    with pytest.raises(ProcessModelError, match=re.escape(f"rules[{attr!r}]: not an attribute that takes a rule")):
+        parse_process_model(_linear_doc(rules={"x": {"kind": "constant", "value": "c"},
+                                               attr: {"kind": "constant", "value": "c"}}))
