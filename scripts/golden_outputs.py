@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Write every CLI output that a behaviour-preserving change must keep byte for byte.
+
+For the shipping seeds 7 and 1001 it runs, in process and inside OUT_DIR:
+
+- ``edbn generate``: a 2000-trace training log, and a 1000-trace test log with
+  10% anomalies and its labels;
+- ``edbn train`` at k = 1 and 2: the model file and stdout;
+- ``edbn score --explain 3`` with each model: the ranking, its explanations and
+  stdout, for the test log as generated and again with ``item`` unique per event.
+
+Run it on two trees and compare; an empty ``diff -r`` is the gate:
+
+    python scripts/golden_outputs.py /tmp/before --src <other checkout>/src
+    python scripts/golden_outputs.py /tmp/after
+    diff -r /tmp/before /tmp/after
+"""
+import argparse
+import contextlib
+import csv
+import io
+import os
+import sys
+from pathlib import Path
+
+SEEDS = (7, 1001)
+KS = (1, 2)
+
+
+def _run(main, argv: list[str], stdout_file: str | None = None) -> None:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(argv)
+    if status != 0:
+        raise SystemExit(f"edbn {' '.join(argv)} exited with {status}")
+    if stdout_file:
+        Path(stdout_file).write_text(out.getvalue(), encoding="utf-8")
+
+
+def _unique_item(src: str, dst: str) -> None:
+    """A copy of the log whose item column reads item-<event id> at every event."""
+    with open(src, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    item, event_id = header.index("item"), header.index("event_id")
+    for row in rows:
+        row[item] = f"item-{row[event_id]}"
+    with open(dst, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("out_dir")
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+                        help="the source tree to import edbn from (default: this checkout's)")
+    args = parser.parse_args()
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    from edbn.cli import main as edbn
+
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    os.chdir(out)  # relative paths keep the directory out of every output
+    for seed in SEEDS:
+        d = f"seed{seed}"
+        Path(d).mkdir(exist_ok=True)
+        _run(edbn, ["generate", "--out", f"{d}/train.csv", "--n-traces", "2000", "--seed", str(seed)])
+        _run(edbn, ["generate", "--out", f"{d}/test.csv", "--labels", f"{d}/labels.csv",
+                    "--n-traces", "1000", "--fraction", "0.1", "--seed", str(seed + 1)])
+        _unique_item(f"{d}/test.csv", f"{d}/test-unique-item.csv")
+        for k in KS:
+            model = f"{d}/model-k{k}.json"
+            _run(edbn, ["train", "--log", f"{d}/train.csv", "--trace-col", "case_id", "--out", model, "--k", str(k)],
+                 f"{model}.stdout")
+            for test in ("test", "test-unique-item"):
+                ranking = f"{d}/{test}-k{k}.ranking.csv"
+                _run(edbn, ["score", "--model", model, "--log", f"{d}/{test}.csv", "--out", ranking, "--explain", "3"],
+                     f"{ranking}.stdout")
+    print(f"wrote {sum(1 for p in Path('.').rglob('*') if p.is_file())} files to {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

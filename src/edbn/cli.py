@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .detect import TraceScore, explain, rank_traces
 from .evaluate import render_report, run_experiment, serialize_curve, serialize_scores
-from .event_log import AttributeSchema, DuplicateEventIdError, EventLog, LogFormatError, load_log, serialize_log
+from .event_log import AttributeSchema, DuplicateEventIdError, EventLog, LogFormatError, csv_text, load_log, open_utf8, serialize_log
 from .model import learn_edbn, read_model, write_model
 from .synth import (
     LabeledLog,
@@ -43,7 +43,7 @@ def _stage(name: str, fn, *args, **kwargs):
 
 def _header(config: argparse.Namespace, path: str) -> list[str]:
     """Column names from the log's header row, read as load_log reads it."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open_utf8(path) as fh:
         first = next(csv.reader(fh, delimiter=config.delimiter), [])
     return [c.strip() for c in first]
 
@@ -108,9 +108,7 @@ def cmd_train(config: argparse.Namespace) -> int:
 
 
 def _render_ranking(entries) -> str:
-    lines = ["trace_id,score,event_count"]
-    lines += [f"{e.trace_id},{e.score!r},{e.event_count}" for e in entries]
-    return "\n".join(lines) + "\n"
+    return csv_text(["trace_id", "score", "event_count"], ((e.trace_id, repr(e.score), e.event_count) for e in entries))
 
 
 def _render_explanation(entry: TraceScore, top_n: int) -> str:

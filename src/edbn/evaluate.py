@@ -6,12 +6,11 @@ normal one (ties count one half, the Mann-Whitney midrank convention).
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .detect import score_log
-from .event_log import EventLog
+from .event_log import EventLog, csv_text
 from .model import learn_edbn
 from .synth import ANOMALOUS, NORMAL, LabeledLog
 
@@ -115,16 +114,8 @@ def render_report(report: EvalReport) -> str:
 
 
 def serialize_curve(report: EvalReport) -> str:
-    out = io.StringIO()
-    out.write("recall,precision\n")
-    for recall, precision in report.pr_curve:
-        out.write(f"{recall!r},{precision!r}\n")
-    return out.getvalue()
+    return csv_text(["recall", "precision"], ((repr(recall), repr(precision)) for recall, precision in report.pr_curve))
 
 
 def serialize_scores(report: EvalReport) -> str:
-    out = io.StringIO()
-    out.write("trace_id,score,label\n")
-    for entry in report.score_list:
-        out.write(f"{entry.trace_id},{entry.score!r},{entry.label}\n")
-    return out.getvalue()
+    return csv_text(["trace_id", "score", "label"], ((e.trace_id, repr(e.score), e.label) for e in report.score_list))

@@ -11,6 +11,7 @@ import csv
 import io
 import math
 from collections import Counter, deque
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, compress, islice, repeat, tee
@@ -414,31 +415,42 @@ def parse_log(
     return EventLog._from_codes(schema, event_ids, *coded)
 
 
-def load_log(path, schema: AttributeSchema, **options) -> EventLog:
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+@contextmanager
+def open_utf8(path, error: type[ValueError] = LogFormatError, what: str = "log file", encoding: str = "utf-8-sig"):
+    """The file opened as text, its line breaks kept (by default a log, a byte order mark skipped);
+    a file that is not UTF-8 raises ``error`` naming it."""
+    with open(path, newline="", encoding=encoding) as fh:
         try:
-            return parse_log(fh, schema, **options)
+            yield fh
         except UnicodeDecodeError:
-            raise LogFormatError(f"log file {str(path)!r} is not UTF-8 text") from None
+            raise error(f"{what} {str(path)!r} is not UTF-8 text") from None
+
+
+def load_log(path, schema: AttributeSchema, **options) -> EventLog:
+    with open_utf8(path) as fh:
+        return parse_log(fh, schema, **options)
 
 
 def _read_utf8(path, error: type[ValueError], what: str) -> str:
-    """The text of a file, its line breaks kept; a file that is not UTF-8 raises ``error`` naming it."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError:
-        raise error(f"{what} {str(path)!r} is not UTF-8 text") from None
+    with open_utf8(path, error, what, "utf-8") as fh:
+        return fh.read()
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence], delimiter: str = ",") -> str:
+    """A header and rows as delimited text, a field quoted only where it holds the delimiter,
+    a quote or a line break."""
+    out = io.StringIO()
+    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def serialize_log(log: EventLog, *, delimiter: str = ",") -> str:
     """Render a log as delimited text (trace id, event id, then attribute columns)."""
-    out = io.StringIO()
-    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
-    writer.writerow([log.schema.trace_id_column, "event_id", *log.schema.names])
     trace_ids = chain.from_iterable(map(repeat, log.trace_ids, log.trace_lengths))
-    writer.writerows(zip(trace_ids, log.event_ids, *log.columns))
-    return out.getvalue()
+    header = [log.schema.trace_id_column, "event_id", *log.schema.names]
+    return csv_text(header, zip(trace_ids, log.event_ids, *log.columns), delimiter)
 
 
 def write_log(log: EventLog, path, *, delimiter: str = ",") -> None:

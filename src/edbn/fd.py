@@ -3,7 +3,8 @@
 An FD edge source -> target means the source variable's value determines the
 target attribute's value on the current event.  Discovery keeps every pair
 whose uncertainty coefficient U(target | source) strictly exceeds the
-threshold; mappings are majority votes with an explicit violation rate.
+threshold; mappings are majority votes over the cell counts that CPTs are
+read from too (``stats.cell_counts``), with an explicit violation rate.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .event_log import PADDING, KContextLog, Variable
-from .stats import coded_column, coded_uncertainty, key_counts
+from .stats import cell_counts, coded_column, coded_uncertainty
 
 
 @dataclass(frozen=True)
@@ -67,27 +68,16 @@ def discover_fds(ctx: KContextLog, threshold: float) -> list[FDEdge]:
 
 
 def build_mapping(ctx: KContextLog, edge: FDEdge) -> FDMapping:
-    """Majority-vote mapping for an FD edge, with its empirical violation rate.
+    """Majority-vote mapping for an FD edge, read off the (source, target) cell counts.
 
-    Rows whose source value is PADDING contribute neither mapping entries nor
-    violations; the violation denominator is the full row count.  Majority
-    ties break on the lexicographically smallest target value.
+    Each source value maps to the target value it occurs with most often, ties going
+    to the smallest string.  Rows whose source value is PADDING contribute neither
+    mapping entries nor violations; the violation denominator is the full row count.
     """
-    src_i, tgt_i = ctx.index_of(edge.source), ctx.index_of(edge.target)
-    src_vocab, tgt_vocab = ctx.vocabularies[src_i], ctx.vocabularies[tgt_i]
-    src, tgt = ctx.codes[src_i], ctx.codes[tgt_i]
-    if PADDING in src_vocab:
-        kept = src != src_vocab.index(PADDING)
-        src, tgt = src[kept], tgt[kept]
-    keys, counts = key_counts(src * len(tgt_vocab) + tgt, len(src_vocab) * len(tgt_vocab))
-    best: dict[int, tuple[int, int]] = {}
-    for key, count in zip(keys.tolist(), counts.tolist()):
-        x, y = divmod(key, len(tgt_vocab))
-        # keys ascend, so the first most frequent target is the smallest string
-        if count > best.get(x, (0, 0))[0]:
-            best[x] = (count, y)
-    mapping = {src_vocab[x]: tgt_vocab[y] for x, (_, y) in best.items()}
-    violations = len(src) - sum(count for count, _ in best.values())
+    table = cell_counts(ctx, (edge.source, edge.target))
+    table.pop((PADDING,), None)
+    mapping = {x: min(counts, key=lambda y: (-counts[y], y)) for (x,), counts in table.items()}
+    violations = sum(sum(counts.values()) - counts[mapping[x]] for (x,), counts in table.items())
     return FDMapping(edge, mapping, Fraction(violations, len(ctx)))
 
 

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
+from .event_log import KContextLog, Variable
+
 # numpy is imported inside the functions that use it, so that a process that
 # only loads and scores models never loads it.
 
@@ -56,6 +58,23 @@ def dense_ranks(keys: np.ndarray, size: int) -> tuple[np.ndarray, int]:
         return inverse, len(uniq)
     rank = np.cumsum(np.bincount(keys, minlength=size) > 0) - 1
     return rank[keys], int(rank[-1]) + 1
+
+
+def cell_counts(ctx: KContextLog, variables: Sequence[Variable]) -> dict:
+    """The k-context's cell counts {configuration: {value: count}}, the value being the last variable's and
+    the configuration the others'; each cell is decoded at its first row, and cells keep that row order."""
+    import numpy as np
+    columns = [ctx.index_of(v) for v in variables]
+    keys, size = tuple_keys([(ctx.codes[i], len(ctx.vocabularies[i])) for i in columns], len(ctx))
+    cell, cells = dense_ranks(keys, size)
+    first = np.full(cells, len(ctx))
+    np.minimum.at(first, cell, np.arange(len(ctx)))
+    counts = np.bincount(cell, minlength=cells)
+    table: dict = {}
+    for row, count in sorted(zip(first.tolist(), counts.tolist())):
+        *cfg, value = (ctx.vocabularies[i][ctx.codes[i][row]] for i in columns)
+        table.setdefault(tuple(cfg), {})[value] = count
+    return table
 
 
 def _entropy_from_counts(counts: np.ndarray, n: int) -> float:

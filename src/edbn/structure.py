@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .event_log import KContextLog, Variable
 from .fd import FDEdge
-from .stats import dense_ranks, dense_size, tuple_keys
+from .stats import cell_counts, key_counts, tuple_keys
 
 Edge = tuple[Variable, Variable]
 
@@ -136,23 +136,17 @@ class _CodedContext:
         return self.family_score(child, trial) - score
 
     def _log_likelihood(self, child: Variable, parents: frozenset[Variable]) -> float:
-        """sum n(cfg, x) ln n(cfg, x) - sum n(cfg) ln n(cfg), cfg the sorted parents' values and
-        x the child's, from one count of the joint key; the second sum is kept per parent set."""
+        """sum n(cfg, x) ln n(cfg, x) - sum n(cfg) ln n(cfg), cfg the sorted parents' values and x the
+        child's, from one count of the joint key; the second sum (of exact float64 counts) is kept per parent set."""
         import numpy as np
 
         card = self.cards[child]
         columns = [(self.codes[p], self.cards[p]) for p in sorted(parents)]
-        joint, size = tuple_keys(columns + [(self.codes[child], card)], self.n)
+        keys, counts = key_counts(*tuple_keys(columns + [(self.codes[child], card)], self.n))
         term = self._parent_terms.get(parents)
-        if size > dense_size(self.n):  # only for a child of very many values
-            counts = np.unique(joint, return_counts=True)[1]
-            if term is None:
-                term = _sum_n_log_n(np.bincount(joint // card))
-        else:
-            counts = np.bincount(joint, minlength=size)
-            if term is None:
-                term = _sum_n_log_n(counts.reshape(-1, card).sum(1))
-        self._parent_terms[parents] = term
+        if term is None:
+            term = _sum_n_log_n(np.bincount(keys // card, weights=counts))
+            self._parent_terms[parents] = term
         return _sum_n_log_n(counts) - term
 
 
@@ -238,28 +232,18 @@ def learn_structure(ctx: KContextLog, constraints: StructureConstraints) -> DAG:
 
 
 def fit_cpts(ctx: KContextLog, dag: DAG, fds: Iterable[FDEdge]) -> dict[str, CPT]:
-    """Empirical-frequency CPTs, one per slice-0 attribute.
+    """Empirical-frequency CPTs, one per slice-0 attribute, read off the k-context's cell counts.
 
     Parent sets are the DAG parents minus FD edges, ordered as in the
     k-context variable list (slice k first).  Rows and counts keep the order
     in which the log first shows them.
     """
-    import numpy as np
     fd_edges = frozenset((fd.source, fd.target) for fd in fds)
     var_pos = {v: i for i, v in enumerate(ctx.variables)}
     cpts: dict[str, CPT] = {}
     for child in ctx.current_variables():
         parents = tuple(sorted(dag.parents_of(child, exclude=fd_edges), key=var_pos.__getitem__))
-        columns = [var_pos[p] for p in parents] + [var_pos[child]]
-        # one cell per distinct (parents, child) key, decoded at its first row
-        cell, cells = dense_ranks(*tuple_keys([(ctx.codes[i], len(ctx.vocabularies[i])) for i in columns], len(ctx)))
-        first = np.full(cells, len(ctx))
-        np.minimum.at(first, cell, np.arange(len(ctx)))
-        counts = np.bincount(cell, minlength=cells)
-        rows: dict = {}
-        for row, count in sorted(zip(first.tolist(), counts.tolist())):
-            *cfg, value = (ctx.vocabularies[i][ctx.codes[i][row]] for i in columns)
-            rows.setdefault(tuple(cfg), {})[value] = count
+        rows = cell_counts(ctx, parents + (child,))
         totals = {cfg: sum(cell.values()) for cfg, cell in rows.items()}
         cpts[child.attr] = CPT(child, parents, rows, totals)
     return cpts

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, Sequence
 
-from .event_log import PADDING, AttributeSchema, Event, EventLog, Trace, _read_utf8
+from .event_log import PADDING, AttributeSchema, Event, EventLog, Trace, _read_utf8, csv_text
 
 NORMAL = "normal"
 ANOMALOUS = "anomalous"
@@ -378,13 +378,9 @@ def default_shipping_model() -> ProcessModel:
 
 
 def serialize_labels(labeled: LabeledLog) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["trace_id", "label", "details"])
-    for tid in labeled.log.trace_ids:
-        detail = ";".join(m.describe() for m in labeled.anomaly_details.get(tid, ()))
-        writer.writerow([tid, labeled.labels[tid], detail])
-    return out.getvalue()
+    details = {tid: ";".join(m.describe() for m in found) for tid, found in labeled.anomaly_details.items()}
+    rows = ((tid, labeled.labels[tid], details.get(tid, "")) for tid in labeled.log.trace_ids)
+    return csv_text(["trace_id", "label", "details"], rows)
 
 
 def write_labels(labeled: LabeledLog, path) -> None:

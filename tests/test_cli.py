@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import re
 import subprocess
@@ -405,3 +407,53 @@ def test_a_file_that_is_not_utf8_raises_its_readers_error_naming_it(tmp_path, re
     with pytest.raises(error, match=re.escape(f"{str(path)!r} is not UTF-8 text")) as raised:
         read(path)
     assert not isinstance(raised.value, UnicodeDecodeError)
+
+
+@pytest.mark.parametrize("command", ["train", "score", "evaluate"])
+def test_commands_name_a_log_that_is_not_utf8(tmp_path, permission_file, capsys, command):
+    # the bad byte sits in a data row, past the header that the command reads first
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"a,tid\nx\xff,1\n")
+    model_path, labels_path = tmp_path / "model.json", tmp_path / "labels.csv"
+    assert main(["train", "--log", str(permission_file), "--out", str(model_path), *SCHEMA_FLAGS]) == 0
+    labels_path.write_text("trace_id,label\n1,normal\n", encoding="utf-8")
+    argv = {
+        "train": ["train", "--log", str(path), "--trace-col", "tid"],
+        "score": ["score", "--model", str(model_path), "--log", str(path)],
+        "evaluate": ["evaluate", "--train-log", str(path), "--log", str(path), "--labels", str(labels_path),
+                     "--trace-col", "tid"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"log file {str(path)!r} is not UTF-8 text" in err and "codec" not in err
+
+
+def test_ranking_and_scores_files_quote_trace_ids(tmp_path, capsys):
+    # trace ids holding the delimiter or a quote come back whole through csv.reader
+    train_path, test_path, labels_path = tmp_path / "train.csv", tmp_path / "test.csv", tmp_path / "labels.csv"
+    main(["generate", "--out", str(train_path), "--n-traces", "30", "--seed", "1"])
+    main(["generate", "--out", str(test_path), "--labels", str(labels_path),
+          "--n-traces", "30", "--fraction", "0.2", "--seed", "2"])
+    renamed = {"t0001": "t,1", "t0003": 't"3'}
+    for path in (test_path, labels_path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [[renamed.get(row[0], row[0]), *row[1:]] for row in csv.reader(fh)]
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    model_path, ranking_path = tmp_path / "model.json", tmp_path / "ranking.csv"
+    assert main(["train", "--log", str(train_path), "--trace-col", "case_id", "--out", str(model_path)]) == 0
+    assert main(["score", "--model", str(model_path), "--log", str(test_path), "--out", str(ranking_path)]) == 0
+    assert main(["evaluate", "--train-log", str(train_path), "--log", str(test_path), "--labels", str(labels_path),
+                 "--trace-col", "case_id", "--out", str(tmp_path / "eval")]) == 0
+    capsys.readouterr()
+    for path, header in ((ranking_path, ["trace_id", "score", "event_count"]),
+                         (tmp_path / "eval.scores.csv", ["trace_id", "score", "label"])):
+        text = path.read_text(encoding="utf-8")
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert rows[0] == header and all(len(row) == 3 for row in rows)
+        ids = [row[0] for row in rows[1:]]
+        assert len(ids) == 30 and {"t,1", 't"3', "t0002"} <= set(ids)
+        assert all(repr(float(row[1])) == row[1] for row in rows[1:])
+        # ids that hold no delimiter, quote or line break are written bare, as before
+        assert '\n"t,1",' in text and '\n"t""3",' in text and "\nt0002," in text

@@ -66,9 +66,31 @@ def test_permission_log(permission_log, k):
     _assert_same_model(permission_log, k)
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_shipping_log(k):
-    _assert_same_model(generate(default_shipping_model(), 600, 21), k)
+def _item_unique_per_event(log):
+    # item reads item-<event id>, so every FD from item has a key space above one bincount pass
+    col = log.schema.names.index("item")
+    return EventLog(log.schema, tuple(
+        Trace(t.trace_id, tuple(Event(e.id, e.values[:col] + (f"item-{e.id}",) + e.values[col + 1:]) for e in t.events))
+        for t in log.traces
+    ))
+
+
+@pytest.mark.parametrize("log, k, unique_families", [
+    (lambda: generate(default_shipping_model(), 600, 21), 1, 0),
+    (lambda: generate(default_shipping_model(), 600, 21), 2, 0),
+    (lambda: _item_unique_per_event(generate(default_shipping_model(), 200, 42)), 1, 2),
+], ids=["1", "2", "1-item-unique-per-event"])
+def test_shipping_log(log, k, unique_families):
+    # unique_families: how many of the search's families count their keys with np.unique
+    sparse, key_counts = [], structure.key_counts
+
+    def recording_key_counts(keys, size):
+        sparse.append(size > dense_size(len(keys)))
+        return key_counts(keys, size)
+
+    with mock.patch.object(structure, "key_counts", recording_key_counts):
+        _assert_same_model(log(), k)
+    assert sum(sparse) == unique_families
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -199,20 +221,37 @@ def test_cpts_equal_reference_on_small_logs(log, k, data):
     _assert_same_cpts(log, k, data.draw(st.sets(st.sampled_from(legal))))
 
 
-def test_cpts_equal_reference_for_a_child_of_very_many_values():
-    # A is unique per event, so A_0 given B_1 and C_0 has a key space of 7 * 2 * 3000,
-    # above the 4n+4096 that one bincount pass counts; B_0 given B_1 counts densely
-    rng = random.Random(7)
+def _log_of_a_unique_attribute(seed):
+    # 300 traces of 10 events; A is unique per event, B takes 6 values and C 2
+    rng = random.Random(seed)
     traces = [
         Trace(str(t), tuple(Event(f"{t}-{i}", (f"a{t}-{i}", rng.choice("uvwxyz"), rng.choice("pq"))) for i in range(10)))
         for t in range(300)
     ]
-    log = EventLog(AttributeSchema(("A", "B", "C"), "tid"), tuple(traces))
+    return EventLog(AttributeSchema(("A", "B", "C"), "tid"), tuple(traces))
+
+
+def test_cpts_equal_reference_for_a_child_of_very_many_values():
+    # A is unique per event, so A_0 given B_1 and C_0 has a key space of 7 * 2 * 3000,
+    # above the 4n+4096 that one bincount pass counts; B_0 given B_1 counts densely
+    log = _log_of_a_unique_attribute(7)
     a0, b0, b1, c0 = Variable("A", 0), Variable("B", 0), Variable("B", 1), Variable("C", 0)
     ctx = _assert_same_cpts(log, 1, {(b1, a0), (c0, a0), (b1, b0)})
     sizes = {child: tuple_keys([(ctx.codes[ctx.index_of(v)], len(ctx.vocabulary(v))) for v in family], len(ctx))[1]
              for child, family in ((a0, (b1, c0, a0)), (b0, (b1, b0)))}
     assert sizes[a0] > dense_size(len(ctx)) >= sizes[b0]
+
+
+def test_mappings_equal_reference_for_a_source_of_very_many_values():
+    # every source -> target pair, FD or not, of a log whose A is unique per event
+    log = _log_of_a_unique_attribute(7)
+    ctx, reference_ctx = build_k_context(log, 1), ReferenceContext(log, 1)
+    pairs = [(s, t) for s in ctx.variables for t in ctx.current_variables() if s != t]
+    for source, target in pairs:
+        edge = FDEdge(source, target, 1.0)
+        assert build_mapping(ctx, edge) == reference_build_mapping(reference_ctx, edge)
+    sizes = [len(ctx.vocabulary(s)) * len(ctx.vocabulary(t)) for s, t in pairs]
+    assert len(pairs) == 15 and max(sizes) > dense_size(len(ctx))
 
 
 # --- the structure search's family scores ------------------------------------------
@@ -288,13 +327,7 @@ def test_search_scores_equal_reference_for_a_child_of_very_many_values():
     # A is unique per event, so A_0 given B_1 (7 codes with padding) has a joint key
     # space of 7 * 3000, above the 4n+4096 that one bincount pass counts; A_0 is the
     # first target, so that family is the first to count the parent set {B_1}
-    rng = random.Random(5)
-    traces = [
-        Trace(str(t), tuple(Event(f"{t}-{i}", (f"a{t}-{i}", rng.choice("uvwxyz"), rng.choice("pq"))) for i in range(10)))
-        for t in range(300)
-    ]
-    log = EventLog(AttributeSchema(("A", "B", "C"), "tid"), tuple(traces))
-    coded, _ = _assert_search_scores_equal_reference(log, 1)
+    coded, _ = _assert_search_scores_equal_reference(_log_of_a_unique_attribute(5), 1)
     child, parent = Variable("A", 0), Variable("B", 1)
     assert frozenset({parent}) in coded.scores[child]
     family = [(coded.codes[v], coded.cards[v]) for v in (parent, child)]
