@@ -3,8 +3,9 @@
 
 For the shipping seeds 7 and 1001 it runs, in process and inside OUT_DIR:
 
-- ``edbn generate``: a 2000-trace training log, and a 1000-trace test log with
-  10% anomalies and its labels;
+- ``edbn generate``: a 2000-trace training log, a 1000-trace test log with
+  10% anomalies and its labels, and a 300-trace log with every trace
+  mutated and its labels, which gives each mutation kind hundreds of times;
 - ``edbn train`` at k = 1 and 2: the model file and stdout;
 - ``edbn score --explain 3`` with each model: the ranking, its explanations and
   stdout, for the test log as generated and again with ``item`` unique per event.
@@ -66,6 +67,8 @@ def main() -> int:
         _run(edbn, ["generate", "--out", f"{d}/train.csv", "--n-traces", "2000", "--seed", str(seed)])
         _run(edbn, ["generate", "--out", f"{d}/test.csv", "--labels", f"{d}/labels.csv",
                     "--n-traces", "1000", "--fraction", "0.1", "--seed", str(seed + 1)])
+        _run(edbn, ["generate", "--out", f"{d}/all-anomalous.csv", "--labels", f"{d}/all-anomalous-labels.csv",
+                    "--n-traces", "300", "--fraction", "1.0", "--seed", str(seed + 2)])
         _unique_item(f"{d}/test.csv", f"{d}/test-unique-item.csv")
         for k in KS:
             model = f"{d}/model-k{k}.json"

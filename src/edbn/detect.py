@@ -93,8 +93,6 @@ def rank_traces(model: EDBNModel, log: EventLog) -> Ranking:
     Zero scores sort below positives; among them, more zero-valued factors
     rank first, then trace_id; positive ties also break by trace_id.
     """
-    if log.schema.names != model.schema.names:
-        raise ValueError("log attributes do not match the model schema")
     scored = score_log(model, log)
     scored.sort(key=lambda s: (s.score, -s.zero_factor_count, s.trace_id))
     return Ranking(tuple(scored))
@@ -102,8 +100,8 @@ def rank_traces(model: EDBNModel, log: EventLog) -> Ranking:
 
 def score_log(model: EDBNModel, log: EventLog) -> list[TraceScore]:
     """score_trace of every trace of the log, in log order, read from the log's codes (by score_traces)."""
-    if len(log.schema.names) != len(model.schema.names):
-        raise ValueError("event values do not match the model's schema")
+    if log.schema.names != model.schema.names:
+        raise ValueError("log attributes do not match the model schema")
     lengths = log.trace_lengths
     ids = map(log.event_ids.__getitem__, map(slice, accumulate(lengths, initial=0), accumulate(lengths)))
     scored = zip(log.trace_ids, ids, model.scoring_tables.score_traces(log.codes, log.vocabularies, lengths))

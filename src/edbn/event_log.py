@@ -103,11 +103,13 @@ class EventLog:
     ``trace_ids`` and ``trace_lengths`` give the traces in log order and
     ``event_ids`` one id per event.  Per attribute (schema order), ``codes``
     holds one code per event into its entry of ``vocabularies``, the distinct
-    values in order of first appearance.  ``columns`` (the values per
-    attribute) and ``traces`` are decoded from the codes when first read.
-    parse_log codes a log as it reads it, generate codes the columns it
-    fills, and ``EventLog(schema, traces)`` codes the values of its traces,
-    which it keeps as ``traces``.  A log is immutable.
+    values; ``columns`` (the values per attribute) and ``traces`` are decoded
+    from them when first read.  parse_log codes a log as it reads it, so its
+    vocabularies follow first appearance in the file, which differs from the
+    log's where traces interleave or an order column moves an event.
+    generate, inject_anomalies and ``EventLog(schema, traces)`` (kept as
+    ``traces``) code in log order through _from_columns.  Equality ignores
+    vocabulary order, and a log is immutable.
     """
 
     def __init__(self, schema: AttributeSchema, traces: Sequence[Trace]):

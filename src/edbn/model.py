@@ -235,7 +235,8 @@ class ScoringTables:
     ``_fixed`` maps every float a factor can take to its log as a fixed-point int (_fixed_point).  Both
     drivers, score and score_traces, take a run's factors from _block and an event's log as the int sum
     of its blocks' logs times _scale: math.fsum of its factors' logs bit for bit, since the int sum is
-    exact and only its conversion to float rounds, half to even.
+    exact and only its conversion to float rounds, half to even.  A single driver would slow one of two uses:
+    score_prefix by coding each prefix's events for score_traces, or score_log by decoding a log to strings.
     """
 
     def __init__(self, model: EDBNModel):

@@ -15,9 +15,10 @@ import math
 import random
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain, islice
 from typing import Mapping, Sequence
 
-from .event_log import PADDING, AttributeSchema, Event, EventLog, Trace, _read_utf8, csv_text
+from .event_log import PADDING, AttributeSchema, EventLog, _read_utf8, csv_text
 
 NORMAL = "normal"
 ANOMALOUS = "anomalous"
@@ -161,8 +162,8 @@ def generate(model: ProcessModel, n_traces: int, seed: int) -> EventLog:
     """n_traces random start-to-end walks with attributes filled per the rules.
 
     Each event's values are appended to one column per attribute, filled with
-    every derivation after its source; the log is coded from these columns,
-    and no Event or Trace is built.
+    every derivation after its source; the log is coded from these columns in
+    log order (see EventLog), and no Event or Trace is built.
     """
     if n_traces < 1:
         raise ValueError("n_traces must be >= 1")
@@ -228,9 +229,9 @@ class LabeledLog:
             raise ValueError(f"trace {extra!r} is labeled but not in the log")
 
 
-def _applicable_kinds(events: Sequence[Event], replace_attrs: Sequence[str]) -> list[str]:
+def _applicable_kinds(n_events: int, replace_attrs: Sequence[str]) -> list[str]:
     kinds = ["duplicate_event", "fresh_value"]
-    if len(events) >= 2:
+    if n_events >= 2:
         kinds += ["swap_adjacent", "delete_event"]
     if replace_attrs:
         kinds.append("replace_value")
@@ -243,7 +244,9 @@ def inject_anomalies(log: EventLog, fraction: float, seed: int) -> LabeledLog:
     Each chosen trace receives 1-3 mutations drawn from: swap two adjacent
     events, delete an event, duplicate an event at a random position, replace
     an attribute value with another active-domain value, or replace one with
-    a fresh unseen value.  Unchosen traces are returned untouched.
+    a fresh unseen value.  Unchosen traces are returned untouched.  Only the
+    chosen traces' rows (an event's id, then its values) are edited, and the
+    rows are coded as generate codes its columns, building no Event or Trace.
     """
     if not 0 <= fraction <= 1:
         raise ValueError("fraction must be in [0, 1]")
@@ -258,16 +261,16 @@ def inject_anomalies(log: EventLog, fraction: float, seed: int) -> LabeledLog:
     used_ids = set(log.event_ids)
     fresh_counter = 0
 
-    traces = list(log.traces)
+    rows = zip(log.event_ids, *log.columns)
+    traces = [list(islice(rows, n)) for n in log.trace_lengths]
     labels = dict.fromkeys(log.trace_ids, NORMAL)
     details: dict[str, tuple[Mutation, ...]] = {}
 
     for index in chosen:
-        trace = traces[index]
-        events = list(trace.events)
+        events = traces[index]
         mutations: list[Mutation] = []
         for _ in range(rng.randint(1, 3)):
-            kind = rng.choice(_applicable_kinds(events, multi_valued))
+            kind = rng.choice(_applicable_kinds(len(events), multi_valued))
             if kind == "swap_adjacent":
                 pos = rng.randrange(len(events) - 1)
                 events[pos], events[pos + 1] = events[pos + 1], events[pos]
@@ -279,36 +282,32 @@ def inject_anomalies(log: EventLog, fraction: float, seed: int) -> LabeledLog:
             elif kind == "duplicate_event":
                 pos = rng.randrange(len(events))
                 insert_at = rng.randrange(len(events) + 1)
-                copy_id = f"{events[pos].id}+dup"
+                copy_id = f"{events[pos][0]}+dup"
                 while copy_id in used_ids:
                     copy_id += "+"
                 used_ids.add(copy_id)
-                events.insert(insert_at, Event(copy_id, events[pos].values))
+                events.insert(insert_at, (copy_id, *events[pos][1:]))
                 mutations.append(Mutation(kind, pos, insert_at=insert_at))
             else:
+                attr = rng.choice(multi_valued if kind == "replace_value" else log.schema.names)
+                pos = rng.randrange(len(events))
+                i = log.schema.index_of(attr) + 1  # the value's place in the row
                 if kind == "replace_value":
-                    attr = rng.choice(multi_valued)
-                    pos = rng.randrange(len(events))
-                    current = events[pos].values[log.schema.index_of(attr)]
-                    value = rng.choice([v for v in domains[attr] if v != current])
+                    value = rng.choice([v for v in domains[attr] if v != events[pos][i]])
                 else:  # fresh_value
-                    attr = rng.choice(list(log.schema.names))
-                    pos = rng.randrange(len(events))
                     while True:
                         fresh_counter += 1
                         value = f"unseen-{attr}-{fresh_counter}"
                         if value not in domains[attr]:
                             break
-                i = log.schema.index_of(attr)
-                values = list(events[pos].values)
-                values[i] = value
-                events[pos] = Event(events[pos].id, tuple(values))
+                events[pos] = (*events[pos][:i], value, *events[pos][i + 1:])
                 mutations.append(Mutation(kind, pos, attribute=attr, new_value=value))
-        traces[index] = Trace(trace.trace_id, tuple(events))
-        labels[trace.trace_id] = ANOMALOUS
-        details[trace.trace_id] = tuple(mutations)
+        labels[log.trace_ids[index]] = ANOMALOUS
+        details[log.trace_ids[index]] = tuple(mutations)
 
-    return LabeledLog(EventLog(log.schema, tuple(traces)), labels, details)
+    event_ids, *columns = tuple(zip(*chain.from_iterable(traces))) or ((),) * (len(log.schema.names) + 1)
+    return LabeledLog(EventLog._from_columns(log.schema, event_ids, log.trace_ids, tuple(map(len, traces)), columns),
+                      labels, details)
 
 
 # --- process-model and label files -----------------------------------------

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edbn import (
+    NORMAL,
     AttributeSchema,
     Event,
     EventLog,
+    LabeledLog,
     Trace,
     default_shipping_model,
     explain,
@@ -18,10 +20,11 @@ from edbn import (
     inject_anomalies,
     learn_edbn,
     rank_traces,
+    run_experiment,
     score_prefix,
     score_trace,
 )
-from edbn.detect import TraceScore
+from edbn.detect import TraceScore, score_log
 
 from test_model import oracle_event_probability
 
@@ -264,10 +267,21 @@ def test_self_concatenation_invariance_without_history_structure():
     assert score_trace(model, doubled).score == score_trace(model, trace).score
 
 
-def test_ranking_rejects_mismatched_schema(permission_model):
+def test_ranking_rejects_mismatched_schema(permission_log):
+    # a log with another attribute, and a shipping log with its 13 attribute names rotated by one,
+    # so that each name heads another attribute's values
+    process = default_shipping_model()
+    names, test = process.attributes, inject_anomalies(generate(process, 20, 2), 0.2, 3)
     other = EventLog(
         AttributeSchema(("Other",), "tid"),
         (Trace("1", (Event("0", ("x",)),)),),
     )
-    with pytest.raises(ValueError, match="model schema"):
-        rank_traces(permission_model, other)
+    rotated = EventLog(AttributeSchema(names[1:] + names[:1], process.trace_id_column), test.log.traces)
+    for train, labeled in ((permission_log, LabeledLog(other, {"1": NORMAL}, {})),
+                           (generate(process, 300, 1), LabeledLog(rotated, test.labels, test.anomaly_details))):
+        model = learn_edbn(train, 1)
+        for score in (rank_traces, score_log):
+            with pytest.raises(ValueError, match="model schema"):
+                score(model, labeled.log)
+        with pytest.raises(ValueError, match="model schema"):
+            run_experiment(train, labeled, 1, 0.99)

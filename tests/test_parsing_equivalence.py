@@ -31,6 +31,7 @@ from edbn import (
     build_k_context,
     default_shipping_model,
     generate,
+    inject_anomalies,
     learn_edbn,
     load_log,
     parse_log,
@@ -341,7 +342,9 @@ def counted_events(monkeypatch):
 
 def test_generating_and_serializing_a_log_build_no_events(counted_events):
     log = generate(default_shipping_model(), 30, 5)
-    assert serialize_log(log).count("\n") == log.event_count + 1 and counted_events == []
+    for each in (log, inject_anomalies(log, 0.5, 6).log):
+        assert serialize_log(each).count("\n") == each.event_count + 1
+    assert counted_events == []
 
 
 def test_training_and_scoring_a_parsed_log_build_no_events(tmp_path, counted_events, capsys):

@@ -461,15 +461,27 @@ def test_activity_choice_requires_full_pool_coverage():
         )
 
 
-def test_generated_shipping_data_is_pinned():
+@pytest.mark.parametrize("process, fraction, expected", [
+    (default_shipping_model(), 0.1, ["3cf4cb020896555089ffc87f54f11d69ad58c1769e30104c7bb9f5db4ef49eb6",
+                                     "f74b31987d4f21cf17f8981db3f580e853a564cf2d4b45c1f09020ce4f44a13b",
+                                     "a6b28be510d8bfbf359bd2fb534f6e5e7966d1ce0d01418184f144224c719e17"]),
+    (default_shipping_model(), 1.0, ["3cf4cb020896555089ffc87f54f11d69ad58c1769e30104c7bb9f5db4ef49eb6",
+                                     "1c7dc5efc265786c89ea98f56c8bc75b13aa118efa37c53ff3fc2e24f2368894",
+                                     "97112d75aca8df9cf8bd364a4a677319dcb49364e98347bfdb051a8220666395"]),
+    # every walk ends at its first event and every attribute takes one value, so a trace of one
+    # event can only be duplicated or given a fresh value, and no value can be replaced
+    (parse_process_model(_linear_doc(end_activities=["start", "finish"])), 1.0,
+     ["a640c7b34dea2b9056720618fad1e74a397ecf6026b0da6564f4460c1d9e846e",
+      "99adb2c955b893ce8952c4b97cd4de0bf689fdfb05e75b7eefb74a6df35d2e3c",
+      "135cfbd0a12fdeeb5cc6fbfc867f79053a8293bafe9d5c951ea615d3aab39a2d"]),
+], ids=["shipping-0.1", "shipping-1.0", "one-event-walks-1.0"])
+def test_generated_shipping_data_is_pinned(process, fraction, expected):
     # SHA-256 of the generated log, of the log with anomalies injected and of their labels
-    log = generate(default_shipping_model(), 200, 42)
-    labeled = inject_anomalies(log, 0.1, 43)
+    log = generate(process, 200, 42)
+    labeled = inject_anomalies(log, fraction, 43)
     digests = [hashlib.sha256(text.encode("utf-8")).hexdigest()
                for text in (serialize_log(log), serialize_log(labeled.log), serialize_labels(labeled))]
-    assert digests == ["3cf4cb020896555089ffc87f54f11d69ad58c1769e30104c7bb9f5db4ef49eb6",
-                       "f74b31987d4f21cf17f8981db3f580e853a564cf2d4b45c1f09020ce4f44a13b",
-                       "a6b28be510d8bfbf359bd2fb534f6e5e7966d1ce0d01418184f144224c719e17"]
+    assert digests == expected
 
 
 @pytest.mark.parametrize("rule", [Rule(kind="pool", values=()), Rule(kind="constant", value=5)],
