@@ -7,6 +7,9 @@ For the shipping seeds 7 and 1001 it runs, in process and inside OUT_DIR:
   10% anomalies and its labels, and a 300-trace log with every trace
   mutated and its labels, which gives each mutation kind hundreds of times;
 - ``edbn train`` at k = 1 and 2: the model file and stdout;
+- ``edbn train`` at k = 1 on two quoted copies of the training log, one with a
+  single value quoted on line 2 and one with every field quoted: each model
+  file must equal the unquoted log's byte for byte, or the script fails;
 - ``edbn score --explain 3`` with each model: the ranking, its explanations and
   stdout, for the test log as generated and again with ``item`` unique per event.
 
@@ -49,6 +52,18 @@ def _unique_item(src: str, dst: str) -> None:
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
+def _quoted_copies(src: str, one: str, every: str) -> None:
+    """Copies of the log with the third field of line 2 quoted, and with every field quoted."""
+    with open(src, newline="", encoding="utf-8") as fh:
+        header, first, *rows = csv.reader(fh)
+    with open(every, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows([header, first, *rows])
+    first[2] = f'"{first[2]}"'
+    with open(one, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n" + ",".join(first) + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("out_dir")
@@ -70,6 +85,7 @@ def main() -> int:
         _run(edbn, ["generate", "--out", f"{d}/all-anomalous.csv", "--labels", f"{d}/all-anomalous-labels.csv",
                     "--n-traces", "300", "--fraction", "1.0", "--seed", str(seed + 2)])
         _unique_item(f"{d}/test.csv", f"{d}/test-unique-item.csv")
+        _quoted_copies(f"{d}/train.csv", f"{d}/train-one-quoted.csv", f"{d}/train-all-quoted.csv")
         for k in KS:
             model = f"{d}/model-k{k}.json"
             _run(edbn, ["train", "--log", f"{d}/train.csv", "--trace-col", "case_id", "--out", model, "--k", str(k)],
@@ -78,6 +94,11 @@ def main() -> int:
                 ranking = f"{d}/{test}-k{k}.ranking.csv"
                 _run(edbn, ["score", "--model", model, "--log", f"{d}/{test}.csv", "--out", ranking, "--explain", "3"],
                      f"{ranking}.stdout")
+        for copy in ("train-one-quoted", "train-all-quoted"):
+            model = f"{d}/{copy}-model-k1.json"
+            _run(edbn, ["train", "--log", f"{d}/{copy}.csv", "--trace-col", "case_id", "--out", model, "--k", "1"])
+            if Path(model).read_bytes() != Path(f"{d}/model-k1.json").read_bytes():
+                raise SystemExit(f"{model} differs from {d}/model-k1.json")
     print(f"wrote {sum(1 for p in Path('.').rglob('*') if p.is_file())} files to {out}")
     return 0
 

@@ -6,14 +6,13 @@ formats are the delimited-text and JSON formats of the library modules.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .detect import TraceScore, explain, rank_traces
 from .evaluate import render_report, run_experiment, serialize_curve, serialize_scores
-from .event_log import AttributeSchema, DuplicateEventIdError, EventLog, LogFormatError, csv_text, load_log, open_utf8, serialize_log
+from .event_log import AttributeSchema, DuplicateEventIdError, EventLog, LogFormatError, csv_text, load_log, open_utf8, read_header, serialize_log
 from .model import learn_edbn, read_model, write_model
 from .synth import (
     LabeledLog,
@@ -44,8 +43,7 @@ def _stage(name: str, fn, *args, **kwargs):
 def _header(config: argparse.Namespace, path: str) -> list[str]:
     """Column names from the log's header row, read as load_log reads it."""
     with open_utf8(path) as fh:
-        first = next(csv.reader(fh, delimiter=config.delimiter), [])
-    return [c.strip() for c in first]
+        return read_header(fh, config.delimiter)[0]
 
 
 def _schema_for(config: argparse.Namespace, path: str) -> AttributeSchema:

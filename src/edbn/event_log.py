@@ -10,19 +10,19 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import Counter, deque
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, compress, islice, repeat, tee
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter, le
-from typing import Iterable, NamedTuple, Sequence, TextIO, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO, Union
 
 # Reserved padding token for missing history. Ingestion rejects logs that
 # contain it as a value.
 PADDING = "__NONE__"
 
-_CHUNK_ROWS = 4096  # parse_log reads, checks and codes this many lines (csv: rows) at a time
+_CHUNK_ROWS = 4096  # parse_log reads, checks and codes this many lines at a time (more where a quoted field goes on)
 _LAST_CHAR = itemgetter(slice(-1, None))
 
 
@@ -107,9 +107,9 @@ class EventLog:
     from them when first read.  parse_log codes a log as it reads it, so its
     vocabularies follow first appearance in the file, which differs from the
     log's where traces interleave or an order column moves an event.
-    generate, inject_anomalies and ``EventLog(schema, traces)`` (kept as
-    ``traces``) code in log order through _from_columns.  Equality ignores
-    vocabulary order, and a log is immutable.
+    generate, ``EventLog(schema, traces)`` (kept as ``traces``) and
+    inject_anomalies, where it mutates a trace, code in log order through
+    _from_columns.  Equality ignores vocabulary order, and a log is immutable.
     """
 
     def __init__(self, schema: AttributeSchema, traces: Sequence[Trace]):
@@ -294,19 +294,62 @@ def _code_chunk(fields, coders, plain, trace_i: int) -> bool:
     return True
 
 
-def _raise_first_fault(reader, start: int, width: int, trace_i: int, attr_is: Sequence[int]) -> None:
-    """Reads rows on from the first line of a faulty chunk, ``start`` lines into the
-    text, and raises the csv.Error or the LogFormatError of the first faulty one."""
-    for row in reader:
-        if not row:  # a blank line yields []
-            continue
-        line = start + reader.line_num
-        if len(row) != width:
-            raise LogFormatError(f"line {line}: expected {width} fields, got {len(row)}")
-        if not row[trace_i].strip():
-            raise LogFormatError(f"line {line}: empty trace id")
-        if any(row[i].strip() == PADDING for i in attr_is):
-            raise LogFormatError(f"line {line}: reserved token {PADDING!r} used as a value")
+def _csv_rows(lines: Iterable[str], delimiter: str):
+    """A strict csv reader of ``lines``; a line that holds NUL raises csv.Error before csv reads it,
+    which Python 3.10's csv rejects and later ones read as a character."""
+    return csv.reader(map(_no_nul, lines), delimiter=delimiter, strict=True)
+
+
+def _no_nul(line: str) -> str:
+    if "\0" in line:
+        raise csv.Error("NUL character")
+    return line
+
+
+def read_header(lines: Iterator[str], delimiter: str) -> tuple[list[str], int]:
+    """The stripped column names of the first row of ``lines`` and the number of lines it takes,
+    read as parse_log reads every row; no row, or a faulty one, raises LogFormatError."""
+    reader = _csv_rows(lines, delimiter)
+    try:
+        return [c.strip() for c in next(reader)], reader.line_num
+    except StopIteration:
+        raise LogFormatError("empty log") from None
+    except csv.Error as exc:
+        raise LogFormatError(f"line 1: {exc}") from None
+
+
+def _read_columns(chunk: list[str], lines: Iterator[str], delimiter: str, width: int) -> list | None:
+    """The columns of ``chunk`` read by strict csv, or None at a faulty row.  Where csv fails at the
+    chunk's last line, whose row may be a quoted field that goes on, the chunk is doubled in place
+    from ``lines`` and read again; csv's field_size_limit bounds how far an open quote reads."""
+    reader = _csv_rows(chunk, delimiter)
+    try:
+        rows = [row for row in reader if row]  # a blank line yields []
+    except csv.Error:
+        if reader.line_num == len(chunk) and (more := list(islice(lines, len(chunk)))):
+            chunk += more
+            return _read_columns(chunk, lines, delimiter, width)
+        return None
+    return None if set(map(len, rows)) - {width} else list(zip(*rows)) or [()] * width
+
+
+def _raise_first_fault(chunk, start: int, delimiter: str, width: int, trace_i: int, attr_is: Sequence[int]) -> None:
+    """Reads the rows of a faulty chunk, ``start`` lines into the text, and raises the
+    LogFormatError of the first faulty one, named by the line on which the row begins."""
+    reader, line = _csv_rows(chunk, delimiter), start + 1
+    try:
+        for row in reader:
+            if not row:  # a blank line yields []
+                pass
+            elif len(row) != width:
+                raise LogFormatError(f"line {line}: expected {width} fields, got {len(row)}")
+            elif not row[trace_i].strip():
+                raise LogFormatError(f"line {line}: empty trace id")
+            elif any(row[i].strip() == PADDING for i in attr_is):
+                raise LogFormatError(f"line {line}: reserved token {PADDING!r} used as a value")
+            line = start + reader.line_num + 1
+    except csv.Error as exc:
+        raise LogFormatError(f"line {line}: {exc}") from None
     raise AssertionError("a faulty chunk read again without a fault")
 
 
@@ -322,30 +365,25 @@ def parse_log(
 
     Rows are grouped by the trace-id column; within a trace, events keep file
     order unless the schema names an event_order_column.  Raises
-    LogFormatError for malformed rows (with line number), unknown columns,
-    or empty input.
+    LogFormatError for malformed rows (naming the line on which the row
+    begins), unknown columns, or empty input.
 
     The text is read a chunk of lines at a time.  A chunk that csv would read
     as plain splits at the delimiter (see _split_columns) is split with
-    str.split; from the first chunk that is not, csv reads the rest a chunk of
-    rows at a time, as a quoted field may span lines.  Each attribute and the
-    trace id is coded as it is read (see EventLog).  A faulty chunk is read
-    again row by row to name its first faulty line.
+    str.split; any other chunk is read on its own by strict csv, extended
+    while a quoted field runs past its end (see _read_columns).  Each
+    attribute and the trace id is coded as it is read (see EventLog).  A
+    faulty chunk is read again row by row to name its first faulty line.
     """
     if isinstance(source, str):
-        source = io.StringIO(source)
+        source = io.StringIO(source, newline="")  # a lone CR ends a line, as in a file load_log opens
     lines = iter(source)
-    reader = csv.reader(lines, delimiter=delimiter)
-
     if header:
-        try:
-            columns = [c.strip() for c in next(reader)]
-        except StopIteration:
-            raise LogFormatError("empty log") from None
+        columns, start = read_header(lines, delimiter)
+    elif column_names is None:
+        raise LogFormatError("column_names is required when the input has no header")
     else:
-        if column_names is None:
-            raise LogFormatError("column_names is required when the input has no header")
-        columns = [c.strip() for c in column_names]
+        columns, start = [c.strip() for c in column_names], 0
 
     col_index: dict[str, int] = {}
     for i, name in enumerate(columns):
@@ -360,31 +398,11 @@ def parse_log(
     # per coded column: raw value -> code, stripped value -> code (the vocabulary), codes
     coders = {i: ({}, {}, []) for i in (*attr_is, trace_i)}
     plain = {col_index[c]: [] for c in optional}  # stripped values
-    start = reader.line_num  # lines of the header
     while chunk := list(islice(lines, _CHUNK_ROWS)):
-        fields = _split_columns(chunk, delimiter, width)
-        if fields is None:
-            break
-        if not _code_chunk(fields, coders, plain, trace_i):
-            _raise_first_fault(csv.reader(chunk, delimiter=delimiter), start, width, trace_i, attr_is)
+        fields = _split_columns(chunk, delimiter, width) or _read_columns(chunk, lines, delimiter, width)
+        if fields is None or not _code_chunk(fields, coders, plain, trace_i):
+            _raise_first_fault(chunk, start, delimiter, width, trace_i, attr_is)
         start += len(chunk)
-    # csv reads the rest; ``behind`` holds the lines of the chunk being read, to read them again on a fault
-    lines, behind = tee(chain(chunk, lines))
-    reader = csv.reader(lines, delimiter=delimiter)
-    read = 0
-    while True:
-        deque(islice(behind, reader.line_num - read), maxlen=0)  # lines of the last chunk
-        read = reader.line_num
-        try:
-            rows = list(filter(None, islice(reader, _CHUNK_ROWS)))  # a blank line yields []
-            coded = not set(map(len, rows)) - {width} and _code_chunk(
-                list(zip(*rows)) or [()] * width, coders, plain, trace_i)
-        except csv.Error:
-            coded = False
-        if not coded:
-            _raise_first_fault(csv.reader(behind, delimiter=delimiter), start + read, width, trace_i, attr_is)
-        if reader.line_num == read:
-            break
 
     _, trace_vocab, trace_codes = coders[trace_i]
     if not trace_codes:

@@ -246,7 +246,8 @@ def inject_anomalies(log: EventLog, fraction: float, seed: int) -> LabeledLog:
     an attribute value with another active-domain value, or replace one with
     a fresh unseen value.  Unchosen traces are returned untouched.  Only the
     chosen traces' rows (an event's id, then its values) are edited, and the
-    rows are coded as generate codes its columns, building no Event or Trace.
+    rows are coded as generate codes its columns, building no Event or Trace;
+    where no trace is chosen, the log given is returned as it is.
     """
     if not 0 <= fraction <= 1:
         raise ValueError("fraction must be in [0, 1]")
@@ -255,6 +256,9 @@ def inject_anomalies(log: EventLog, fraction: float, seed: int) -> LabeledLog:
     n_mutate = math.ceil(fraction * len(log.trace_ids))
     rng = random.Random(seed)
     chosen = sorted(rng.sample(range(len(log.trace_ids)), n_mutate))
+    labels = dict.fromkeys(log.trace_ids, NORMAL)
+    if not chosen:
+        return LabeledLog(log, labels, {})
 
     domains = {a: sorted(vocab) for a, vocab in zip(log.schema.names, log.vocabularies)}
     multi_valued = [a for a in log.schema.names if len(domains[a]) >= 2]
@@ -263,7 +267,6 @@ def inject_anomalies(log: EventLog, fraction: float, seed: int) -> LabeledLog:
 
     rows = zip(log.event_ids, *log.columns)
     traces = [list(islice(rows, n)) for n in log.trace_lengths]
-    labels = dict.fromkeys(log.trace_ids, NORMAL)
     details: dict[str, tuple[Mutation, ...]] = {}
 
     for index in chosen:
@@ -390,18 +393,21 @@ def write_labels(labeled: LabeledLog, path) -> None:
 def read_labels(path) -> dict[str, str]:
     """trace id -> label from a labels file; a malformed file raises ValueError naming it and the line."""
     where = f"labels file {str(path)!r}"
-    reader = csv.DictReader(io.StringIO(_read_utf8(path, ValueError, "labels file"), newline=""))
-    if missing := {"trace_id", "label"}.difference(reader.fieldnames or ()):
-        raise ValueError(f"{where} has no {min(missing)!r} column in its header, line {max(reader.line_num, 1)}")
-    labels = {}
-    for row in reader:
-        at, trace_id, label = f"{where} line {reader.line_num}", row["trace_id"], row["label"]
-        if trace_id is None or label is None:
-            raise ValueError(f"{at}: no {'trace_id' if trace_id is None else 'label'!r} field")
-        if label not in (NORMAL, ANOMALOUS):
-            raise ValueError(f"{at}: unknown label {label!r} for trace {trace_id!r}")
-        if labels.setdefault(trace_id, label) != label:
-            raise ValueError(f"{at}: trace {trace_id!r} is labeled both {labels[trace_id]!r} and {label!r}")
+    reader = csv.DictReader(io.StringIO(_read_utf8(path, ValueError, "labels file"), newline=""), strict=True)
+    try:
+        if missing := {"trace_id", "label"}.difference(reader.fieldnames or ()):
+            raise ValueError(f"{where} has no {min(missing)!r} column in its header, line {max(reader.line_num, 1)}")
+        labels = {}
+        for row in reader:
+            at, trace_id, label = f"{where} line {reader.line_num}", row["trace_id"], row["label"]
+            if trace_id is None or label is None:
+                raise ValueError(f"{at}: no {'trace_id' if trace_id is None else 'label'!r} field")
+            if label not in (NORMAL, ANOMALOUS):
+                raise ValueError(f"{at}: unknown label {label!r} for trace {trace_id!r}")
+            if labels.setdefault(trace_id, label) != label:
+                raise ValueError(f"{at}: trace {trace_id!r} is labeled both {labels[trace_id]!r} and {label!r}")
+    except csv.Error as exc:
+        raise ValueError(f"{where} line {reader.reader.line_num}: {exc}") from None  # the line csv failed on
     if not labels:
         raise ValueError(f"{where} line {reader.line_num}: no trace is labeled")
     return labels

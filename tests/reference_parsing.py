@@ -2,9 +2,11 @@
 
 It builds one Event per row, groups rows by trace id in a dict, sorts each
 trace by its order column, and lets EventLog check the events for repeated
-ids.  ``test_parsing_equivalence`` requires the columnar parser to return
-the same traces, events and ids, or to raise the same error type with the
-same message.
+ids.  It reads the whole text with one strict csv reader: a quote opens and
+closes a field, a line that holds NUL is rejected on every Python version, and
+a faulty row is named by the line on which it begins.
+``test_parsing_equivalence`` requires the columnar parser to return the same
+traces, events and ids, or to raise the same error type with the same message.
 """
 from __future__ import annotations
 
@@ -23,6 +25,13 @@ def _order_key(values: Sequence[str]):
         return [(1, 0.0, v) for v in values]
 
 
+def _without_nul(lines):
+    for line in lines:
+        if "\0" in line:
+            raise csv.Error("NUL character")
+        yield line
+
+
 def reference_parse_log(
     source: Union[str, TextIO, Iterable[str]],
     schema: AttributeSchema,
@@ -32,14 +41,16 @@ def reference_parse_log(
     column_names: Sequence[str] | None = None,
 ) -> EventLog:
     if isinstance(source, str):
-        source = io.StringIO(source)
-    reader = csv.reader(source, delimiter=delimiter)
+        source = io.StringIO(source, newline="")
+    reader = csv.reader(_without_nul(source), delimiter=delimiter, strict=True)
 
     if header:
         try:
             columns = [c.strip() for c in next(reader)]
         except StopIteration:
             raise LogFormatError("empty log") from None
+        except csv.Error as exc:
+            raise LogFormatError(f"line 1: {exc}") from None
     else:
         if column_names is None:
             raise LogFormatError("column_names is required when the input has no header")
@@ -59,10 +70,16 @@ def reference_parse_log(
 
     trace_rows: dict[str, list[tuple[Event, str]]] = {}
     n_rows = 0
-    for row in reader:
+    while True:
+        line = reader.line_num + 1  # the line on which the next row begins
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:
+            raise LogFormatError(f"line {line}: {exc}") from None
         if not row:
             continue
-        line = reader.line_num
         if len(row) != len(columns):
             raise LogFormatError(f"line {line}: expected {len(columns)} fields, got {len(row)}")
         trace_id = row[col_index[schema.trace_id_column]].strip()

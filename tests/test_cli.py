@@ -409,11 +409,8 @@ def test_a_file_that_is_not_utf8_raises_its_readers_error_naming_it(tmp_path, re
     assert not isinstance(raised.value, UnicodeDecodeError)
 
 
-@pytest.mark.parametrize("command", ["train", "score", "evaluate"])
-def test_commands_name_a_log_that_is_not_utf8(tmp_path, permission_file, capsys, command):
-    # the bad byte sits in a data row, past the header that the command reads first
-    path = tmp_path / "latin1.csv"
-    path.write_bytes(b"a,tid\nx\xff,1\n")
+def _run_on_log(command, path, tmp_path, permission_file, capsys):
+    """Exit status and stderr of ``command`` (train, score or evaluate) reading the ``a,tid`` log at ``path``."""
     model_path, labels_path = tmp_path / "model.json", tmp_path / "labels.csv"
     assert main(["train", "--log", str(permission_file), "--out", str(model_path), *SCHEMA_FLAGS]) == 0
     labels_path.write_text("trace_id,label\n1,normal\n", encoding="utf-8")
@@ -424,8 +421,16 @@ def test_commands_name_a_log_that_is_not_utf8(tmp_path, permission_file, capsys,
                      "--trace-col", "tid"],
     }[command]
     capsys.readouterr()
-    assert main(argv) == 1
-    err = capsys.readouterr().err
+    return main(argv), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "score", "evaluate"])
+def test_commands_name_a_log_that_is_not_utf8(tmp_path, permission_file, capsys, command):
+    # the bad byte sits in a data row, past the header that the command reads first
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"a,tid\nx\xff,1\n")
+    status, err = _run_on_log(command, path, tmp_path, permission_file, capsys)
+    assert status == 1
     assert f"log file {str(path)!r} is not UTF-8 text" in err and "codec" not in err
 
 
@@ -457,3 +462,12 @@ def test_ranking_and_scores_files_quote_trace_ids(tmp_path, capsys):
         assert all(repr(float(row[1])) == row[1] for row in rows[1:])
         # ids that hold no delimiter, quote or line break are written bare, as before
         assert '\n"t,1",' in text and '\n"t""3",' in text and "\nt0002," in text
+
+
+@pytest.mark.parametrize("command", ["train", "score", "evaluate"])
+def test_commands_read_the_header_as_parse_log_does(tmp_path, permission_file, capsys, command):
+    # an open quote in the header reads to the end of the file; the schema stage names line 1
+    path = tmp_path / "quoted.csv"
+    path.write_text('a,"tid\nx,1\n', encoding="utf-8")
+    assert _run_on_log(command, path, tmp_path, permission_file, capsys) == (
+        1, "error in schema: line 1: unexpected end of data\n")

@@ -1,7 +1,12 @@
+import re
+from dataclasses import replace
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import edbn.event_log
 from edbn import (
     PADDING,
     AttributeSchema,
@@ -11,12 +16,15 @@ from edbn import (
     Trace,
     Variable,
     build_k_context,
+    default_shipping_model,
+    generate,
     learn_edbn,
     parse_log,
     serialize_log,
 )
 
 from conftest import ATTRS, PERMISSION_ROWS_FULL, PERMISSION_ROWS
+from test_synth import _mutated_text
 
 
 def test_parse_groups_normal_rows_into_three_traces(permission_log):
@@ -251,3 +259,30 @@ def test_event_arity_checked_at_log_construction():
     for bad in (PADDING, 5, None, ["a"]):
         with pytest.raises(ValueError, match=r"event '2' holds .* as 'B'"):
             EventLog(schema, (Trace("1", (fine, Event("1", ("a", "b")))), Trace("2", (Event("2", ("a", bad)),))))
+
+
+LOG_TOKENS = [",", '"', "\n", "\r", "\r\n", "\x00", "\ufeff", " ", "", "x", PADDING, "t0001", "case_id", "event_id"]
+SHIPPING = default_shipping_model()
+SHIPPING_SCHEMA = AttributeSchema(SHIPPING.attributes, SHIPPING.trace_id_column)
+
+
+@pytest.fixture(scope="module")
+def shipping_text():
+    return serialize_log(generate(SHIPPING, 6, 5))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_parser_rejects_or_round_trips_every_mutated_log(shipping_text, data):
+    # a serialized log with one to three token edits either raises LogFormatError naming a line
+    # (or the empty log or a missing column), or parses into a log that serializes and parses back
+    text = data.draw(_mutated_text(shipping_text, LOG_TOKENS))
+    with mock.patch.object(edbn.event_log, "_CHUNK_ROWS", data.draw(st.sampled_from([1, 8, 4096]))):
+        try:
+            log = parse_log(text, SHIPPING_SCHEMA)
+        except LogFormatError as exc:
+            assert re.fullmatch(r"line [1-9]\d*: .*|empty log|column '.*' not found in input", str(exc), re.S), str(exc)
+            return
+    again = parse_log(serialize_log(log), replace(SHIPPING_SCHEMA, event_id_column="event_id"))
+    assert (again.trace_ids, again.trace_lengths, again.event_ids, again.columns) == (
+        log.trace_ids, log.trace_lengths, log.event_ids, log.columns)

@@ -5,13 +5,14 @@ type with the same message, line number included; and the k-context of a
 parsed log, taken from its codes, must equal that of the log built from its
 traces.  The inputs cover quoted delimiters and line breaks, blank lines,
 padded values, a UTF-8 BOM, numeric and text order columns, headerless
-input, missing and repeated event ids, short and long rows, empty trace ids
-and the reserved padding token; chunks as small as one line put record
-boundaries everywhere.
+input, missing and repeated event ids, short and long rows, empty trace ids,
+the reserved padding token, open quotes, text after a closing quote and NUL;
+chunks as small as one line put record boundaries everywhere.
 """
 import csv
 import io
 import itertools
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -27,6 +28,7 @@ from edbn import (
     AttributeSchema,
     Event,
     EventLog,
+    LogFormatError,
     Trace,
     build_k_context,
     default_shipping_model,
@@ -125,7 +127,7 @@ def parse_at(chunk_rows, text, schema, **options):
     with mock.patch.object(edbn.event_log, "_CHUNK_ROWS", chunk_rows):
         try:
             return parse_log(text, schema, **options)
-        except (ValueError, csv.Error):
+        except ValueError:
             return None
 
 
@@ -161,7 +163,7 @@ RAW_BODIES = st.text(alphabet='ab,"\n\r \t_\0', max_size=40)
 @settings(max_examples=300, deadline=None)
 @given(RAW_BODIES, CHUNK_ROWS, st.booleans())
 def test_columnar_parser_equals_the_reference_on_raw_text(body, chunk_rows, bom):
-    # unterminated quotes, quotes inside fields, stray line breaks and NUL bytes, as csv reads them
+    # unterminated quotes, quotes inside fields, stray line breaks and NUL bytes, as strict csv reads them
     _assert_same_outcome("a,b\n" + body, bom, AttributeSchema(("a",), "b"), chunk_rows)
     _assert_same_k_context("a,b\n" + body, AttributeSchema(("a",), "b"), chunk_rows)
 
@@ -172,12 +174,12 @@ def test_a_field_over_the_csv_limit_fails_as_csv_fails():
     limit = csv.field_size_limit(100)
     try:
         assert _outcome(parse_log, text, schema) == _outcome(reference_parse_log, text, schema)
-        assert _outcome(parse_log, text, schema)[0] is csv.Error
+        assert _outcome(parse_log, text, schema) == (LogFormatError, "line 3: field larger than field limit (100)")
     finally:
         csv.field_size_limit(limit)
 
 
-# --- the split path and the switch to csv ---------------------------------------------
+# --- the split path and the csv path, chosen per chunk ----------------------------------
 
 SPLIT_SCHEMA = AttributeSchema(("a",), "b")
 SPLIT_CHUNK_ROWS = (1, 2, 3, 4, 4096)
@@ -204,14 +206,17 @@ def _assert_same_at_every_chunk_size(text, schema=SPLIT_SCHEMA, **options):
     return _outcome(parse_log, text, schema, **options)
 
 
-def test_a_quoted_field_over_two_lines_after_a_quote_free_chunk_switches_to_csv():
+def test_a_quoted_field_over_two_lines_is_read_by_csv_in_its_chunk_alone():
     text = "a,b\n" + "x,t1\n" * 4 + '"p\nq",t1\n' + "y,t2\n" * 3
     outcome = _assert_same_at_every_chunk_size(text)
     assert outcome == [("t1", [(str(i), ("x",)) for i in range(4)] + [("4", ("p\nq",))]),
                        ("t2", [(str(i), ("y",)) for i in range(5, 8)])]
-    for chunk_rows in (1, 2, 3, 4):
-        taken = _split_taken(text, SPLIT_SCHEMA, chunk_rows)
-        assert taken == [True] * (4 // chunk_rows) + [False]  # csv reads the rest
+    # the chunk that holds the quote goes to csv (one-line chunks are extended to its second
+    # line); the chunks after it are split again
+    assert _split_taken(text, SPLIT_SCHEMA, 1) == [True] * 4 + [False] + [True] * 3
+    assert _split_taken(text, SPLIT_SCHEMA, 2) == [True, True, False, True, True]
+    assert _split_taken(text, SPLIT_SCHEMA, 3) == [True, False, True]
+    assert _split_taken(text, SPLIT_SCHEMA, 4) == [True, False, True]
     assert _split_taken(text, SPLIT_SCHEMA, 4096) == [False]
 
 
@@ -219,13 +224,12 @@ def test_a_quoted_field_over_two_lines_after_a_quote_free_chunk_switches_to_csv(
                                             ("z, \n", "empty trace id"), (f"{PADDING},t1\n", "reserved token")])
 @pytest.mark.parametrize("quoted", [False, True])
 def test_a_fault_is_named_by_its_line_on_both_paths(fault, message, quoted):
-    # line 6 is faulty, inside a split chunk, or after a quoted field on line 4 has sent the text to csv
+    # line 6 is faulty, inside a split chunk, or after a chunk that a quoted field on line 4 sent to csv
     text = "a,b\nx,t1\n\n" + ('"x",t1\n' if quoted else "x,t1\n") + "y,t2\n" + fault + "y,t2\n"
     error, text_of_error = _assert_same_at_every_chunk_size(text)
     assert error is edbn.event_log.LogFormatError and text_of_error.startswith(f"line 6: {message}")
     # two-line chunks: a line of another width is left to csv too, which names it
-    expected = [True, False] if quoted else [True, True, "fields" not in message]
-    assert _split_taken(text, SPLIT_SCHEMA, 2) == expected
+    assert _split_taken(text, SPLIT_SCHEMA, 2) == [True, not quoted, "fields" not in message]
 
 
 def test_blank_lines_inside_and_at_the_end_of_a_chunk_are_skipped():
@@ -242,11 +246,44 @@ def test_a_last_line_without_a_line_break(last):
     _assert_same_at_every_chunk_size("a,b\nx,t1\ny,t1\n" + last)
 
 
-def test_nul_in_quote_free_text_is_left_to_csv():
-    # csv reads NUL as a character from Python 3.11 and rejects it before
+def test_nul_in_quote_free_text_is_rejected_naming_its_line():
+    # csv reads NUL as a character from Python 3.11 and rejects it before; parse_log rejects it on both
     text = "a,b\nx,t1\ny\0z,t1\nw,t2\n"
-    _assert_same_at_every_chunk_size(text)
+    assert _assert_same_at_every_chunk_size(text) == (LogFormatError, "line 3: NUL character")
     assert _split_taken(text, SPLIT_SCHEMA, 1) == [True, False]
+
+
+_OPEN_QUOTE_LOG = "a,b\n" + "".join(f"x{i},t{i // 5000}\n" if i != 5000 else '"x,t1\n' for i in range(10_000))
+
+
+@pytest.mark.parametrize("text, error", [
+    ('a,b\n"x,t1\ny,t2\nz,t3\n', "line 2: unexpected end of data"),  # an open quote reads to the end
+    (_OPEN_QUOTE_LOG, "line 5002: unexpected end of data"),
+    ('a,b\n"x"y,t1\n', "line 2: ',' expected after '\"'"),  # text after a closing quote
+    ('a,b\nx,t1\ry\n', "line 3: expected 2 fields, got 1"),  # a lone CR ends a line
+    ('a,"b\nx,t1\n', "line 1: unexpected end of data"),  # in the header
+    ('a,b\n"x\n\0",t1\n', "line 2: NUL character"),  # named by the line on which its row begins
+], ids=["open-quote", "open-quote-in-10001-lines", "text-after-quote", "lone-cr", "header", "nul-in-quotes"])
+def test_malformed_text_is_a_format_error_naming_the_line_its_row_begins_on(text, error):
+    for chunk_rows in SPLIT_CHUNK_ROWS:
+        _assert_same_outcome(text, False, SPLIT_SCHEMA, chunk_rows)
+        with mock.patch.object(edbn.event_log, "_CHUNK_ROWS", chunk_rows):
+            with pytest.raises(LogFormatError, match=f"^{re.escape(error)}$"):
+                parse_log(text, SPLIT_SCHEMA)
+
+
+def test_a_lone_cr_ends_a_line_in_every_source():
+    text = "a,b\nx,t1\ry,t2\r\nz,t1\r"
+    assert _assert_same_at_every_chunk_size(text) == [("t1", [("0", ("x",)), ("2", ("z",))]), ("t2", [("1", ("y",))])]
+
+
+def test_a_quoted_field_over_many_chunks_is_read_whole():
+    # a one-line chunk on line 3 is doubled to 16 lines, past the closing quote on line 13;
+    # the chunks from line 19 are split again
+    text = "a,b\nx,t1\n" + '"' + "p\n" * 10 + '",t1\n' + "y,t2\n" * 20
+    assert _assert_same_at_every_chunk_size(text) == [
+        ("t1", [("0", ("x",)), ("1", (("p\n" * 10).strip(),))]), ("t2", [(str(i), ("y",)) for i in range(2, 22)])]
+    assert _split_taken(text, SPLIT_SCHEMA, 1) == [True, False] + [True] * 15
 
 
 @pytest.mark.parametrize("field", [60, 101])
@@ -257,8 +294,8 @@ def test_a_line_over_the_csv_field_limit_is_left_to_csv(field):
     limit = csv.field_size_limit(100)
     try:
         outcome = _assert_same_at_every_chunk_size(text, schema)
-        assert (outcome[0] is csv.Error) == (field > 100)
-        assert _split_taken(text, schema, 1) == [True, False]
+        assert (outcome[0] is LogFormatError) == (field > 100)
+        assert _split_taken(text, schema, 1) == [True, False] + [True] * (field <= 100)
     finally:
         csv.field_size_limit(limit)
 

@@ -127,7 +127,7 @@ def clean_log():
 
 def test_fraction_zero_changes_nothing(clean_log):
     labeled = inject_anomalies(clean_log, 0.0, seed=1)
-    assert labeled.log == clean_log
+    assert labeled.log is clean_log  # returned as it is, not coded again
     assert set(labeled.labels.values()) == {NORMAL}
     assert labeled.anomaly_details == {}
 
@@ -369,19 +369,29 @@ def test_labels_file_with_an_unknown_label_or_a_missing_field_names_the_file_and
         read_labels(path)
 
 
+def test_labels_file_is_read_as_strict_csv(tmp_path):
+    # text after a closing quote, and an open quote, are csv errors named by file and line
+    path = tmp_path / "labels.csv"
+    for text, line, error in [('trace_id,label\nt0,"nor"mal\n', 2, "',' expected after '\"'"),
+                              ('trace_id,"label\nt0,normal\n', 2, "unexpected end of data")]:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"labels file '{path}' line {line}: {error}")):
+            read_labels(path)
+
+
 LABEL_TOKENS = [",", '"', "\n", "\r", "\r\n", "\x00", "\ufeff", " ", "", "x", NORMAL, ANOMALOUS, "t0001",
                 "trace_id", "label"]
 
 
 @st.composite
-def _mutated_labels(draw, text):
-    """A labels document with one to three edits: a token inserted, a span deleted, or a line
-    replaced by a token, duplicated or moved."""
+def _mutated_text(draw, text, tokens):
+    """A text file with one to three edits: one of ``tokens`` inserted, a span deleted, or a
+    line replaced by a token, duplicated or moved."""
     for _ in range(draw(st.integers(1, 3))):
         at = draw(st.integers(0, len(text)))
         how = draw(st.sampled_from(["insert", "delete", "replace line", "duplicate line", "move line"]))
         if how == "insert":
-            text = text[:at] + draw(st.sampled_from(LABEL_TOKENS)) + text[at:]
+            text = text[:at] + draw(st.sampled_from(tokens)) + text[at:]
         elif how == "delete":
             text = text[:at] + text[at + draw(st.integers(1, 12)):]
         else:
@@ -389,13 +399,17 @@ def _mutated_labels(draw, text):
             i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines)))
             line = lines[i]
             if how == "replace line":
-                lines[i] = draw(st.sampled_from(LABEL_TOKENS)) + "\n"
+                lines[i] = draw(st.sampled_from(tokens)) + "\n"
             elif how == "duplicate line":
                 lines.insert(j, line)
             else:
                 lines.insert(j, lines.pop(i))
             text = "".join(lines)
     return text
+
+
+def _mutated_labels(text):
+    return _mutated_text(text, LABEL_TOKENS)
 
 
 @pytest.fixture(scope="module")
