@@ -10,8 +10,12 @@ For the shipping seeds 7 and 1001 it runs, in process and inside OUT_DIR:
 - ``edbn train`` at k = 1 on two quoted copies of the training log, one with a
   single value quoted on line 2 and one with every field quoted: each model
   file must equal the unquoted log's byte for byte, or the script fails;
-- ``edbn score --explain 3`` with each model: the ranking, its explanations and
-  stdout, for the test log as generated and again with ``item`` unique per event.
+- ``edbn score --explain 3`` and ``--explain 50`` with each model: the ranking,
+  its explanations and stdout, for the test log as generated and again with
+  ``item`` unique per event, where every trace holds zero factors; 50 reaches
+  well past the first few blocks of each trace.
+
+76 files in all.
 
 Run it on two trees and compare; an empty ``diff -r`` is the gate:
 
@@ -91,9 +95,10 @@ def main() -> int:
             _run(edbn, ["train", "--log", f"{d}/train.csv", "--trace-col", "case_id", "--out", model, "--k", str(k)],
                  f"{model}.stdout")
             for test in ("test", "test-unique-item"):
-                ranking = f"{d}/{test}-k{k}.ranking.csv"
-                _run(edbn, ["score", "--model", model, "--log", f"{d}/{test}.csv", "--out", ranking, "--explain", "3"],
-                     f"{ranking}.stdout")
+                for top_n, name in (("3", f"{test}-k{k}"), ("50", f"{test}-k{k}-explain50")):
+                    ranking = f"{d}/{name}.ranking.csv"
+                    _run(edbn, ["score", "--model", model, "--log", f"{d}/{test}.csv", "--out", ranking,
+                                "--explain", top_n], f"{ranking}.stdout")
         for copy in ("train-one-quoted", "train-all-quoted"):
             model = f"{d}/{copy}-model-k1.json"
             _run(edbn, ["train", "--log", f"{d}/{copy}.csv", "--trace-col", "case_id", "--out", model, "--k", "1"])

@@ -6,27 +6,34 @@ ascending.  Scoring is read-only on the model and safe to run concurrently.  Eve
 the factor blocks of the model's runs of key-sharing attributes and adds an event's blocks' logs
 as exact fixed-point ints, in pure Python (numpy would add about 11 MB): score_log reads the log's
 code columns a chunk of whole traces at a time and computes each block once per distinct key;
-score_trace and score_prefix compute each event's blocks from its own k-context.
+score_trace and score_prefix compute each event's blocks from its own k-context.  A TraceScore
+holds each event's blocks by reference; its factor values and decomposition are decoded when first
+read, and explain reads only the blocks whose smallest factor can be among the top n.
 """
 from __future__ import annotations
 
-import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, compress
+from operator import attrgetter, itemgetter
 from typing import Sequence, Union
 
 from .event_log import Event, EventLog, Trace, Variable
-from .model import EDBNModel, EventScore, decompose
+from .model import Block, EDBNModel, EventScore, decompose
 
 
 @dataclass(frozen=True)
 class TraceScore:
-    """A trace's score with its factor values, event after event in the model's layout.
+    """A trace's score with its factor blocks, event after event in the model's layout.
 
-    ``factor_labels`` gives each event's (attribute, kind, FD source or None)
-    layout; the per-event ``decomposition`` is built when first read.
+    ``blocks`` holds every event's runs' blocks (model.Block), one per run in run order, event
+    after event, in one tuple: one gc-tracked tuple per trace, where a tuple per event would
+    make the collector run about three times as often.  An event's factors are its blocks'
+    factors in order, laid out as ``factor_labels``: per factor, its (attribute, kind, FD source
+    or None).  ``factor_values``, flat event after event, and the per-event ``decomposition`` are
+    built when first read.
     """
 
     trace_id: str
@@ -34,8 +41,12 @@ class TraceScore:
     event_count: int
     log_score: float
     event_ids: tuple[str, ...]
-    factor_values: tuple[float, ...]
+    blocks: tuple[Block, ...]
     factor_labels: tuple[tuple[str, str, Variable | None], ...]
+
+    @cached_property
+    def factor_values(self) -> tuple[float, ...]:
+        return tuple(chain.from_iterable(map(itemgetter(0), self.blocks)))
 
     @cached_property
     def decomposition(self) -> tuple[EventScore, ...]:
@@ -43,7 +54,9 @@ class TraceScore:
 
     @property
     def zero_factor_count(self) -> int:
-        return self.factor_values.count(0.0) if self.log_score == -math.inf else 0  # a finite score has none
+        if self.log_score > -math.inf:
+            return 0  # a finite score has none
+        return sum(b[0].count(0.0) for b in self.blocks)
 
 
 @dataclass(frozen=True)
@@ -60,17 +73,17 @@ class Ranking:
         return [e.trace_id for e in self.entries]
 
 
-def _trace_score(model: EDBNModel, trace_id: str, event_ids: tuple[str, ...], values, logs) -> TraceScore:
+def _trace_score(model: EDBNModel, trace_id: str, event_ids: tuple[str, ...], blocks, logs) -> TraceScore:
     log_mean = math.fsum(logs) / len(event_ids)
     score = math.exp(log_mean) if log_mean > -math.inf else 0.0
-    return TraceScore(trace_id, score, len(event_ids), log_mean, event_ids, tuple(values),
+    return TraceScore(trace_id, score, len(event_ids), log_mean, event_ids, tuple(blocks),
                       model.scoring_tables.labels)
 
 
 def _score_events(model: EDBNModel, trace_id: str, events: Sequence[Event]) -> TraceScore:
     if not events:
         raise ValueError("cannot score an empty trace")
-    return _trace_score(model, trace_id, tuple(e.id for e in events), *model.scoring_tables.score(events))
+    return _trace_score(model, trace_id, tuple(map(attrgetter("id"), events)), *model.scoring_tables.score(events))
 
 
 def score_trace(model: EDBNModel, trace: Trace) -> TraceScore:
@@ -116,14 +129,33 @@ def explain(score: TraceScore, top_n: int) -> list[tuple[str, str, str, str | No
     """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
-    values, labels = score.factor_values, score.factor_labels
-    n = len(labels)
+    blocks, labels, n = score.blocks, score.factor_labels, len(score.factor_labels)
+    runs = len(blocks) // score.event_count  # every event's blocks are the model's runs, in the same layout
+    offsets = list(accumulate((len(b[0]) for b in blocks[:runs]), initial=0))  # each run's first label
+    lows = list(map(itemgetter(2), blocks))  # each block's smallest factor
+    # each block holds a factor equal to its smallest, so the top_n smallest factors are all at or under
+    # the top_n-th smallest block minimum, the bound, and only blocks whose minimum is at or under it hold any
+    ordered = sorted(lows)
+    bound = ordered[top_n - 1] if top_n <= len(lows) else math.inf
+    below = bisect_left(ordered, bound)  # blocks whose smallest factor is under the bound
+    taken = []  # (value, flat position) of each factor at or under the bound, in position order
+    for j in compress(range(len(lows)), map(bound.__ge__, lows)):
+        event, run = divmod(j, runs)
+        factors, _, low = blocks[j]
+        start = event * n + offsets[run]
+        if low < bound:
+            below -= 1
+            taken += [(v, start + i) for i, v in enumerate(factors) if v <= bound]
+        else:  # its factors at or under the bound are those equal to it
+            i = -1
+            for _ in range(factors.count(low)):
+                i = factors.index(low, i + 1)
+                taken.append((factors[i], start + i))
+        if not below and len(taken) >= top_n:
+            break  # any factor still unread equals the bound and sorts after every one taken
+    taken.sort(key=itemgetter(0))  # stable: ties keep position order
     entries = []
-    # the top_n smallest values, ascending, each at its first position not yet taken: the
-    # positions of sorted(range(len(values)), key=values.__getitem__)[:top_n]
-    i, last = -1, None
-    for value in heapq.nsmallest(top_n, values):
-        i, last = values.index(value, i + 1 if value == last else 0), value
+    for value, i in taken[:top_n]:
         attr, kind, source = labels[i % n]
-        entries.append((score.event_ids[i // n], attr, kind, source.column_name if source else None, values[i]))
+        entries.append((score.event_ids[i // n], attr, kind, source.column_name if source else None, value))
     return entries

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, groupby
-from operator import getitem, itemgetter
+from operator import attrgetter, getitem, itemgetter
 from typing import Iterable, Iterator, Sequence, Union
 
 from .event_log import (
@@ -205,6 +205,10 @@ def relation_probability(model: EDBNModel, attr: str, x: str, parent_values: tup
 _UNSEEN = object()
 _CHUNK_EVENTS = 512  # ScoringTables.score_traces reads whole traces, a chunk of about this many events at a time
 
+# A run's block (ScoringTables._block): its factor values, the int sum of their fixed-point logs (-inf when a
+# factor is zero), and its smallest factor.
+Block = tuple[tuple[float, ...], int | float, float]
+
 
 def _tuple_getter(positions: Sequence[int]):
     """k-context values -> the tuple of the values at ``positions``."""
@@ -232,11 +236,14 @@ class ScoringTables:
     sources.  ``_blocks`` holds one entry per run of attributes, taken in schema order, where each
     attribute joins the current run when its own positions share one with the union of the run's: the
     run's key, that union with each position once, and its members' entries, which read the key's values.
-    ``_fixed`` maps every float a factor can take to its log as a fixed-point int (_fixed_point).  Both
-    drivers, score and score_traces, take a run's factors from _block and an event's log as the int sum
-    of its blocks' logs times _scale: math.fsum of its factors' logs bit for bit, since the int sum is
-    exact and only its conversion to float rounds, half to even.  A single driver would slow one of two uses:
-    score_prefix by coding each prefix's events for score_traces, or score_log by decoding a log to strings.
+    ``_log_of`` maps every float a factor can take to its log as a fixed-point int (_fixed_point).  Both
+    drivers, score and score_traces, give every event's runs' blocks (Block), event after event in one
+    flat sequence, computed by _block (by score_traces once per distinct key) and held by reference,
+    never copied; and an event's log as the int sum of its blocks' logs times _scale: math.fsum of its
+    factors' logs bit for bit, since the int sum is exact and only its conversion to float rounds, half
+    to even.  A block is the same record whichever driver made it; explain reads its smallest factor, so
+    no driver sorts a block.  A single driver would slow one of two uses: score_prefix by coding each
+    prefix's events for score_traces, or score_log by decoding a log to strings.
     """
 
     def __init__(self, model: EDBNModel):
@@ -282,40 +289,42 @@ class ScoringTables:
             run.append((at(own[0]), values, unseen_value, relation, tuple(fds)))
         self.labels = tuple(labels)
         self._blocks = tuple((tuple(key), tuple(run)) for key, run in blocks)
-        self._scale, self._fixed = _fixed_point(rates)
+        self._runs = tuple((_tuple_getter(key), plan) for key, plan in self._blocks)  # score's key reader per run
+        self._scale, fixed = _fixed_point(rates)
+        self._log_of = fixed.__getitem__
 
-    def score(self, events: Sequence[Event]) -> tuple[list[float], list[float]]:
-        """Factor values of an event sequence, event after event, and each event's log-probability.
+    def score(self, events: Sequence[Event]) -> tuple[tuple[Block, ...], list[float]]:
+        """Every event's blocks, one per run in run order, event after event, and each event's log-probability.
 
         History comes from the sequence itself, padded at the head.  Each event reads every run's key
         from its k-context window and computes the run's block from it, with no memo.
         """
         if any(len(e.values) != self._n_attrs for e in events):
             raise ValueError("event values do not match the model's schema")
-        flat = self._padding + tuple(chain.from_iterable(e.values for e in events))
-        runs = [(_tuple_getter(key), plan) for key, plan in self._blocks]
-        block, scale, width = self._block, self._scale, self._width
-        values, logs = [], []
+        flat = self._padding + tuple(chain.from_iterable(map(attrgetter("values"), events)))
+        runs, block, scale, width = self._runs, self._block, self._scale, self._width
+        blocks, logs = [], []
         for start in range(0, len(flat) - len(self._padding), self._n_attrs):
             window = flat[start : start + width]
             total = 0
             for key_of, plan in runs:
-                run_values, run_log = block(plan, key_of(window))
-                values += run_values
-                total += run_log
+                run_block = block(plan, key_of(window))
+                blocks.append(run_block)
+                total += run_block[1]
             logs.append(float(total) * scale)
-        return values, logs
+        return tuple(blocks), logs
 
-    def score_traces(self, codes, vocabularies, trace_lengths) -> Iterator[tuple[list[float], list[float]]]:
+    def score_traces(self, codes, vocabularies, trace_lengths) -> Iterator[tuple[tuple[Block, ...], list[float]]]:
         """``score`` of each trace of a log held as code columns (per attribute, one code per event into
         its entry of ``vocabularies``), whose traces are runs of ``trace_lengths`` events.
 
         A chunk of whole traces, about _CHUNK_EVENTS events, at a time: a key position's column is its
         attribute's codes shifted by its lag within each trace, PADDING coded one past the vocabulary.
         Each run's key column maps through a dict, alive as long as this generator, of its blocks, each
-        computed once per distinct key by decoding the key's codes for _block.
+        computed once per distinct key by decoding the key's codes for _block; a trace's blocks are
+        references to those records, never copies of their factors.
         """
-        n, k, width = self._n_attrs, self._width // self._n_attrs - 1, len(self.labels)
+        n, k, runs = self._n_attrs, self._width // self._n_attrs - 1, len(self._blocks)
         decoders = [(*vocab, PADDING) for vocab in vocabularies]
         sources = [[(p % n, k - p // n) for p in key] for key, _ in self._blocks]  # (attribute, lag) of each position
         memos = [_Memo(lambda codes, plan=plan, decoders=[decoders[p % n] for p in key]:
@@ -333,18 +342,18 @@ class ScoringTables:
                 column += codes[a][lo : hi - lag]
                 for start, length in chunk[1:] if lag else ():
                     column[start - lo : start - lo + min(lag, length)] = [pad] * min(lag, length)
-            # per attribute, each event's block; then the factor values and the logs, event after event
+            # per run, each event's block; then every event's blocks, event after event, and each event's log
             blocks = [list(map(memo.__getitem__, zip(*map(columns.__getitem__, source))))
                       for memo, source in zip(memos, sources)]
-            values = list(chain.from_iterable(chain.from_iterable(zip(*[map(itemgetter(0), b) for b in blocks]))))
             logs = list(map(self._scale.__mul__, map(sum, zip(*[map(itemgetter(1), b) for b in blocks]))))
+            blocks = tuple(chain.from_iterable(zip(*blocks)))
             for start, length in chunk:
-                yield values[(start - lo) * width : (start - lo + length) * width], logs[start - lo : start - lo + length]
+                yield blocks[(start - lo) * runs : (start - lo + length) * runs], logs[start - lo : start - lo + length]
 
-    def _block(self, plan, key) -> tuple[tuple[float, ...], int | float]:
-        """A run's factor values, laid out as its members' labels, from its key's values: a tuple of floats
-        (untracked by gc), and the sum of their fixed-point logs, an int, or -inf when a factor is zero.
-        This is the only code that turns k-context values into factor values."""
+    def _block(self, plan, key) -> Block:
+        """A run's block from its key's values: its factor values laid out as its members' labels, a tuple of
+        floats (untracked by gc); the sum of their fixed-point logs, an int, or -inf when a factor is zero;
+        and the smallest factor.  This is the only code that turns k-context values into factor values."""
         out: list[float] = []
         append = out.append
         for x_at, values, unseen_value, relation, fds in plan:
@@ -358,7 +367,7 @@ class ScoringTables:
                 expected = expected_of.get(key[src_at])
                 append(agree if expected is None or expected == x else violate)
         factors = tuple(out)
-        return factors, sum(map(self._fixed.__getitem__, factors))
+        return factors, sum(map(self._log_of, factors)), min(factors)
 
 
 class _Memo(dict):
@@ -388,7 +397,8 @@ def decompose(
 def event_scores(model: EDBNModel, events: Sequence[Event]) -> list[EventScore]:
     """EventScore per event of an ordered (possibly partial) trace."""
     tables = model.scoring_tables
-    return decompose(tables.labels, [e.id for e in events], tables.score(events)[0])
+    values = list(chain.from_iterable(map(itemgetter(0), tables.score(events)[0])))
+    return decompose(tables.labels, [e.id for e in events], values)
 
 
 def trace_log_probability(model: EDBNModel, trace: Union[Trace, Sequence[Event]]) -> float:

@@ -145,15 +145,15 @@ class _CodedContext:
         keys, counts = key_counts(*tuple_keys(columns + [(self.codes[child], card)], self.n))
         term = self._parent_terms.get(parents)
         if term is None:
-            term = _sum_n_log_n(np.bincount(keys // card, weights=counts))
+            parent_counts = np.bincount(keys // card, weights=counts)  # zero at each key no row has
+            term = _sum_n_log_n(parent_counts[parent_counts > 0])
             self._parent_terms[parents] = term
         return _sum_n_log_n(counts) - term
 
 
 def _sum_n_log_n(counts: np.ndarray) -> float:
-    """sum c ln c over the nonzero counts, in their order."""
+    """sum c ln c over positive counts, in their order."""
     import numpy as np
-    counts = counts[counts > 0]
     return float((counts * np.log(counts)).sum())
 
 

@@ -393,7 +393,11 @@ def write_labels(labeled: LabeledLog, path) -> None:
 def read_labels(path) -> dict[str, str]:
     """trace id -> label from a labels file; a malformed file raises ValueError naming it and the line."""
     where = f"labels file {str(path)!r}"
-    reader = csv.DictReader(io.StringIO(_read_utf8(path, ValueError, "labels file"), newline=""), strict=True)
+    text = _read_utf8(path, ValueError, "labels file")
+    if "\0" in text:  # Python 3.10's csv rejects NUL and later ones read it as a character
+        line = sum(1 for _ in io.StringIO(text[: text.index("\0") + 1], newline=""))
+        raise ValueError(f"{where} line {line}: NUL character")
+    reader = csv.DictReader(io.StringIO(text, newline=""), strict=True)
     try:
         if missing := {"trace_id", "label"}.difference(reader.fieldnames or ()):
             raise ValueError(f"{where} has no {min(missing)!r} column in its header, line {max(reader.line_num, 1)}")

@@ -188,18 +188,38 @@ def test_explain_requires_positive_top_n(permission_model, permission_log):
 FACTOR_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324]), st.floats(0.0, 1.0))
 
 
+def _block(factors):
+    """A block record as ScoringTables builds it, with a stand-in for its log that is -inf exactly when a factor is zero."""
+    return factors, -math.inf if 0.0 in factors else 0, min(factors)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 4), st.data())
+@given(st.integers(1, 6), st.data())
 def test_explain_takes_the_positions_of_a_stable_sort(n_labels, data):
-    # ties, exact zeros and -0.0 next to 0.0 keep decomposition order; each factor's
-    # position has its own (event id, attribute), so a wrong position shows
+    # each event's factors come in blocks, one per run, as a model's runs of attributes: random run
+    # widths, and each event's block of a run drawn from a pool that the events share, as a batch
+    # score shares one block per distinct key.  A few distinct values per example make many ties;
+    # ties, exact zeros, -0.0 next to 0.0 and 5e-324 keep position order; each factor's position
+    # has its own (event id, attribute), so a wrong position shows
     n_events = data.draw(st.integers(1, 12))
-    values = tuple(data.draw(st.lists(FACTOR_VALUES, min_size=n_events * n_labels, max_size=n_events * n_labels)))
+    palette = data.draw(st.lists(FACTOR_VALUES, min_size=1, max_size=8))
+    cuts = sorted(data.draw(st.sets(st.integers(1, n_labels - 1)))) if n_labels > 1 else []
+    pools = [[] for _ in range(len(cuts) + 1)]  # per run, the blocks that events have drawn
+    blocks = []  # every event's blocks, event after event
+    for _ in range(n_events):
+        for pool, lo, hi in zip(pools, [0, *cuts], [*cuts, n_labels]):
+            if not pool or data.draw(st.booleans()):
+                pool.append(_block(tuple(data.draw(st.lists(st.sampled_from(palette), min_size=hi - lo, max_size=hi - lo)))))
+            blocks.append(data.draw(st.sampled_from(pool)))
+    flat = [v for factors, _, _ in blocks for v in factors]
     labels = tuple((f"a{j}", "value", None) for j in range(n_labels))
-    score = TraceScore("t", 0.5, n_events, -1.0, tuple(f"e{i}" for i in range(n_events)), values, labels)
-    for top_n in (1, 3, 5, 50, data.draw(st.integers(1, len(values) + 5))):
-        expected = [(f"e{i // n_labels}", f"a{i % n_labels}", "value", None, values[i])
-                    for i in sorted(range(len(values)), key=values.__getitem__)[:top_n]]
+    log_score = -math.inf if 0.0 in flat else -1.0
+    score = TraceScore("t", 0.5, n_events, log_score, tuple(f"e{i}" for i in range(n_events)), tuple(blocks), labels)
+    assert [repr(v) for v in score.factor_values] == [repr(v) for v in flat]
+    assert score.zero_factor_count == flat.count(0.0)
+    order = sorted(range(len(flat)), key=flat.__getitem__)
+    for top_n in range(1, len(flat) + 3):
+        expected = [(f"e{i // n_labels}", f"a{i % n_labels}", "value", None, flat[i]) for i in order[:top_n]]
         entries = explain(score, top_n)
         assert entries == expected
         assert [repr(e[4]) for e in entries] == [repr(e[4]) for e in expected]  # -0.0 is not 0.0

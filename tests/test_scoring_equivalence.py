@@ -313,6 +313,24 @@ def test_batch_ranking_never_scores_event_by_event_when_keys_rarely_repeat(monke
     _assert_scored_as_per_trace(model, ranking, log)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_block_scores_read_the_reference_factors_on_shipping_models(k):
+    # explain bounds its search by block minima; on a log with item unique per event every trace
+    # holds zeros, so at k=1 every score is 0 and explain's bound is 0 for every top_n up to the zeros
+    model, test = _shipping(k)
+    unique = _unique_value(test, lambda t, e: True)
+    for log in (test, unique):
+        ranking = rank_traces(model, log)
+        for entry in ranking:
+            trace = log.trace_by_id(entry.trace_id)
+            ref = ReferenceScore(model, trace)
+            for scored in (entry, score_trace(model, trace)):
+                assert scored.factor_values == tuple(f.value for ev in ref.decomposition for f in ev.factors)
+                _assert_equals_reference(scored, ref)
+    if k == 1:
+        assert {entry.score for entry in ranking} == {0.0}
+
+
 def _chunk_log(lengths, b_values="uv"):
     # A cycles a -> b -> c from "a" (A at lag 1 determines A, with a padded source at
     # each trace start); B is random
@@ -427,8 +445,8 @@ UNIQUE = {
 @pytest.mark.parametrize("unique", UNIQUE.values(), ids=UNIQUE.keys())
 def test_score_log_equals_score_trace_bit_for_bit(k, unique):
     # the batch driver (score_log) and the event-by-event one (ScoringTables.score, under score_trace)
-    # give the same factors and event logs, and every event's log from the blocks' fixed-point sums
-    # equals math.fsum of the reference factors' logs
+    # give the same blocks (factors, fixed-point log, smallest factor) and event logs, and every
+    # event's log from the blocks' fixed-point sums equals math.fsum of the reference factors' logs
     process = default_shipping_model()
     model = learn_edbn(generate(process, 300, 51), k, 0.99)
     log = inject_anomalies(generate(process, 120, 52), 0.3, 53).log
@@ -440,15 +458,15 @@ def test_score_log_equals_score_trace_bit_for_bit(k, unique):
     per_trace = tables.score_traces(log.codes, log.vocabularies, log.trace_lengths)
     assert len(scored) == len(log.traces)
     event_logs = []
-    for trace, entry, (values, logs) in zip(log.traces, scored, per_trace):
+    for trace, entry, (blocks, logs) in zip(log.traces, scored, per_trace):
         ref = score_trace(model, trace)
         assert (entry.trace_id, entry.event_ids) == (ref.trace_id, ref.event_ids)
         assert entry.log_score.hex() == ref.log_score.hex()
         assert entry.score.hex() == ref.score.hex()
         assert entry.factor_values == ref.factor_values
         assert entry.zero_factor_count == ref.zero_factor_count == ref.factor_values.count(0.0)
-        event_values, event_logs_of_trace = tables.score(trace.events)
-        assert values == event_values
+        event_blocks, event_logs_of_trace = tables.score(trace.events)
+        assert blocks == event_blocks
         assert [x.hex() for x in logs] == [x.hex() for x in event_logs_of_trace]
         reference = ReferenceScore(model, trace).decomposition
         fsums = [math.fsum(math.log(f.value) if f.value else -math.inf for f in ev.factors) for ev in reference]

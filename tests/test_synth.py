@@ -379,6 +379,19 @@ def test_labels_file_is_read_as_strict_csv(tmp_path):
             read_labels(path)
 
 
+def test_labels_file_with_a_nul_names_the_file_and_line(tmp_path):
+    # every supported Python rejects NUL alike; the line is counted as csv counts it, inside a quoted
+    # field and after a lone CR too
+    path = tmp_path / "labels.csv"
+    for text, line in [("trace_id,label\nt\x000,normal\n", 2),
+                       ("trace_id,label\nt0,normal\n\x00", 3),
+                       ('trace_id,label\n"t\n0\x00",normal\n', 3),
+                       ("trace_id,label\rt0,normal\rt1,normal\x00\r", 3)]:
+        path.write_text(text, encoding="utf-8", newline="")
+        with pytest.raises(ValueError, match=re.escape(f"labels file '{path}' line {line}: NUL character")):
+            read_labels(path)
+
+
 LABEL_TOKENS = [",", '"', "\n", "\r", "\r\n", "\x00", "\ufeff", " ", "", "x", NORMAL, ANOMALOUS, "t0001",
                 "trace_id", "label"]
 
@@ -429,6 +442,7 @@ def test_labels_reader_rejects_or_loads_every_mutated_file(labels_text, tmp_path
         assert re.search(rf"^labels file {re.escape(repr(str(path)))} .*line [1-9]\d*\b", str(exc)), str(exc)
         return
     assert labels and set(labels.values()) <= {NORMAL, ANOMALOUS}
+    assert "\0" not in text  # no Python version loads a NUL
 
 
 def test_nonpositive_weight_rejected():
