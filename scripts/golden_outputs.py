@@ -7,15 +7,16 @@ For the shipping seeds 7 and 1001 it runs, in process and inside OUT_DIR:
   10% anomalies and its labels, and a 300-trace log with every trace
   mutated and its labels, which gives each mutation kind hundreds of times;
 - ``edbn train`` at k = 1 and 2: the model file and stdout;
-- ``edbn train`` at k = 1 on two quoted copies of the training log, one with a
-  single value quoted on line 2 and one with every field quoted: each model
+- ``edbn train`` at k = 1 on three quoted copies of the training log, one
+  value quoted on line 2, one value quoted on line 10,000 (a chunk that csv
+  reads between chunks that are split) and every field quoted: each model
   file must equal the unquoted log's byte for byte, or the script fails;
 - ``edbn score --explain 3`` and ``--explain 50`` with each model: the ranking,
   its explanations and stdout, for the test log as generated and again with
   ``item`` unique per event, where every trace holds zero factors; 50 reaches
   well past the first few blocks of each trace.
 
-76 files in all.
+80 files in all.
 
 Run it on two trees and compare; an empty ``diff -r`` is the gate:
 
@@ -56,16 +57,21 @@ def _unique_item(src: str, dst: str) -> None:
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
-def _quoted_copies(src: str, one: str, every: str) -> None:
-    """Copies of the log with the third field of line 2 quoted, and with every field quoted."""
+QUOTED_LINES = {"train-one-quoted": 2, "train-middle-quoted": 10_000}
+
+
+def _quoted_copies(src: str, d: str) -> None:
+    """Copies of the log, which quotes no field, with the third field quoted on each line of
+    QUOTED_LINES, and with every field quoted."""
     with open(src, newline="", encoding="utf-8") as fh:
-        header, first, *rows = csv.reader(fh)
-    with open(every, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows([header, first, *rows])
-    first[2] = f'"{first[2]}"'
-    with open(one, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n" + ",".join(first) + "\n")
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+        lines = fh.readlines()
+    with open(f"{d}/train-all-quoted.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(csv.reader(lines))
+    for copy, line in QUOTED_LINES.items():
+        fields = lines[line - 1].split(",")
+        fields[2] = f'"{fields[2]}"'
+        with open(f"{d}/{copy}.csv", "w", newline="", encoding="utf-8") as fh:
+            fh.writelines([*lines[: line - 1], ",".join(fields), *lines[line:]])
 
 
 def main() -> int:
@@ -89,7 +95,7 @@ def main() -> int:
         _run(edbn, ["generate", "--out", f"{d}/all-anomalous.csv", "--labels", f"{d}/all-anomalous-labels.csv",
                     "--n-traces", "300", "--fraction", "1.0", "--seed", str(seed + 2)])
         _unique_item(f"{d}/test.csv", f"{d}/test-unique-item.csv")
-        _quoted_copies(f"{d}/train.csv", f"{d}/train-one-quoted.csv", f"{d}/train-all-quoted.csv")
+        _quoted_copies(f"{d}/train.csv", d)
         for k in KS:
             model = f"{d}/model-k{k}.json"
             _run(edbn, ["train", "--log", f"{d}/train.csv", "--trace-col", "case_id", "--out", model, "--k", str(k)],
@@ -99,7 +105,7 @@ def main() -> int:
                     ranking = f"{d}/{name}.ranking.csv"
                     _run(edbn, ["score", "--model", model, "--log", f"{d}/{test}.csv", "--out", ranking,
                                 "--explain", top_n], f"{ranking}.stdout")
-        for copy in ("train-one-quoted", "train-all-quoted"):
+        for copy in (*QUOTED_LINES, "train-all-quoted"):
             model = f"{d}/{copy}-model-k1.json"
             _run(edbn, ["train", "--log", f"{d}/{copy}.csv", "--trace-col", "case_id", "--out", model, "--k", "1"])
             if Path(model).read_bytes() != Path(f"{d}/model-k1.json").read_bytes():

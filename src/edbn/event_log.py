@@ -22,7 +22,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO, Union
 # contain it as a value.
 PADDING = "__NONE__"
 
-_CHUNK_ROWS = 4096  # parse_log reads, checks and codes this many lines at a time (more where a quoted field goes on)
+# parse_log reads, checks and codes about this many fields at a time: max(1, _CHUNK_FIELDS // width)
+# lines (more where a quoted field goes on), so one chunk's strings stay cache-sized at any width
+_CHUNK_FIELDS = 4096
 _LAST_CHAR = itemgetter(slice(-1, None))
 
 
@@ -368,7 +370,9 @@ def parse_log(
     LogFormatError for malformed rows (naming the line on which the row
     begins), unknown columns, or empty input.
 
-    The text is read a chunk of lines at a time.  A chunk that csv would read
+    The text is read a chunk of lines at a time, as many lines of the
+    header's width as hold about _CHUNK_FIELDS fields (one line where the
+    header is wider).  A chunk that csv would read
     as plain splits at the delimiter (see _split_columns) is split with
     str.split; any other chunk is read on its own by strict csv, extended
     while a quoted field runs past its end (see _read_columns).  Each
@@ -398,7 +402,8 @@ def parse_log(
     # per coded column: raw value -> code, stripped value -> code (the vocabulary), codes
     coders = {i: ({}, {}, []) for i in (*attr_is, trace_i)}
     plain = {col_index[c]: [] for c in optional}  # stripped values
-    while chunk := list(islice(lines, _CHUNK_ROWS)):
+    chunk_lines = max(1, _CHUNK_FIELDS // width)
+    while chunk := list(islice(lines, chunk_lines)):
         fields = _split_columns(chunk, delimiter, width) or _read_columns(chunk, lines, delimiter, width)
         if fields is None or not _code_chunk(fields, coders, plain, trace_i):
             _raise_first_fault(chunk, start, delimiter, width, trace_i, attr_is)
@@ -456,26 +461,36 @@ def _read_utf8(path, error: type[ValueError], what: str) -> str:
         return fh.read()
 
 
-def csv_text(header: Sequence[str], rows: Iterable[Sequence], delimiter: str = ",") -> str:
-    """A header and rows as delimited text, a field quoted only where it holds the delimiter,
-    a quote or a line break."""
-    out = io.StringIO()
+def _write_csv(out: TextIO, header: Sequence[str], rows: Iterable[Sequence], delimiter: str) -> None:
+    """Writes a header and rows to ``out`` as delimited text, a field quoted only where it holds
+    the delimiter, a quote or a line break."""
     writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence], delimiter: str = ",") -> str:
+    """A header and rows as the text _write_csv writes."""
+    out = io.StringIO()
+    _write_csv(out, header, rows, delimiter)
     return out.getvalue()
+
+
+def _log_table(log: EventLog) -> tuple[list[str], Iterator[tuple[str, ...]]]:
+    """A log's header (trace id, event id, then attribute columns) and its rows, one per event."""
+    trace_ids = chain.from_iterable(map(repeat, log.trace_ids, log.trace_lengths))
+    return [log.schema.trace_id_column, "event_id", *log.schema.names], zip(trace_ids, log.event_ids, *log.columns)
 
 
 def serialize_log(log: EventLog, *, delimiter: str = ",") -> str:
     """Render a log as delimited text (trace id, event id, then attribute columns)."""
-    trace_ids = chain.from_iterable(map(repeat, log.trace_ids, log.trace_lengths))
-    header = [log.schema.trace_id_column, "event_id", *log.schema.names]
-    return csv_text(header, zip(trace_ids, log.event_ids, *log.columns), delimiter)
+    return csv_text(*_log_table(log), delimiter)
 
 
 def write_log(log: EventLog, path, *, delimiter: str = ",") -> None:
+    """Writes the text of serialize_log to ``path`` row by row, never holding it whole."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(serialize_log(log, delimiter=delimiter))
+        _write_csv(fh, *_log_table(log), delimiter)
 
 
 def build_k_context(log: EventLog, k: int) -> KContextLog:

@@ -9,6 +9,7 @@ input, missing and repeated event ids, short and long rows, empty trace ids,
 the reserved padding token, open quotes, text after a closing quote and NUL;
 chunks as small as one line put record boundaries everywhere.
 """
+import contextlib
 import csv
 import io
 import itertools
@@ -42,6 +43,7 @@ from edbn import (
     write_log,
 )
 from edbn.cli import main
+from edbn.event_log import csv_text
 
 from reference_parsing import reference_load_log, reference_parse_log
 
@@ -72,9 +74,24 @@ def _parsers(text, bom):
         yield load_log, reference_load_log, path
 
 
-def _assert_same_outcome(text, bom, schema, chunk_rows, **options):
+def chunks_of(lines, text, delimiter=",", header=True, column_names=None):
+    """A patch under which parse_log reads ``text`` (a string or its items) ``lines`` lines a
+    chunk: a field budget of that many rows of the header's width; None keeps the default budget."""
+    if lines is None:
+        return contextlib.nullcontext()
+    if not header:
+        width = len(column_names)
+    else:
+        try:
+            width = len(edbn.event_log.read_header(io.StringIO("".join(text), newline=""), delimiter)[0])
+        except LogFormatError:
+            width = 1  # parse_log fails at the header, before it reads a chunk
+    return mock.patch.object(edbn.event_log, "_CHUNK_FIELDS", lines * width)
+
+
+def _assert_same_outcome(text, bom, schema, chunk_lines, **options):
     for parse, reference, source in _parsers(text, bom):
-        with mock.patch.object(edbn.event_log, "_CHUNK_ROWS", chunk_rows):
+        with chunks_of(chunk_lines, text, **options):
             outcome = _outcome(parse, source, schema, **options)
         assert outcome == _outcome(reference, source, schema, **options)
 
@@ -122,19 +139,19 @@ def delimited_logs(draw):
     return out.getvalue(), schema, delimiter, header, columns
 
 
-def parse_at(chunk_rows, text, schema, **options):
-    """parse_log reading ``chunk_rows`` rows at a time, or None where the text is faulty."""
-    with mock.patch.object(edbn.event_log, "_CHUNK_ROWS", chunk_rows):
+def parse_at(chunk_lines, text, schema, **options):
+    """parse_log reading ``chunk_lines`` lines at a time, or None where the text is faulty."""
+    with chunks_of(chunk_lines, text, **options):
         try:
             return parse_log(text, schema, **options)
         except ValueError:
             return None
 
 
-def _assert_same_k_context(text, schema, chunk_rows, **options):
+def _assert_same_k_context(text, schema, chunk_lines, **options):
     # the parsed log's codes, taken through their values' sorted ranks, give the
     # k-context that the values of its traces give when coded afresh
-    log = parse_at(chunk_rows, text, schema, **options)
+    log = parse_at(chunk_lines, text, schema, **options)
     if log is None:
         return
     for k in (1, 2, 3):
@@ -145,27 +162,27 @@ def _assert_same_k_context(text, schema, chunk_rows, **options):
         assert (parsed.event_ids, parsed.trace_ids) == (built.event_ids, built.trace_ids)
 
 
-CHUNK_ROWS = st.sampled_from([1, 2, 3, 4, 4096])
+CHUNK_LINES = st.sampled_from([1, 2, 3, 4, None])  # None: the default field budget
 
 
 @settings(max_examples=300, deadline=None)
-@given(delimited_logs(), CHUNK_ROWS, st.booleans())
-def test_columnar_parser_equals_the_reference(case, chunk_rows, bom):
+@given(delimited_logs(), CHUNK_LINES, st.booleans())
+def test_columnar_parser_equals_the_reference(case, chunk_lines, bom):
     text, schema, delimiter, header, columns = case
     options = {"delimiter": delimiter, "header": header, "column_names": None if header else columns}
-    _assert_same_outcome(text, bom, schema, chunk_rows, **options)
-    _assert_same_k_context(text, schema, chunk_rows, **options)
+    _assert_same_outcome(text, bom, schema, chunk_lines, **options)
+    _assert_same_k_context(text, schema, chunk_lines, **options)
 
 
 RAW_BODIES = st.text(alphabet='ab,"\n\r \t_\0', max_size=40)
 
 
 @settings(max_examples=300, deadline=None)
-@given(RAW_BODIES, CHUNK_ROWS, st.booleans())
-def test_columnar_parser_equals_the_reference_on_raw_text(body, chunk_rows, bom):
+@given(RAW_BODIES, CHUNK_LINES, st.booleans())
+def test_columnar_parser_equals_the_reference_on_raw_text(body, chunk_lines, bom):
     # unterminated quotes, quotes inside fields, stray line breaks and NUL bytes, as strict csv reads them
-    _assert_same_outcome("a,b\n" + body, bom, AttributeSchema(("a",), "b"), chunk_rows)
-    _assert_same_k_context("a,b\n" + body, AttributeSchema(("a",), "b"), chunk_rows)
+    _assert_same_outcome("a,b\n" + body, bom, AttributeSchema(("a",), "b"), chunk_lines)
+    _assert_same_k_context("a,b\n" + body, AttributeSchema(("a",), "b"), chunk_lines)
 
 
 def test_a_field_over_the_csv_limit_fails_as_csv_fails():
@@ -182,10 +199,10 @@ def test_a_field_over_the_csv_limit_fails_as_csv_fails():
 # --- the split path and the csv path, chosen per chunk ----------------------------------
 
 SPLIT_SCHEMA = AttributeSchema(("a",), "b")
-SPLIT_CHUNK_ROWS = (1, 2, 3, 4, 4096)
+SPLIT_CHUNK_LINES = (1, 2, 3, 4, None)  # None: the default field budget
 
 
-def _split_taken(text, schema, chunk_rows, **options):
+def _split_taken(text, schema, chunk_lines, **options):
     """Per chunk that parse_log offered to _split_columns, whether it was split (not left to csv)."""
     taken, split = [], edbn.event_log._split_columns
 
@@ -195,14 +212,14 @@ def _split_taken(text, schema, chunk_rows, **options):
         return fields
 
     with mock.patch.object(edbn.event_log, "_split_columns", recording):
-        with mock.patch.object(edbn.event_log, "_CHUNK_ROWS", chunk_rows):
+        with chunks_of(chunk_lines, text, **options):
             _outcome(parse_log, text, schema, **options)
     return taken
 
 
 def _assert_same_at_every_chunk_size(text, schema=SPLIT_SCHEMA, **options):
-    for chunk_rows in SPLIT_CHUNK_ROWS:
-        _assert_same_outcome(text, False, schema, chunk_rows, **options)
+    for chunk_lines in SPLIT_CHUNK_LINES:
+        _assert_same_outcome(text, False, schema, chunk_lines, **options)
     return _outcome(parse_log, text, schema, **options)
 
 
@@ -217,7 +234,7 @@ def test_a_quoted_field_over_two_lines_is_read_by_csv_in_its_chunk_alone():
     assert _split_taken(text, SPLIT_SCHEMA, 2) == [True, True, False, True, True]
     assert _split_taken(text, SPLIT_SCHEMA, 3) == [True, False, True]
     assert _split_taken(text, SPLIT_SCHEMA, 4) == [True, False, True]
-    assert _split_taken(text, SPLIT_SCHEMA, 4096) == [False]
+    assert _split_taken(text, SPLIT_SCHEMA, None) == [False]
 
 
 @pytest.mark.parametrize("fault, message", [("z\n", "expected 2 fields, got 1"), ("z,t1,w\n", "expected 2 fields, got 3"),
@@ -235,8 +252,8 @@ def test_a_fault_is_named_by_its_line_on_both_paths(fault, message, quoted):
 def test_blank_lines_inside_and_at_the_end_of_a_chunk_are_skipped():
     text = "a,b\nx,t1\n\ny,t1\n\n\nz,t2\n\n"
     assert _assert_same_at_every_chunk_size(text) == [("t1", [("0", ("x",)), ("1", ("y",))]), ("t2", [("2", ("z",))])]
-    for chunk_rows in SPLIT_CHUNK_ROWS:
-        assert all(_split_taken(text, SPLIT_SCHEMA, chunk_rows))  # a chunk of blank lines too
+    for chunk_lines in SPLIT_CHUNK_LINES:
+        assert all(_split_taken(text, SPLIT_SCHEMA, chunk_lines))  # a chunk of blank lines too
     # blank lines count in the line numbers
     assert _assert_same_at_every_chunk_size(text + "\nw, \n") == (edbn.event_log.LogFormatError, "line 10: empty trace id")
 
@@ -265,11 +282,21 @@ _OPEN_QUOTE_LOG = "a,b\n" + "".join(f"x{i},t{i // 5000}\n" if i != 5000 else '"x
     ('a,b\n"x\n\0",t1\n', "line 2: NUL character"),  # named by the line on which its row begins
 ], ids=["open-quote", "open-quote-in-10001-lines", "text-after-quote", "lone-cr", "header", "nul-in-quotes"])
 def test_malformed_text_is_a_format_error_naming_the_line_its_row_begins_on(text, error):
-    for chunk_rows in SPLIT_CHUNK_ROWS:
-        _assert_same_outcome(text, False, SPLIT_SCHEMA, chunk_rows)
-        with mock.patch.object(edbn.event_log, "_CHUNK_ROWS", chunk_rows):
+    for chunk_lines in SPLIT_CHUNK_LINES:
+        _assert_same_outcome(text, False, SPLIT_SCHEMA, chunk_lines)
+        with chunks_of(chunk_lines, text):
             with pytest.raises(LogFormatError, match=f"^{re.escape(error)}$"):
                 parse_log(text, SPLIT_SCHEMA)
+
+
+def test_a_header_wider_than_the_field_budget_is_read_one_line_a_chunk():
+    width = edbn.event_log._CHUNK_FIELDS + 1
+    schema = AttributeSchema(("c0", "c1"), f"c{width - 1}")
+    rows = [[f"v{j}"] * (width - 1) + [f"t{j % 2}"] for j in range(3)]
+    text = csv_text([f"c{i}" for i in range(width)], rows)
+    assert _assert_same_at_every_chunk_size(text, schema) == [
+        ("t0", [("0", ("v0", "v0")), ("2", ("v2", "v2"))]), ("t1", [("1", ("v1", "v1"))])]
+    assert _split_taken(text, schema, None) == [True] * 3
 
 
 def test_a_lone_cr_ends_a_line_in_every_source():
@@ -310,8 +337,8 @@ def test_a_line_over_the_csv_field_limit_is_left_to_csv(field):
     ["a,b\n", "", "x,t1\n"],
 ])
 def test_items_that_are_not_one_line_are_left_to_csv(lines):
-    for chunk_rows in SPLIT_CHUNK_ROWS:
-        with mock.patch.object(edbn.event_log, "_CHUNK_ROWS", chunk_rows):
+    for chunk_lines in SPLIT_CHUNK_LINES:
+        with chunks_of(chunk_lines, lines):
             assert _outcome(parse_log, lines, SPLIT_SCHEMA) == _outcome(reference_parse_log, lines, SPLIT_SCHEMA)
 
 

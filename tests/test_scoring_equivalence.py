@@ -41,7 +41,7 @@ from edbn import model as model_module
 from edbn.model import FD_CHECK, RELATION, VALUE, ScoringTables
 
 from reference_scoring import ReferenceScore, reference_context, reference_ranking
-from test_parsing_equivalence import CHUNK_ROWS, RAW_BODIES, delimited_logs, parse_at
+from test_parsing_equivalence import CHUNK_LINES, RAW_BODIES, delimited_logs, parse_at
 
 CASES = [("shipping", 1), ("shipping", 2), ("cycle", 1), ("cycle", 2)]
 
@@ -376,13 +376,13 @@ def _logs_to_score():
 
 
 @settings(max_examples=200, deadline=None)
-@given(_logs_to_score(), CHUNK_ROWS, st.integers(1, 3))
-def test_batch_ranking_of_a_parsed_log_equals_that_of_its_traces(case, chunk_rows, k):
+@given(_logs_to_score(), CHUNK_LINES, st.integers(1, 3))
+def test_batch_ranking_of_a_parsed_log_equals_that_of_its_traces(case, chunk_lines, k):
     # padded values and trace ids, interleaved traces and an order column are coded
     # as they are read; the first half of the traces trains the model, so the others
     # bring values it never saw
     text, schema, options = case
-    log = parse_at(chunk_rows, text, schema, **options)
+    log = parse_at(chunk_lines, text, schema, **options)
     if log is None:
         return
     built = EventLog(schema, log.traces)
