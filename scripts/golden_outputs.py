@@ -11,12 +11,15 @@ For the shipping seeds 7 and 1001 it runs, in process and inside OUT_DIR:
   value quoted on line 2, one value quoted on line 10,000 (a chunk that csv
   reads between chunks that are split) and every field quoted: each model
   file must equal the unquoted log's byte for byte, or the script fails;
+- ``edbn train`` at k = 1 on a copy of the training log whose ``item`` is
+  unique per event from line 10,000: the model file and stdout.  That column's
+  codes widen from bytes to 4-byte codes partway through the parse;
 - ``edbn score --explain 3`` and ``--explain 50`` with each model: the ranking,
   its explanations and stdout, for the test log as generated and again with
   ``item`` unique per event, where every trace holds zero factors; 50 reaches
   well past the first few blocks of each trace.
 
-80 files in all.
+86 files in all.
 
 Run it on two trees and compare; an empty ``diff -r`` is the gate:
 
@@ -46,12 +49,13 @@ def _run(main, argv: list[str], stdout_file: str | None = None) -> None:
         Path(stdout_file).write_text(out.getvalue(), encoding="utf-8")
 
 
-def _unique_item(src: str, dst: str) -> None:
-    """A copy of the log whose item column reads item-<event id> at every event."""
+def _unique_item(src: str, dst: str, first_line: int = 2) -> None:
+    """A copy of the log whose item column reads item-<event id> at every event from ``first_line``
+    on (the header is line 1)."""
     with open(src, newline="", encoding="utf-8") as fh:
         header, *rows = csv.reader(fh)
     item, event_id = header.index("item"), header.index("event_id")
-    for row in rows:
+    for row in rows[first_line - 2 :]:
         row[item] = f"item-{row[event_id]}"
     with open(dst, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
@@ -95,6 +99,7 @@ def main() -> int:
         _run(edbn, ["generate", "--out", f"{d}/all-anomalous.csv", "--labels", f"{d}/all-anomalous-labels.csv",
                     "--n-traces", "300", "--fraction", "1.0", "--seed", str(seed + 2)])
         _unique_item(f"{d}/test.csv", f"{d}/test-unique-item.csv")
+        _unique_item(f"{d}/train.csv", f"{d}/train-unique-item.csv", 10_000)
         _quoted_copies(f"{d}/train.csv", d)
         for k in KS:
             model = f"{d}/model-k{k}.json"
@@ -105,6 +110,9 @@ def main() -> int:
                     ranking = f"{d}/{name}.ranking.csv"
                     _run(edbn, ["score", "--model", model, "--log", f"{d}/{test}.csv", "--out", ranking,
                                 "--explain", top_n], f"{ranking}.stdout")
+        model = f"{d}/train-unique-item-model-k1.json"
+        _run(edbn, ["train", "--log", f"{d}/train-unique-item.csv", "--trace-col", "case_id", "--out", model,
+                    "--k", "1"], f"{model}.stdout")
         for copy in (*QUOTED_LINES, "train-all-quoted"):
             model = f"{d}/{copy}-model-k1.json"
             _run(edbn, ["train", "--log", f"{d}/{copy}.csv", "--trace-col", "case_id", "--out", model, "--k", "1"])

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -26,6 +27,7 @@ PADDING = "__NONE__"
 # lines (more where a quoted field goes on), so one chunk's strings stay cache-sized at any width
 _CHUNK_FIELDS = 4096
 _LAST_CHAR = itemgetter(slice(-1, None))
+_BYTE_CODES = 256  # a log's codes of up to this many values are bytes, of more 4-byte unsigned ints
 
 
 class LogFormatError(ValueError):
@@ -105,7 +107,10 @@ class EventLog:
     ``trace_ids`` and ``trace_lengths`` give the traces in log order and
     ``event_ids`` one id per event.  Per attribute (schema order), ``codes``
     holds one code per event into its entry of ``vocabularies``, the distinct
-    values; ``columns`` (the values per attribute) and ``traces`` are decoded
+    values, in an immutable buffer of the narrowest width: ``bytes`` where the
+    vocabulary has at most 256 values, else a read-only memoryview of 4-byte
+    unsigned codes (format ``"I"``); either indexes, slices and iterates as ints.
+    ``columns`` (the values per attribute) and ``traces`` are decoded
     from them when first read.  parse_log codes a log as it reads it, so its
     vocabularies follow first appearance in the file, which differs from the
     log's where traces interleave or an order column moves an event.
@@ -139,7 +144,7 @@ class EventLog:
                                  f"values must be strings other than the reserved token {PADDING!r}")
             vocabularies.append(vocab)
         _check_unique(event_ids)
-        codes = tuple(tuple(map({v: c for c, v in enumerate(vocab)}.__getitem__, column))
+        codes = tuple(_packed(map({v: c for c, v in enumerate(vocab)}.__getitem__, column), len(vocab))
                       for vocab, column in zip(vocabularies, columns))
         return cls._from_codes(schema, event_ids, trace_ids, trace_lengths, tuple(vocabularies), codes)
 
@@ -187,6 +192,19 @@ class EventLog:
         raise KeyError(trace_id)
 
 
+def _packed(codes: Iterable[int], n_values: int):
+    """The codes as EventLog holds them for a vocabulary of ``n_values``: bytes, or 4-byte codes read-only."""
+    if n_values <= _BYTE_CODES:
+        return bytes(codes)
+    return memoryview(array("I", codes)).toreadonly()
+
+
+def code_type(n: int):
+    """The narrowest unsigned NumPy type that holds every code below ``n``."""
+    import numpy as np
+    return np.min_scalar_type(max(n - 1, 0))
+
+
 def _check_unique(event_ids: Sequence[str]) -> None:
     if len(set(event_ids)) != len(event_ids):
         seen: set[str] = set()
@@ -207,8 +225,9 @@ class KContextRow:
 
 @dataclass(frozen=True, eq=False)
 class KContextLog:
-    """The k-context as integer codes: ``codes[i]`` holds one int64 code per event, in
-    log order, into ``vocabularies[i]``, the sorted values that ``variables[i]`` takes."""
+    """The k-context as integer codes: ``codes[i]`` holds one code per event, in log order, into
+    ``vocabularies[i]``, the sorted values that ``variables[i]`` takes; a NumPy array of
+    ``code_type(len(vocabularies[i]))``, the narrowest unsigned type that holds its codes."""
 
     k: int
     variables: tuple[Variable, ...]
@@ -279,8 +298,10 @@ def _split_columns(lines: list[str], delimiter: str, width: int) -> list | None:
 def _code_chunk(fields, coders, plain, trace_i: int) -> bool:
     """Appends each coded column's codes and each plain column's stripped values from ``fields``,
     the chunk's columns, or returns False at a faulty value.  Only new raw values are stripped
-    and checked: no empty trace id, no PADDING as an attribute value."""
-    for i, (code_of, vocab, codes) in coders.items():
+    and checked: no empty trace id, no PADDING as an attribute value.  An attribute's codes
+    are a bytearray until its vocabulary outgrows a byte, then 4-byte codes in an array."""
+    for i, coder in coders.items():
+        code_of, vocab, codes = coder
         try:
             chunk = list(map(code_of.__getitem__, fields[i]))
         except KeyError:
@@ -290,7 +311,9 @@ def _code_chunk(fields, coders, plain, trace_i: int) -> bool:
                     return False
                 code_of[raw] = vocab.setdefault(value, len(vocab))  # equal stripped values share a code
             chunk = list(map(code_of.__getitem__, fields[i]))
-        codes += chunk
+            if len(vocab) > _BYTE_CODES and type(codes) is bytearray:  # widened once, by value, not as raw bytes
+                codes = coder[2] = array("I", list(codes))
+        codes.extend(chunk)
     for i, values in plain.items():
         values += map(str.strip, fields[i])
     return True
@@ -399,8 +422,10 @@ def parse_log(
 
     width, trace_i = len(columns), col_index[schema.trace_id_column]
     attr_is = [col_index[a] for a in schema.names]
-    # per coded column: raw value -> code, stripped value -> code (the vocabulary), codes
-    coders = {i: ({}, {}, []) for i in (*attr_is, trace_i)}
+    # per coded column: raw value -> code, stripped value -> code (the vocabulary), codes (the
+    # trace id's in a list, which is sorted and counted below; an attribute's in a bytearray)
+    coders = {i: [{}, {}, bytearray()] for i in attr_is}
+    coders[trace_i] = [{}, {}, []]
     plain = {col_index[c]: [] for c in optional}  # stripped values
     chunk_lines = max(1, _CHUNK_FIELDS // width)
     while chunk := list(islice(lines, chunk_lines)):
@@ -425,13 +450,13 @@ def parse_log(
             start += length
         grouped = order == list(range(len(order)))
 
-    in_order = tuple if grouped else (lambda values: tuple(map(values.__getitem__, order)))
+    in_order = (lambda values: values) if grouped else (lambda values: map(values.__getitem__, order))
     # the trace ids, trace lengths, vocabularies and codes
     coded = (tuple(trace_vocab), tuple(lengths), tuple(tuple(coders[i][1]) for i in attr_is),
-             tuple(in_order(coders[i][2]) for i in attr_is))
+             tuple(_packed(in_order(codes), len(vocab)) for _, vocab, codes in map(coders.get, attr_is)))
     if not schema.event_id_column:
         return EventLog._from_codes(schema, tuple(map(str, order)), *coded)  # events named by data row
-    event_ids = in_order(plain[col_index[schema.event_id_column]])
+    event_ids = tuple(in_order(plain[col_index[schema.event_id_column]]))
     try:
         _check_unique(event_ids)
     except DuplicateEventIdError as exc:  # a caller may name the events by data row without a second read
@@ -498,29 +523,30 @@ def build_k_context(log: EventLog, k: int) -> KContextLog:
 
     History slots beyond the start of the trace hold PADDING.  Variables are
     ordered slice k down to slice 0, schema order within each slice.  The log's
-    codes are taken through the sorted rank of their values: no value is coded again.
+    codes are read as they are held (np.frombuffer) and taken through the sorted
+    rank of their values, one attribute at a time: no value is coded again, and
+    each variable's codes are held in code_type of its vocabulary's size.
     """
     import numpy as np
     if k < 1:
         raise ValueError("k must be >= 1")
     names = log.schema.names
-    variables = tuple(Variable(attr, lag) for lag in range(k, -1, -1) for attr in names)
     lengths = np.array(log.trace_lengths, dtype=np.int64)
     # position of each event in its trace: a lag-l slot is padding where it is below l
     position = np.arange(log.event_count) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    current = {}
+    coded = {}
     for attr, values, codes in zip(names, log.vocabularies, log.codes):
         vocab = sorted((*values, PADDING))
         rank = dict(zip(vocab, range(len(vocab))))
-        lag0 = np.array(list(map(rank.__getitem__, values)), np.int64)[np.fromiter(codes, np.int64, len(codes))]
-        current[attr] = vocab, rank[PADDING], lag0
-    codes, vocabularies = [], []
-    for var in variables:
-        vocab, pad, lag0 = current[var.attr]
-        # what np.roll wraps around sits at a position below the lag too
-        shifted = np.where(position < var.lag, pad, np.roll(lag0, var.lag))
-        present = np.bincount(shifted, minlength=len(vocab)) > 0  # re-densify the codes
-        codes.append((np.cumsum(present) - 1)[shifted])
-        vocabularies.append(tuple(compress(vocab, present)))
+        log_codes = np.frombuffer(codes, np.uint8 if len(values) <= _BYTE_CODES else np.uint32)
+        lag0 = np.array(list(map(rank.__getitem__, values)), code_type(len(vocab)))[log_codes]
+        for lag in range(k + 1):
+            shifted = np.roll(lag0, lag)
+            shifted[position < lag] = rank[PADDING]  # what np.roll wraps around sits there too
+            present = np.bincount(shifted, minlength=len(vocab)) > 0  # re-densify the codes
+            dense = (np.cumsum(present) - 1).astype(code_type(np.count_nonzero(present)))
+            coded[Variable(attr, lag)] = dense[shifted], tuple(compress(vocab, present))
+    variables = tuple(Variable(attr, lag) for lag in range(k, -1, -1) for attr in names)
+    codes, vocabularies = zip(*map(coded.pop, variables))
     trace_ids = tuple(chain.from_iterable(map(repeat, log.trace_ids, log.trace_lengths)))
-    return KContextLog(k, variables, tuple(codes), tuple(vocabularies), log.event_ids, trace_ids)
+    return KContextLog(k, variables, codes, vocabularies, log.event_ids, trace_ids)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .event_log import KContextLog, Variable
+from .event_log import KContextLog, Variable, code_type
 
 # numpy is imported inside the functions that use it, so that a process that
 # only loads and scores models never loads it.
@@ -16,7 +16,7 @@ from .event_log import KContextLog, Variable
 def _codes(values: Sequence) -> tuple[np.ndarray, int]:
     import numpy as np
     uniq, inverse = np.unique(np.asarray(values), return_inverse=True)
-    return inverse.astype(np.int64), len(uniq)
+    return inverse.astype(code_type(len(uniq))), len(uniq)
 
 
 def dense_size(n: int) -> int:
@@ -34,30 +34,42 @@ def key_counts(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def tuple_keys(columns: Sequence[tuple[np.ndarray, int]], n: int) -> tuple[np.ndarray, int]:
-    """Per row, an int64 key of its codes in ``columns`` ((codes, code count) pairs) in tuple
-    order, and the key-space size; keys are re-coded before they outgrow a bincount pass.
-    The keys of a single column are its codes array itself."""
+    """Per row, a key of its codes in ``columns`` ((codes, code count) pairs) in tuple order, and
+    the key-space size; keys are re-coded before they outgrow a bincount pass.  The keys are held
+    in code_type(size), the narrowest unsigned type of their key space: before each column is
+    joined, the keys so far are copied into the type of the key space they are about to span
+    (see _joined).  The keys of a single column are its codes array itself."""
     import numpy as np
     if not columns:
-        return np.zeros(n, dtype=np.int64), 1
+        return np.zeros(n, dtype=code_type(1)), 1
     (keys, size), *rest = columns
     for codes, card in rest:
         if size * card > dense_size(n):
             keys, size = dense_ranks(keys, size)
-        keys = keys * card
-        keys += codes
-        size *= card
+        keys, size = _joined(keys, size, codes, card), size * card
     return keys, size
 
 
+def _joined(keys: np.ndarray, size: int, codes: np.ndarray, card: int) -> np.ndarray:
+    """keys * card + codes in code_type(size * card), widened before the multiply so that no key
+    overflows; the type is chosen here, not by NumPy's promotion rules, which differ by version."""
+    import numpy as np
+    joined = keys.astype(code_type(size * card))
+    if size > 1:  # a key space of one holds only 0, and its type may not hold card
+        joined *= card
+    return np.add(joined, codes, out=joined, dtype=joined.dtype, casting="unsafe")
+
+
 def dense_ranks(keys: np.ndarray, size: int) -> tuple[np.ndarray, int]:
-    """Each key's rank among the distinct keys, and their number: np.unique's inverse."""
+    """Each key's rank among the distinct keys, in code_type of their number, and their number:
+    np.unique's inverse."""
     import numpy as np
     if size > dense_size(len(keys)):  # only for keys of very many values
         uniq, inverse = np.unique(keys, return_inverse=True)
-        return inverse, len(uniq)
-    rank = np.cumsum(np.bincount(keys, minlength=size) > 0) - 1
-    return rank[keys], int(rank[-1]) + 1
+        return inverse.astype(code_type(len(uniq))), len(uniq)
+    present = np.bincount(keys, minlength=size) > 0
+    count = int(np.count_nonzero(present))
+    return (np.cumsum(present) - 1).astype(code_type(count))[keys], count
 
 
 def cell_counts(ctx: KContextLog, variables: Sequence[Variable]) -> dict:
@@ -101,11 +113,12 @@ def coded_column(codes: np.ndarray, n_codes: int) -> CodedColumn:
 def _coded_mutual_information(x: CodedColumn, y: CodedColumn) -> tuple[float, int]:
     """I(X;Y) of two aligned coded columns, and the number of distinct (x, y) pairs."""
     import numpy as np
-    n, ny = len(x.codes), len(y.counts)
-    joint, joint_counts = key_counts(x.codes * ny + y.codes, len(x.counts) * ny)
+    n, nx, ny = len(x.codes), len(x.counts), len(y.counts)
+    joint, joint_counts = key_counts(_joined(x.codes, nx, y.codes, ny), nx * ny)
+    x_of, y_of = np.divmod(joint.astype(np.int64, copy=False), ny)  # where nx is 1, the keys' type may not hold ny
     p_xy = joint_counts / n
-    p_x = x.counts[joint // ny] / n
-    p_y = y.counts[joint % ny] / n
+    p_x = x.counts[x_of] / n
+    p_y = y.counts[y_of] / n
     return float((p_xy * np.log(p_xy / (p_x * p_y))).sum()), len(joint)
 
 

@@ -17,12 +17,15 @@ from edbn import (
     build_k_context,
     default_shipping_model,
     generate,
+    inject_anomalies,
     learn_edbn,
     parse_log,
     serialize_log,
 )
+from edbn.synth import Rule
 
 from conftest import ATTRS, PERMISSION_ROWS_FULL, PERMISSION_ROWS
+from reference_parsing import reference_parse_log
 from test_parsing_equivalence import chunks_of
 from test_synth import _mutated_text
 
@@ -300,3 +303,58 @@ def test_parsing_holds_about_one_chunk_beyond_the_log_it_returns():
         tracemalloc.stop()
     assert log.event_count == len(lines) - 1
     assert peak - retained < 4_000_000
+
+
+def test_learning_holds_under_5_mb_beyond_the_parsed_log():
+    # the k-context and every count key are held in the narrowest unsigned type: with int64
+    # codes and keys, learning on this log peaked 7.2 MB above the parsed log
+    log = parse_log(serialize_log(generate(SHIPPING, 2000, 7)), SHIPPING_SCHEMA)
+    tracemalloc.start()
+    try:
+        learn_edbn(log, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+
+
+def _assert_narrow_buffers(log):
+    # bytes up to 256 values, else 4-byte codes behind a read-only view; no buffer can be written
+    for vocab, codes in zip(log.vocabularies, log.codes):
+        if len(vocab) <= 256:
+            assert type(codes) is bytes
+        else:
+            assert isinstance(codes, memoryview) and (codes.format, codes.itemsize, codes.readonly) == ("I", 4, True)
+        assert len(codes) == log.event_count and max(codes) == len(vocab) - 1
+        with pytest.raises(TypeError):
+            codes[0] = 0
+
+
+def _widely_generated():
+    # priority drawn per event from 400 values
+    priority = Rule("pool", values=tuple(f"p{i}" for i in range(400)))
+    return generate(replace(SHIPPING, rules={**SHIPPING.rules, "priority": priority}), 300, 3)
+
+
+def _interleaved_text() -> str:
+    # seven interleaved traces, A new at every row and B of three values; ts runs backwards
+    rows = [(f"t{j % 7}", f"a{j}", f"b{j % 3}", 400 - j) for j in range(400)]
+    return "tid,A,B,ts\n" + "".join(f"{t},{a},{b},{ts}\n" for t, a, b, ts in rows)
+
+
+@pytest.mark.parametrize("producer", ["parse", "generate", "inject", "traces", "interleaved", "order column"])
+def test_every_log_holds_its_codes_in_immutable_buffers_of_the_stated_width(producer):
+    if producer in ("interleaved", "order column"):
+        schema = AttributeSchema(("A", "B"), "tid", "ts" if producer == "order column" else None)
+        log = parse_log(_interleaved_text(), schema)
+        assert log == reference_parse_log(_interleaved_text(), schema)
+    elif producer == "parse":
+        log = parse_log(serialize_log(generate(SHIPPING, 50, 3)), SHIPPING_SCHEMA)
+    elif producer == "generate":
+        log = _widely_generated()
+    elif producer == "inject":
+        log = inject_anomalies(_widely_generated(), 0.5, 1).log
+    else:
+        log = EventLog(SHIPPING_SCHEMA, _widely_generated().traces)
+    assert any(len(vocab) > 256 for vocab in log.vocabularies) == (producer != "parse")
+    _assert_narrow_buffers(log)

@@ -348,6 +348,28 @@ def test_a_line_break_as_the_delimiter_is_left_to_csv():
     _assert_same_at_every_chunk_size("x\ny\n", **options)
 
 
+def _outgrowing_text():
+    """A grouped 2000-row log: ``wide`` takes 200 values over its first 1500 rows and then a new one
+    per row, so its 257th value first appears on line 1558, past the first chunk at every budget
+    tested (1365 lines at the default); ``unique`` takes a new value at every row."""
+    rows = [(f"v{j % 200 if j < 1500 else j}", f"u{j}", f"t{j // 5}") for j in range(2000)]
+    return csv_text(("wide", "unique", "tid"), rows)
+
+
+@pytest.mark.parametrize("chunk_lines", [1, 2, 3, 4, None])
+def test_columns_that_outgrow_a_byte_parse_to_the_reference_codes_in_four_bytes(chunk_lines):
+    # each column's codes are bytes until its 257th value, then widened by value to 4 bytes
+    text, schema = _outgrowing_text(), AttributeSchema(("wide", "unique"), "tid")
+    with chunks_of(chunk_lines, text):
+        log = parse_log(text, schema)
+    reference = reference_parse_log(text, schema)
+    assert log.vocabularies == reference.vocabularies
+    assert [len(vocab) for vocab in log.vocabularies] == [700, 2000]
+    for codes, expected in zip(log.codes, reference.codes):
+        assert isinstance(codes, memoryview) and (codes.format, codes.itemsize, codes.readonly) == ("I", 4, True)
+        assert list(codes) == list(expected)
+
+
 def test_a_parsed_log_equals_the_log_of_its_traces():
     text = "a,tid,id\nx,t2,3\ny,t1,1\nz,t2,2\n"
     log = parse_log(text, AttributeSchema(("a",), "tid", event_id_column="id"))

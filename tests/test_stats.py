@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edbn import Variable, entropy, mutual_information, uncertainty_coefficient
-from edbn.stats import tuple_keys
+from edbn import stats
+from edbn.event_log import code_type
+from edbn.stats import coded_column, dense_ranks, dense_size, key_counts, tuple_keys
 
 
 # --- independent oracles (plain dict counting, direct summation) -------------
@@ -159,20 +162,21 @@ def test_u_is_one_exactly_for_single_valued_mappings(pair):
 
 
 def _unique_recoded_tuple_keys(columns, n):
-    """Mixed-radix row keys, re-coded with np.unique's inverse before they outgrow 4n+4096."""
+    """Mixed-radix int64 row keys, re-coded with np.unique's inverse before they outgrow 4n+4096."""
     keys, size = np.zeros(n, dtype=np.int64), 1
     for codes, card in columns:
         if size * card > 4 * n + 4096:
             uniq, keys = np.unique(keys, return_inverse=True)
             size = len(uniq)
-        keys, size = keys * card + codes, size * card
+        keys, size = keys * card + codes.astype(np.int64), size * card
     return keys, size
 
 
 def _assert_tuple_keys_equal_reference(columns, n):
     keys, size = tuple_keys(columns, n)
     expected_keys, expected_size = _unique_recoded_tuple_keys(columns, n)
-    assert keys.dtype == np.int64
+    # the narrowest unsigned type of the key space; one column's keys are its codes as given
+    assert keys.dtype == (columns[0][0].dtype if len(columns) == 1 else code_type(size))
     assert np.array_equal(keys, expected_keys)
     assert size == expected_size
 
@@ -191,3 +195,88 @@ def test_tuple_keys_of_many_wide_columns_equal_unique_recoded_keys(n, cards):
     # three columns of 400 codes over 300 rows re-code a key space above 4n+4096
     rng = np.random.default_rng(n)
     _assert_tuple_keys_equal_reference([(rng.integers(0, card, n), card) for card in cards], n)
+
+
+# --- key widths ---------------------------------------------------------------
+
+# code counts at each width's edge (a byte, two bytes, four bytes) and small ones
+CARDS = st.sampled_from([1, 2, 3, 16, 17, 255, 256, 257, 65_535, 65_536, 65_537,
+                         2**32 - 1, 2**32, 2**32 + 1]) | st.integers(1, 400)
+
+
+def _narrow_columns(n, cards, seed):
+    """Columns of (codes, card) over n rows, each code column in code_type(card) as a k-context
+    holds it, its highest code present."""
+    rng = np.random.default_rng(seed)
+    columns = []
+    for card in cards:
+        codes = rng.integers(0, card, n, dtype=np.uint64).astype(code_type(card))
+        codes[rng.integers(n)] = card - 1
+        columns.append((codes, card))
+    return columns
+
+
+@st.composite
+def narrow_columns(draw, cards=CARDS, max_columns=5):
+    """(columns, n): _narrow_columns of up to max_columns code counts drawn from ``cards``."""
+    n = draw(st.integers(1, 300))
+    return _narrow_columns(n, draw(st.lists(cards, min_size=1, max_size=max_columns)), draw(st.integers(0, 2**32 - 1))), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(narrow_columns())
+def test_tuple_keys_of_narrow_codes_equal_int64_keys(case):
+    # the keys stay equal to int64 keys at every width: each is widened before it is multiplied
+    columns, n = case
+    _assert_tuple_keys_equal_reference(columns, n)
+
+
+@pytest.mark.parametrize("n, cards, dtype", [
+    (300, [255, 2], np.uint16),  # byte codes whose key needs two bytes
+    (20_000, [256, 256], np.uint16),  # 65,536 keys, the most that two bytes hold, under dense_size
+    (20_000, [257, 255], np.uint16),
+    (20_000, [257, 256], np.uint32),  # 65,792 keys cross 2**16
+    (20_000, [16, 16, 257], np.uint32),  # byte keys cross 2**16 at the third column, under dense_size
+    (50, [17, 17, 17], np.uint16),  # 4,913 keys cross dense_size (4,296): re-ranked first
+    (300, [65_535, 65_536, 65_537], np.uint32),  # above dense_size: re-ranked to at most 300 keys first
+    (300, [300, 2**32 + 1], np.uint64),  # 300 * (2**32 + 1) keys cross 2**32
+    (3, [2**32 - 1, 2**32], np.uint64),
+])
+def test_tuple_keys_cross_each_width_partway(n, cards, dtype):
+    columns = _narrow_columns(n, cards, n)
+    _assert_tuple_keys_equal_reference(columns, n)
+    assert tuple_keys(columns, n)[0].dtype == dtype
+
+
+@settings(max_examples=200, deadline=None)
+@given(narrow_columns(max_columns=1), st.booleans())
+def test_dense_ranks_of_narrow_keys_equal_unique_inverse(case, sparse):
+    # a key space above dense_size is ranked by np.unique, one below by a bincount pass
+    [(keys, size)], n = case
+    if sparse:  # the same keys spread over a key space above dense_size
+        size = max(size, dense_size(n) + 1)
+    ranks, count = dense_ranks(keys, size)
+    uniq, inverse = np.unique(keys.astype(np.int64), return_inverse=True)
+    assert ranks.dtype == code_type(count)
+    assert np.array_equal(ranks, inverse) and count == len(uniq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(narrow_columns(cards=st.sampled_from([1, 2, 17, 255, 256, 257, 65_535, 65_536, 65_537]) | st.integers(1, 400),
+                      max_columns=2))
+def test_mutual_information_of_narrow_codes_counts_int64_keys(case):
+    # the joint keys, their counts and their order equal those of int64 keys, so I(X;Y) is the same float
+    columns, n = case
+    x, y = (coded_column(codes, card) for codes, card in (columns * 2)[:2])
+    nx, ny = len(x.counts), len(y.counts)
+    keys = x.codes.astype(np.int64) * ny + y.codes
+    with mock.patch.object(stats, "key_counts", wraps=key_counts) as counted:
+        mi, pairs = stats._coded_mutual_information(x, y)
+    narrow_keys, size = counted.call_args.args
+    assert narrow_keys.dtype == code_type(nx * ny) and size == nx * ny
+    assert np.array_equal(narrow_keys, keys)
+    joint, joint_counts = key_counts(keys, size)
+    assert all(map(np.array_equal, key_counts(narrow_keys, size), (joint, joint_counts)))
+    p_xy = joint_counts / n
+    expected = float((p_xy * np.log(p_xy / (x.counts[joint // ny] / n * (y.counts[joint % ny] / n)))).sum())
+    assert (mi, pairs) == (expected, len(joint))
