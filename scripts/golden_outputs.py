@@ -17,9 +17,14 @@ For the shipping seeds 7 and 1001 it runs, in process and inside OUT_DIR:
 - ``edbn score --explain 3`` and ``--explain 50`` with each model: the ranking,
   its explanations and stdout, for the test log as generated and again with
   ``item`` unique per event, where every trace holds zero factors; 50 reaches
-  well past the first few blocks of each trace.
+  well past the first few blocks of each trace;
+- ``edbn score --explain 3`` with each model on a copy of the test log whose
+  traces interleave round robin and whose ``event_id`` column is dropped, so
+  that explanations name events by data row through the parse's regrouping;
+- ``edbn evaluate --out`` at k = 1 on the training log and the labeled test
+  log: the report, the precision/recall curve, the scores and stdout.
 
-86 files in all.
+108 files in all.
 
 Run it on two trees and compare; an empty ``diff -r`` is the gate:
 
@@ -31,6 +36,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -59,6 +65,21 @@ def _unique_item(src: str, dst: str, first_line: int = 2) -> None:
         row[item] = f"item-{row[event_id]}"
     with open(dst, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+
+
+def _interleaved(src: str, dst: str) -> None:
+    """A copy of the log without its event_id column, its traces' events taken round robin: the
+    first event of each trace in log order, then the second of each, and so on."""
+    with open(src, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    trace, event_id = header.index("case_id"), header.index("event_id")
+    traces: dict[str, list[list[str]]] = {}
+    for row in rows:
+        traces.setdefault(row[trace], []).append(row[:event_id] + row[event_id + 1 :])
+    del header[event_id]
+    rounds = itertools.zip_longest(*traces.values())
+    with open(dst, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *(row for r in rounds for row in r if row)])
 
 
 QUOTED_LINES = {"train-one-quoted": 2, "train-middle-quoted": 10_000}
@@ -100,6 +121,7 @@ def main() -> int:
                     "--n-traces", "300", "--fraction", "1.0", "--seed", str(seed + 2)])
         _unique_item(f"{d}/test.csv", f"{d}/test-unique-item.csv")
         _unique_item(f"{d}/train.csv", f"{d}/train-unique-item.csv", 10_000)
+        _interleaved(f"{d}/test.csv", f"{d}/test-interleaved.csv")
         _quoted_copies(f"{d}/train.csv", d)
         for k in KS:
             model = f"{d}/model-k{k}.json"
@@ -110,9 +132,15 @@ def main() -> int:
                     ranking = f"{d}/{name}.ranking.csv"
                     _run(edbn, ["score", "--model", model, "--log", f"{d}/{test}.csv", "--out", ranking,
                                 "--explain", top_n], f"{ranking}.stdout")
+            ranking = f"{d}/test-interleaved-k{k}.ranking.csv"
+            _run(edbn, ["score", "--model", model, "--log", f"{d}/test-interleaved.csv", "--out", ranking,
+                        "--explain", "3"], f"{ranking}.stdout")
         model = f"{d}/train-unique-item-model-k1.json"
         _run(edbn, ["train", "--log", f"{d}/train-unique-item.csv", "--trace-col", "case_id", "--out", model,
                     "--k", "1"], f"{model}.stdout")
+        _run(edbn, ["evaluate", "--train-log", f"{d}/train.csv", "--log", f"{d}/test.csv", "--labels",
+                    f"{d}/labels.csv", "--trace-col", "case_id", "--out", f"{d}/evaluate-k1", "--k", "1"],
+             f"{d}/evaluate-k1.stdout")
         for copy in (*QUOTED_LINES, "train-all-quoted"):
             model = f"{d}/{copy}-model-k1.json"
             _run(edbn, ["train", "--log", f"{d}/{copy}.csv", "--trace-col", "case_id", "--out", model, "--k", "1"])

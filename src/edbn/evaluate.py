@@ -7,6 +7,8 @@ normal one (ties count one half, the Mann-Whitney midrank convention).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .detect import score_log
@@ -31,15 +33,13 @@ class EvalReport:
 
 
 def _split(scores: Sequence[LabeledScore]) -> tuple[list[float], list[float]]:
-    anomalous, normal = [], []
+    by_label = {ANOMALOUS: [], NORMAL: []}
     for entry in scores:
         entry = LabeledScore(*entry)
-        if entry.label == ANOMALOUS:
-            anomalous.append(entry.score)
-        elif entry.label == NORMAL:
-            normal.append(entry.score)
-        else:
+        if entry.label not in by_label:
             raise ValueError(f"unknown label {entry.label!r}")
+        by_label[entry.label].append(entry.score)
+    anomalous, normal = by_label[ANOMALOUS], by_label[NORMAL]
     if not anomalous or not normal:
         raise ValueError("need at least one normal and one anomalous score")
     return anomalous, normal
@@ -50,15 +50,11 @@ def auc(scores: Sequence[LabeledScore]) -> float:
     anomalous, normal = _split(scores)
     n_a, n_n = len(anomalous), len(normal)
     ranked = sorted([(s, 0) for s in anomalous] + [(s, 1) for s in normal])
-    rank_sum_a = 0.0
-    i = 0
-    while i < len(ranked):
-        j = i
-        while j < len(ranked) and ranked[j][0] == ranked[i][0]:
-            j += 1
-        midrank = (i + 1 + j) / 2  # ranks are 1-based; ties share the mean rank
-        rank_sum_a += midrank * sum(1 for k in range(i, j) if ranked[k][1] == 0)
-        i = j
+    rank_sum_a, j = 0.0, 0
+    for _, tied in groupby(ranked, key=itemgetter(0)):
+        labels = [label for _, label in tied]
+        i, j = j, j + len(labels)
+        rank_sum_a += (i + 1 + j) / 2 * labels.count(0)  # ranks are 1-based; ties share the mean rank
     u_a = rank_sum_a - n_a * (n_a + 1) / 2  # pairs where the anomalous score is higher
     return 1.0 - u_a / (n_a * n_n)
 
@@ -68,17 +64,11 @@ def precision_recall(scores: Sequence[LabeledScore]) -> list[tuple[float, float]
     anomalous, normal = _split(scores)
     entries = sorted([(s, True) for s in anomalous] + [(s, False) for s in normal])
     n_a = len(anomalous)
-    curve = []
-    tp = flagged = 0
-    i = 0
-    while i < len(entries):
-        j = i
-        while j < len(entries) and entries[j][0] == entries[i][0]:
-            tp += entries[j][1]
-            flagged += 1
-            j += 1
+    curve, tp, flagged = [], 0, 0
+    for _, tied in groupby(entries, key=itemgetter(0)):
+        positives = [positive for _, positive in tied]
+        tp, flagged = tp + sum(positives), flagged + len(positives)
         curve.append((tp / n_a, tp / flagged))
-        i = j
     return curve
 
 

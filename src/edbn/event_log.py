@@ -13,7 +13,7 @@ import math
 from array import array
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from operator import itemgetter, le
@@ -104,20 +104,22 @@ class Trace:
 class EventLog:
     """A log of traces, held as integer codes.
 
-    ``trace_ids`` and ``trace_lengths`` give the traces in log order and
-    ``event_ids`` one id per event.  Per attribute (schema order), ``codes``
-    holds one code per event into its entry of ``vocabularies``, the distinct
-    values, in an immutable buffer of the narrowest width: ``bytes`` where the
-    vocabulary has at most 256 values, else a read-only memoryview of 4-byte
-    unsigned codes (format ``"I"``); either indexes, slices and iterates as ints.
-    ``columns`` (the values per attribute) and ``traces`` are decoded
-    from them when first read.  parse_log codes a log as it reads it, so its
-    vocabularies follow first appearance in the file, which differs from the
-    log's where traces interleave or an order column moves an event.
-    generate, ``EventLog(schema, traces)`` (kept as ``traces``) and
-    inject_anomalies, where it mutates a trace, code in log order through
-    _from_columns.  Equality ignores vocabulary order, and a log is immutable.
+    ``trace_ids`` and ``trace_lengths`` give the traces in log order and ``event_ids`` one id per
+    event.  A log named by data row (parse_log with no id column, generate) keeps in ``event_rows``
+    a range, or 4-byte rows in an array where they are not in log order, and builds ``event_ids``,
+    the rows as text, when first read; any other log holds its ids.  Per attribute (schema order),
+    ``codes`` holds one code per event into its entry of ``vocabularies``, the distinct values, in
+    an immutable buffer of the narrowest width: ``bytes`` where the vocabulary has at most 256
+    values, else a read-only memoryview of 4-byte unsigned codes (format ``"I"``); either indexes,
+    slices and iterates as ints.  ``columns`` (the values per attribute) and ``traces`` are decoded
+    from them when first read.  parse_log codes a log as it reads it, so its vocabularies follow
+    first appearance in the file, which differs from the log's where traces interleave or an order
+    column moves an event.  generate, ``EventLog(schema, traces)`` (kept as ``traces``) and
+    inject_anomalies, where it mutates a trace, code in log order through _from_columns.  Equality
+    ignores vocabulary order, and a log is immutable.
     """
+
+    event_rows: Sequence[int] | None = None
 
     def __init__(self, schema: AttributeSchema, traces: Sequence[Trace]):
         traces = tuple(traces)
@@ -140,7 +142,7 @@ class EventLog:
             except TypeError:  # an unhashable value
                 vocab = column
             if bad := [v for v in vocab if not isinstance(v, str) or v == PADDING]:
-                raise ValueError(f"event {event_ids[column.index(bad[0])]!r} holds {bad[0]!r:.40} as {attr!r}; "
+                raise ValueError(f"event {str(event_ids[column.index(bad[0])])!r} holds {bad[0]!r:.40} as {attr!r}; "
                                  f"values must be strings other than the reserved token {PADDING!r}")
             vocabularies.append(vocab)
         _check_unique(event_ids)
@@ -152,7 +154,8 @@ class EventLog:
     def _from_codes(cls, schema, event_ids, trace_ids, trace_lengths, vocabularies, codes) -> "EventLog":
         log = cls.__new__(cls)
         log.__dict__.update(schema=schema, trace_ids=trace_ids, trace_lengths=trace_lengths,
-                            event_ids=event_ids, vocabularies=vocabularies, codes=codes)
+                            vocabularies=vocabularies, codes=codes)
+        log.__dict__["event_ids" if isinstance(event_ids, tuple) else "event_rows"] = event_ids
         return log
 
     def __setattr__(self, name, value):
@@ -181,9 +184,13 @@ class EventLog:
     def columns(self) -> tuple[tuple[str, ...], ...]:
         return tuple(tuple(map(v.__getitem__, c)) for v, c in zip(self.vocabularies, self.codes))
 
+    @cached_property
+    def event_ids(self) -> tuple[str, ...]:
+        return tuple(map(str, self.event_rows))  # a log that holds its ids never reaches this
+
     @property
     def event_count(self) -> int:
-        return len(self.event_ids)
+        return sum(self.trace_lengths)
 
     def trace_by_id(self, trace_id: str) -> Trace:
         for trace in self.traces:
@@ -206,7 +213,7 @@ def code_type(n: int):
 
 
 def _check_unique(event_ids: Sequence[str]) -> None:
-    if len(set(event_ids)) != len(event_ids):
+    if isinstance(event_ids, tuple) and len(set(event_ids)) != len(event_ids):  # data rows are unique
         seen: set[str] = set()
         for event_id in event_ids:
             if event_id in seen:
@@ -227,17 +234,17 @@ class KContextRow:
 class KContextLog:
     """The k-context as integer codes: ``codes[i]`` holds one code per event, in log order, into
     ``vocabularies[i]``, the sorted values that ``variables[i]`` takes; a NumPy array of
-    ``code_type(len(vocabularies[i]))``, the narrowest unsigned type that holds its codes."""
+    ``code_type(len(vocabularies[i]))``, the narrowest unsigned type that holds its codes.
+    ``rows`` reads each event's event id and trace id from ``log``, the log it widens."""
 
     k: int
     variables: tuple[Variable, ...]
     codes: tuple = ()
     vocabularies: tuple[tuple[str, ...], ...] = ()
-    event_ids: tuple[str, ...] = ()
-    trace_ids: tuple[str, ...] = ()
+    log: EventLog | None = field(default=None, repr=False)  # its repr would decode every trace
 
     def __len__(self) -> int:
-        return len(self.event_ids)
+        return len(self.codes[0]) if self.codes else 0
 
     def index_of(self, var: Variable) -> int:
         try:
@@ -255,8 +262,9 @@ class KContextLog:
 
     @cached_property
     def rows(self) -> tuple[KContextRow, ...]:
-        values = zip(*(self.column(v) for v in self.variables)) if len(self) else ()
-        return tuple(map(KContextRow, values, self.event_ids, self.trace_ids))
+        values = zip(*(self.column(v) for v in self.variables))
+        trace_ids = chain.from_iterable(map(repeat, self.log.trace_ids, self.log.trace_lengths))
+        return tuple(map(KContextRow, values, self.log.event_ids, trace_ids))
 
     def current_variables(self) -> tuple[Variable, ...]:
         return tuple(v for v in self.variables if v.lag == 0)
@@ -451,16 +459,17 @@ def parse_log(
         grouped = order == list(range(len(order)))
 
     in_order = (lambda values: values) if grouped else (lambda values: map(values.__getitem__, order))
+    rows = range(len(trace_codes)) if grouped else array("I", order)  # each event's data row, in log order
     # the trace ids, trace lengths, vocabularies and codes
     coded = (tuple(trace_vocab), tuple(lengths), tuple(tuple(coders[i][1]) for i in attr_is),
              tuple(_packed(in_order(codes), len(vocab)) for _, vocab, codes in map(coders.get, attr_is)))
     if not schema.event_id_column:
-        return EventLog._from_codes(schema, tuple(map(str, order)), *coded)  # events named by data row
+        return EventLog._from_codes(schema, rows, *coded)  # events named by data row
     event_ids = tuple(in_order(plain[col_index[schema.event_id_column]]))
     try:
         _check_unique(event_ids)
     except DuplicateEventIdError as exc:  # a caller may name the events by data row without a second read
-        exc.log = EventLog._from_codes(replace(schema, event_id_column=None), tuple(map(str, order)), *coded)
+        exc.log = EventLog._from_codes(replace(schema, event_id_column=None), rows, *coded)
         raise
     return EventLog._from_codes(schema, event_ids, *coded)
 
@@ -525,7 +534,8 @@ def build_k_context(log: EventLog, k: int) -> KContextLog:
     ordered slice k down to slice 0, schema order within each slice.  The log's
     codes are read as they are held (np.frombuffer) and taken through the sorted
     rank of their values, one attribute at a time: no value is coded again, and
-    each variable's codes are held in code_type of its vocabulary's size.
+    each variable's codes are held in code_type of its vocabulary's size.  No
+    event id or trace id is read: the k-context keeps the log, which names them.
     """
     import numpy as np
     if k < 1:
@@ -548,5 +558,4 @@ def build_k_context(log: EventLog, k: int) -> KContextLog:
             coded[Variable(attr, lag)] = dense[shifted], tuple(compress(vocab, present))
     variables = tuple(Variable(attr, lag) for lag in range(k, -1, -1) for attr in names)
     codes, vocabularies = zip(*map(coded.pop, variables))
-    trace_ids = tuple(chain.from_iterable(map(repeat, log.trace_ids, log.trace_lengths)))
-    return KContextLog(k, variables, codes, vocabularies, log.event_ids, trace_ids)
+    return KContextLog(k, variables, codes, vocabularies, log)

@@ -91,7 +91,7 @@ def cell_counts(ctx: KContextLog, variables: Sequence[Variable]) -> dict:
 
 def _entropy_from_counts(counts: np.ndarray, n: int) -> float:
     import numpy as np
-    p = counts / n
+    p = counts[counts > 0] / n  # a code with no count adds 0*log(0) = 0
     return float(-(p * np.log(p)).sum())
 
 

@@ -189,7 +189,7 @@ def generate(model: ProcessModel, n_traces: int, seed: int) -> EventLog:
                 else:  # activity_choice
                     column.append(rng.choice(rule.pools[activity]))
     width = max(4, len(str(n_traces)))
-    return EventLog._from_columns(model.schema(), tuple(map(str, range(sum(lengths)))),
+    return EventLog._from_columns(model.schema(), range(sum(lengths)),
                                   tuple(f"t{i:0{width}d}" for i in range(n_traces)), tuple(lengths),
                                   tuple(tuple(columns[attr]) for attr in model.attributes))
 

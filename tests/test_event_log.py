@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -22,6 +23,7 @@ from edbn import (
     parse_log,
     serialize_log,
 )
+from edbn.event_log import DuplicateEventIdError
 from edbn.synth import Rule
 
 from conftest import ATTRS, PERMISSION_ROWS_FULL, PERMISSION_ROWS
@@ -305,6 +307,19 @@ def test_parsing_holds_about_one_chunk_beyond_the_log_it_returns():
     assert peak - retained < 4_000_000
 
 
+def test_a_parsed_log_named_by_data_row_holds_under_0_6_mb():
+    # its codes are bytes and its rows a range: one id string per event took 1.4 MB of this 1.8 MB log
+    lines = serialize_log(generate(SHIPPING, 2000, 7)).splitlines(keepends=True)
+    tracemalloc.start()
+    try:
+        log = parse_log(lines, SHIPPING_SCHEMA)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert log.event_count == len(lines) - 1
+    assert retained < 600_000
+
+
 def test_learning_holds_under_5_mb_beyond_the_parsed_log():
     # the k-context and every count key are held in the narrowest unsigned type: with int64
     # codes and keys, learning on this log peaked 7.2 MB above the parsed log
@@ -358,3 +373,60 @@ def test_every_log_holds_its_codes_in_immutable_buffers_of_the_stated_width(prod
         log = EventLog(SHIPPING_SCHEMA, _widely_generated().traces)
     assert any(len(vocab) > 256 for vocab in log.vocabularies) == (producer != "parse")
     _assert_narrow_buffers(log)
+
+
+def _with_ids(text: str, id_of) -> str:
+    # the text with an id column, ``id_of(j)`` on data row j
+    header, *lines = text.splitlines()
+    return "\n".join([f"{header},id", *(f"{line},{id_of(j)}" for j, line in enumerate(lines))]) + "\n"
+
+
+NAMED_BY_ROW = ["parse", "interleaved", "order column", "generate", "duplicate ids"]
+
+
+@pytest.mark.parametrize("producer", [*NAMED_BY_ROW, "parse with ids", "inject", "traces"])
+def test_every_producer_names_its_events_as_the_reference_does(producer):
+    # a log named by data row keeps the rows, a range in log order and else 4-byte rows, and builds
+    # its ids, the rows as text, when they are first read; any other log holds its ids
+    interleaved = AttributeSchema(("A", "B"), "tid", "ts" if producer == "order column" else None)
+    text = _interleaved_text()
+    if producer == "parse":
+        text = serialize_log(generate(SHIPPING, 50, 3))
+        log, expected = parse_log(text, SHIPPING_SCHEMA), reference_parse_log(text, SHIPPING_SCHEMA).event_ids
+    elif producer in ("interleaved", "order column"):
+        log, expected = parse_log(text, interleaved), reference_parse_log(text, interleaved).event_ids
+    elif producer == "generate":
+        log = generate(SHIPPING, 50, 3)
+        expected = tuple(map(str, range(log.event_count)))
+    elif producer == "duplicate ids":
+        with pytest.raises(DuplicateEventIdError) as raised:
+            parse_log(_with_ids(text, lambda j: f"e{j % 50}"), replace(interleaved, event_id_column="id"))
+        log, expected = raised.value.log, reference_parse_log(text, interleaved).event_ids
+    elif producer == "parse with ids":
+        schema = replace(interleaved, event_id_column="id")
+        log = parse_log(_with_ids(text, lambda j: f"e{j * 37 % 400}"), schema)
+        expected = reference_parse_log(_with_ids(text, lambda j: f"e{j * 37 % 400}"), schema).event_ids
+    elif producer == "inject":
+        labeled = inject_anomalies(generate(SHIPPING, 50, 3), 0.5, 4).log
+        log, expected = labeled, parse_log(serialize_log(labeled), replace(SHIPPING_SCHEMA, event_id_column="event_id")).event_ids
+    else:
+        traces = parse_log(_with_ids(text, lambda j: f"e{j * 37 % 400}"), replace(interleaved, event_id_column="id")).traces
+        log, expected = EventLog(interleaved, traces), tuple(e.id for t in traces for e in t.events)
+    if producer in NAMED_BY_ROW:
+        assert "event_ids" not in vars(log)
+        in_log_order = producer in ("parse", "generate")
+        assert type(log.event_rows) is (range if in_log_order else array)
+        assert log.event_rows == (range(log.event_count) if in_log_order else array("I", map(int, expected)))
+    else:
+        assert log.event_rows is None and vars(log)["event_ids"] is log.event_ids
+    assert log.event_ids == expected and len(expected) == log.event_count
+    assert [e.id for t in log.traces for e in t.events] == list(expected)
+
+
+def test_learning_never_builds_the_ids_of_a_log_named_by_row():
+    log = parse_log(serialize_log(generate(SHIPPING, 30, 5)), SHIPPING_SCHEMA)
+    ctx = build_k_context(log, 2)
+    learn_edbn(log, 2)
+    assert "event_ids" not in vars(log) and not hasattr(ctx, "event_ids") and not hasattr(ctx, "trace_ids")
+    # the k-context derives each row's ids from the log only when its rows are read
+    assert [(r.event_id, r.trace_id) for r in ctx.rows] == [(e.id, t.trace_id) for t in log.traces for e in t.events]

@@ -159,7 +159,7 @@ def _assert_same_k_context(text, schema, chunk_lines, **options):
         built = build_k_context(EventLog(schema, log.traces), k)
         assert parsed.vocabularies == built.vocabularies
         assert all(map(np.array_equal, parsed.codes, built.codes))
-        assert (parsed.event_ids, parsed.trace_ids) == (built.event_ids, built.trace_ids)
+        assert [(r.event_id, r.trace_id) for r in parsed.rows] == [(r.event_id, r.trace_id) for r in built.rows]
 
 
 CHUNK_LINES = st.sampled_from([1, 2, 3, 4, None])  # None: the default field budget

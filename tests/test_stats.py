@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -259,6 +260,20 @@ def test_dense_ranks_of_narrow_keys_equal_unique_inverse(case, sparse):
     uniq, inverse = np.unique(keys.astype(np.int64), return_inverse=True)
     assert ranks.dtype == code_type(count)
     assert np.array_equal(ranks, inverse) and count == len(uniq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=60), st.integers(0, 5))
+def test_entropy_of_a_column_with_unused_codes_equals_that_of_its_dense_form(codes, unused):
+    # codes in [0, card) that no row takes count 0 and add nothing, with no nan and no warning
+    card = max(codes) + 1 + unused
+    present = np.bincount(codes, minlength=card) > 0
+    dense = (np.cumsum(present) - 1)[codes]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sparse = coded_column(np.array(codes), card)
+        assert sparse.entropy == coded_column(dense, int(present.sum())).entropy
+    assert sparse.entropy == entropy(codes)
 
 
 @settings(max_examples=200, deadline=None)
