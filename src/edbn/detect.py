@@ -2,13 +2,13 @@
 
 A trace's score is the geometric mean of its event probabilities (the n-th root of the joint
 probability), so length does not penalize a trace.  Low scores mean anomalous; ranking is
-ascending.  Scoring is read-only on the model and safe to run concurrently.  Every scorer reads
-the factor blocks of the model's runs of key-sharing attributes and adds an event's blocks' logs
-as exact fixed-point ints, in pure Python (numpy would add about 11 MB): score_log reads the log's
-code columns a chunk of whole traces at a time and computes each block once per distinct key;
-score_trace and score_prefix compute each event's blocks from its own k-context.  A TraceScore
-holds each event's blocks by reference; its factor values and decomposition are decoded when first
-read, and explain reads only the blocks whose smallest factor can be among the top n.
+ascending.  Scoring is read-only on the model and safe to run concurrently.  Every scorer codes
+values against the model once (score_log per vocabulary entry of the log, score_trace and
+score_prefix per value) and reads the factor blocks of the model's runs of key-sharing attributes,
+one block per distinct key in a call, adding an event's blocks' logs as exact fixed-point ints in
+pure Python (numpy would add about 11 MB).  A TraceScore holds each event's blocks by reference;
+its factor values and decomposition are decoded when first read, and explain reads only the
+blocks whose smallest factor can be among the top n.
 """
 from __future__ import annotations
 
@@ -80,15 +80,9 @@ def _trace_score(model: EDBNModel, trace_id: str, event_ids: tuple[str, ...], bl
                       model.scoring_tables.labels)
 
 
-def _score_events(model: EDBNModel, trace_id: str, events: Sequence[Event]) -> TraceScore:
-    if not events:
-        raise ValueError("cannot score an empty trace")
-    return _trace_score(model, trace_id, tuple(map(attrgetter("id"), events)), *model.scoring_tables.score(events))
-
-
 def score_trace(model: EDBNModel, trace: Trace) -> TraceScore:
     """Geometric-mean score of a complete trace, with per-factor decomposition."""
-    return _score_events(model, trace.trace_id, trace.events)
+    return score_prefix(model, trace)
 
 
 def score_prefix(
@@ -96,8 +90,10 @@ def score_prefix(
 ) -> TraceScore:
     """Score an ongoing trace from the events seen so far (n = prefix length)."""
     if isinstance(events, Trace):
-        return _score_events(model, events.trace_id, events.events)
-    return _score_events(model, trace_id, tuple(events))
+        events, trace_id = events.events, events.trace_id
+    if not (events := tuple(events)):
+        raise ValueError("cannot score an empty trace")
+    return _trace_score(model, trace_id, tuple(map(attrgetter("id"), events)), *model.scoring_tables.score_events(events))
 
 
 def rank_traces(model: EDBNModel, log: EventLog) -> Ranking:

@@ -17,8 +17,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, groupby
-from operator import attrgetter, getitem, itemgetter
+from itertools import accumulate, chain, groupby, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence, Union
 
 from .event_log import (
@@ -225,35 +225,42 @@ def _fixed_point(rates: Iterable[float]) -> tuple[float, dict[float, int | float
 
 
 class ScoringTables:
-    """A model's factors as float tables, compiled once from its exact rationals; every driver reads them.
+    """A model's factors as float tables keyed on model codes, compiled once from its exact rationals.
+
+    Per attribute, ``_coders`` gives PADDING the code 0 and each value that the tables name (in its active
+    domain or CPT cells, in the CPT configurations and FD map keys that read it, or in the FD map values
+    into it) a code of its own; any other value codes as UNSEEN, the coder's length.  Every factor treats
+    the values a model never names alike, so one code for them all is exact.
 
     Every event has the same factor layout, ``labels``: per attribute in schema order its value factor,
-    its relation factor when it has CPT parents, then one FD check per mapping into it.  Every table
-    float comes from one call of value_probability, relation_probability or fdm_probability, so factors
-    read from the tables equal those functions' results bit for bit.
+    its relation factor when it has CPT parents, then one FD check per mapping into it.  Every table float
+    comes from one call of value_probability, relation_probability or fdm_probability on a code's value (a
+    sentinel for UNSEEN), so factors equal those functions' results bit for bit.  Tables are dicts by code,
+    as sparse as the model, each with its unseen fallback.
 
     An attribute's own positions are the k-context positions of its value, its CPT parents and its FD
     sources.  ``_blocks`` holds one entry per run of attributes, taken in schema order, where each
     attribute joins the current run when its own positions share one with the union of the run's: the
-    run's key, that union with each position once, and its members' entries, which read the key's values.
-    ``_log_of`` maps every float a factor can take to its log as a fixed-point int (_fixed_point).  Both
-    drivers, score and score_traces, give every event's runs' blocks (Block), event after event in one
-    flat sequence, computed by _block (by score_traces once per distinct key) and held by reference,
-    never copied; and an event's log as the int sum of its blocks' logs times _scale: math.fsum of its
-    factors' logs bit for bit, since the int sum is exact and only its conversion to float rounds, half
-    to even.  A block is the same record whichever driver made it; explain reads its smallest factor, so
-    no driver sorts a block.  A single driver would slow one of two uses: score_prefix by coding each
-    prefix's events for score_traces, or score_log by decoding a log to strings.
+    run's key, that union with each position once, and its members' entries, which read the key's codes.
+    ``_log_of`` maps every float a factor can take to its log as a fixed-point int (_fixed_point).
+
+    score_traces and score_events share one driver, _score_chunk.  It gives every event's runs' blocks
+    (Block), event after event, each computed by _block once per distinct key in a call and held by
+    reference, never copied; and an event's log as the int sum of its blocks' logs times _scale:
+    math.fsum of its factors' logs bit for bit, since the int sum is exact and only its conversion to
+    float rounds, half to even.  explain reads a block's smallest factor, so no block is sorted.
     """
 
     def __init__(self, model: EDBNModel):
-        pos = model._var_positions
-        self._n_attrs = len(model.schema.names)
-        self._width = len(model.variables)
-        self._padding = (PADDING,) * (self._width - self._n_attrs)
+        pos, names = model._var_positions, model.schema.names
+        self._n_attrs = len(names)
+        coders = {a: {PADDING: 0} for a in names}
+
+        def code(attr: str, x: str) -> int:  # a value the tables name gets the next code of its attribute
+            return coders[attr].setdefault(x, len(coders[attr]))
         labels: list[tuple[str, str, Variable | None]] = []
         blocks, rates = [], []  # rates: every float a factor can take
-        for attr in model.schema.names:
+        for attr in names:
             cpt, mappings = model.cpts[attr], model.mappings_into(attr)
             own = [pos[Variable(attr, 0)], *(pos[p] for p in cpt.parents), *(pos[m.edge.source] for m in mappings)]
             if not blocks or blocks[-1][0].keys().isdisjoint(own):
@@ -263,13 +270,13 @@ class ScoringTables:
                 key.setdefault(p, len(key))
             at = key.__getitem__
             labels.append((attr, VALUE, None))
-            values = {x: value_probability(model, attr, x) for x in model.active_domains[attr]}
+            values = {code(attr, x): value_probability(model, attr, x) for x in sorted(model.active_domains[attr])}
             relation = None
             if cpt.parents:
                 labels.append((attr, RELATION, None))
                 rows = {
-                    cfg: (
-                        {x: relation_probability(model, attr, x, cfg) for x in counts},
+                    tuple(map(code, [p.attr for p in cpt.parents], cfg)): (
+                        {code(attr, x): relation_probability(model, attr, x, cfg) for x in counts},
                         relation_probability(model, attr, _UNSEEN, cfg),
                     )
                     for cfg, counts in cpt.rows.items()
@@ -283,77 +290,72 @@ class ScoringTables:
                 agree = fdm_probability(m, _UNSEEN, _UNSEEN)
                 # any mapped source with an unseen target violates; an empty map never does
                 violate = next((fdm_probability(m, x, _UNSEEN) for x in m.map), agree)
-                fds.append((at(pos[m.edge.source]), m.map, agree, violate))
+                expected = {code(m.edge.source.attr, x): code(attr, y) for x, y in m.map.items()}
+                fds.append((at(pos[m.edge.source]), expected, agree, violate))
             unseen_value = value_probability(model, attr, _UNSEEN)
             rates += [*values.values(), unseen_value, *chain.from_iterable(f[2:] for f in fds)]
             run.append((at(own[0]), values, unseen_value, relation, tuple(fds)))
         self.labels = tuple(labels)
+        self._coders = tuple(coders.values())  # complete: every value the tables name has its code
+        self._unseen = tuple(map(len, self._coders))  # each attribute's UNSEEN code, past all of its codes
         self._blocks = tuple((tuple(key), tuple(run)) for key, run in blocks)
-        self._runs = tuple((_tuple_getter(key), plan) for key, plan in self._blocks)  # score's key reader per run
+        self._keys_of = tuple(_tuple_getter(key) for key, _ in self._blocks)  # per run, its key positions' columns
+        # every k-context position that a key reads, with its attribute and lag
+        positions = sorted(set(chain.from_iterable(key for key, _ in self._blocks)))
+        self._columns = tuple((p, p % len(names), model.k - p // len(names)) for p in positions)
         self._scale, fixed = _fixed_point(rates)
         self._log_of = fixed.__getitem__
 
-    def score(self, events: Sequence[Event]) -> tuple[tuple[Block, ...], list[float]]:
-        """Every event's blocks, one per run in run order, event after event, and each event's log-probability.
-
-        History comes from the sequence itself, padded at the head.  Each event reads every run's key
-        from its k-context window and computes the run's block from it, with no memo.
-        """
+    def score_events(self, events: Sequence[Event]) -> tuple[tuple[Block, ...], list[float]]:
+        """Every event's blocks, one per run in run order, event after event, and each event's log-probability,
+        for one ordered sequence of events whose history is the sequence itself, padded at the head."""
         if any(len(e.values) != self._n_attrs for e in events):
             raise ValueError("event values do not match the model's schema")
-        flat = self._padding + tuple(chain.from_iterable(map(attrgetter("values"), events)))
-        runs, block, scale, width = self._runs, self._block, self._scale, self._width
-        blocks, logs = [], []
-        for start in range(0, len(flat) - len(self._padding), self._n_attrs):
-            window = flat[start : start + width]
-            total = 0
-            for key_of, plan in runs:
-                run_block = block(plan, key_of(window))
-                blocks.append(run_block)
-                total += run_block[1]
-            logs.append(float(total) * scale)
-        return tuple(blocks), logs
+        coded = [tuple(map(dict.get, self._coders, e.values, self._unseen)) for e in events]
+        memos = [_Memo(self._block, plan) for _, plan in self._blocks]
+        return self._score_chunk(list(zip(*coded)) or [()] * self._n_attrs, [(0, len(events))], memos)
 
     def score_traces(self, codes, vocabularies, trace_lengths) -> Iterator[tuple[tuple[Block, ...], list[float]]]:
-        """``score`` of each trace of a log held as code columns (per attribute, one code per event into
-        its entry of ``vocabularies``), whose traces are runs of ``trace_lengths`` events.
-
-        A chunk of whole traces, about _CHUNK_EVENTS events, at a time: a key position's column is its
-        attribute's codes shifted by its lag within each trace, PADDING coded one past the vocabulary.
-        Each run's key column maps through a dict, alive as long as this generator, of its blocks, each
-        computed once per distinct key by decoding the key's codes for _block; a trace's blocks are
-        references to those records, never copies of their factors.
-        """
-        n, k, runs = self._n_attrs, self._width // self._n_attrs - 1, len(self._blocks)
-        decoders = [(*vocab, PADDING) for vocab in vocabularies]
-        sources = [[(p % n, k - p // n) for p in key] for key, _ in self._blocks]  # (attribute, lag) of each position
-        memos = [_Memo(lambda codes, plan=plan, decoders=[decoders[p % n] for p in key]:
-                       self._block(plan, list(map(getitem, decoders, codes))))
-                 for key, plan in self._blocks]
-        needed = set(chain.from_iterable(sources))
+        """score_events of each trace of a log given as code columns (per attribute, one code per event into its
+        entry of ``vocabularies``) and ``trace_lengths``.  Each vocabulary is coded once; then each chunk of whole
+        traces, about _CHUNK_EVENTS events, is translated (by bytes.translate where both fit a byte) and scored."""
+        tables = [list(map(coder.get, vocab, repeat(len(coder)))) for coder, vocab in zip(self._coders, vocabularies)]
+        tables = [bytes(table).ljust(256, b"\0") if type(column) is bytes and max(table, default=0) < 256 else table
+                  for table, column in zip(tables, codes)]
+        memos, runs = [_Memo(self._block, plan) for _, plan in self._blocks], len(self._blocks)
         for _, chunk in groupby(zip(accumulate(trace_lengths, initial=0), trace_lengths),
                                 key=lambda trace: trace[0] // _CHUNK_EVENTS):  # (first event, length) of each trace
             chunk = list(chunk)
             lo, hi = chunk[0][0], sum(chunk[-1])  # the chunk's first event, and the end of its last trace
-            columns = {}
-            for a, lag in needed:
-                pad = len(decoders[a]) - 1
-                column = columns[a, lag] = [pad] * min(lag, hi - lo)
-                column += codes[a][lo : hi - lag]
-                for start, length in chunk[1:] if lag else ():
-                    column[start - lo : start - lo + min(lag, length)] = [pad] * min(lag, length)
-            # per run, each event's block; then every event's blocks, event after event, and each event's log
-            blocks = [list(map(memo.__getitem__, zip(*map(columns.__getitem__, source))))
-                      for memo, source in zip(memos, sources)]
-            logs = list(map(self._scale.__mul__, map(sum, zip(*[map(itemgetter(1), b) for b in blocks]))))
-            blocks = tuple(chain.from_iterable(zip(*blocks)))
+            columns = [column[lo:hi].translate(to) if type(to) is bytes else list(map(to.__getitem__, column[lo:hi]))
+                       for to, column in zip(tables, codes)]
+            chunk = [(start - lo, length) for start, length in chunk]
+            blocks, logs = self._score_chunk(columns, chunk, memos)
             for start, length in chunk:
-                yield blocks[(start - lo) * runs : (start - lo + length) * runs], logs[start - lo : start - lo + length]
+                yield blocks[start * runs : (start + length) * runs], logs[start : start + length]
+
+    def _score_chunk(self, columns, traces, memos) -> tuple[tuple[Block, ...], list[float]]:
+        """Every event's blocks, event after event, and each event's log, for whole traces given as model-code
+        columns (per attribute, one code per event) and each trace's (first event, length).  A key position's
+        column is its attribute's codes shifted by its lag within each trace, PADDING's code at the head."""
+        size, starts, lagged = sum(traces[-1]), traces[1:], {}
+        for p, a, lag in self._columns:
+            column = lagged[p] = columns[a]
+            if lag:
+                column = lagged[p] = [0] * lag
+                column += columns[a]
+                del column[size:]
+                for start, length in starts:
+                    column[start : start + min(lag, length)] = [0] * min(lag, length)
+        # per run, each event's block; then every event's blocks, event after event, and each event's log
+        blocks = [list(map(memo.__getitem__, zip(*key_of(lagged)))) for memo, key_of in zip(memos, self._keys_of)]
+        logs = list(map(self._scale.__mul__, map(sum, zip(*[map(itemgetter(1), b) for b in blocks]))))
+        return tuple(chain.from_iterable(zip(*blocks))), logs
 
     def _block(self, plan, key) -> Block:
-        """A run's block from its key's values: its factor values laid out as its members' labels, a tuple of
+        """A run's block from its key's codes: its factor values laid out as its members' labels, a tuple of
         floats (untracked by gc); the sum of their fixed-point logs, an int, or -inf when a factor is zero;
-        and the smallest factor.  This is the only code that turns k-context values into factor values."""
+        and the smallest factor.  This is the only code that turns k-context codes into factor values."""
         out: list[float] = []
         append = out.append
         for x_at, values, unseen_value, relation, fds in plan:
@@ -371,13 +373,13 @@ class ScoringTables:
 
 
 class _Memo(dict):
-    """A dict that computes the value of a missing key once, by ``compute``."""
+    """A run's blocks by key, each computed by ``block`` when its key is first read: one call's, never the tables'."""
 
-    def __init__(self, compute):
-        self.compute = compute
+    def __init__(self, block, plan):
+        self.block, self.plan = block, plan
 
     def __missing__(self, key):
-        value = self[key] = self.compute(key)
+        value = self[key] = self.block(self.plan, key)
         return value
 
 
@@ -397,7 +399,7 @@ def decompose(
 def event_scores(model: EDBNModel, events: Sequence[Event]) -> list[EventScore]:
     """EventScore per event of an ordered (possibly partial) trace."""
     tables = model.scoring_tables
-    values = list(chain.from_iterable(map(itemgetter(0), tables.score(events)[0])))
+    values = list(chain.from_iterable(map(itemgetter(0), tables.score_events(events)[0])))
     return decompose(tables.labels, [e.id for e in events], values)
 
 
@@ -405,7 +407,7 @@ def trace_log_probability(model: EDBNModel, trace: Union[Trace, Sequence[Event]]
     events = trace.events if isinstance(trace, Trace) else tuple(trace)
     if not events:
         raise ValueError("trace is empty")
-    return math.fsum(model.scoring_tables.score(events)[1])
+    return math.fsum(model.scoring_tables.score_events(events)[1])
 
 
 def trace_probability(model: EDBNModel, trace: Union[Trace, Sequence[Event]]) -> float:

@@ -262,10 +262,11 @@ def inject_anomalies(log: EventLog, fraction: float, seed: int) -> LabeledLog:
 
     domains = {a: sorted(vocab) for a, vocab in zip(log.schema.names, log.vocabularies)}
     multi_valued = [a for a in log.schema.names if len(domains[a]) >= 2]
-    used_ids = set(log.event_ids)
+    event_ids = log.event_ids if log.event_rows is None else tuple(map(str, log.event_rows))  # not cached on log
+    used_ids = set(event_ids)
     fresh_counter = 0
 
-    rows = zip(log.event_ids, *log.columns)
+    rows = zip(event_ids, *(map(vocab.__getitem__, codes) for vocab, codes in zip(log.vocabularies, log.codes)))
     traces = [list(islice(rows, n)) for n in log.trace_lengths]
     details: dict[str, tuple[Mutation, ...]] = {}
 

@@ -20,6 +20,8 @@ from edbn import (
     load_model,
     relation_probability,
     save_model,
+    score_prefix,
+    score_trace,
     trace_log_probability,
     trace_probability,
     value_probability,
@@ -238,6 +240,22 @@ def test_empty_trace_is_an_error(permission_log):
     model = learn_edbn(permission_log, 1, 0.99)
     with pytest.raises(ValueError):
         trace_probability(model, [])
+
+
+def test_event_sequences_that_are_empty_or_misshapen(permission_log):
+    # no events decompose to none, but have no probability; an event with too few or too many
+    # values fails before any is coded, whichever scorer reads it
+    model = learn_edbn(permission_log, 1, 0.99)
+    assert event_scores(model, []) == []
+    for scorer in (score_prefix, trace_probability, trace_log_probability):
+        with pytest.raises(ValueError):
+            scorer(model, [])
+    events = permission_log.traces[0].events
+    for values in (events[0].values[:-1], events[0].values + ("extra",)):
+        misshapen = [*events, Event("odd", values)]
+        for scorer in (event_scores, score_prefix, trace_probability, lambda m, e: score_trace(m, Trace("t", tuple(e)))):
+            with pytest.raises(ValueError, match="event values do not match the model's schema"):
+                scorer(model, misshapen)
 
 
 def test_unseen_fd_source_never_lowers_fd_factor(permission_log):

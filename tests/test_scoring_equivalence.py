@@ -4,6 +4,7 @@ Scores, zero-factor counts, rankings, explanations and decompositions are
 compared with ``==``, never a tolerance: the tables hold the floats that the
 per-factor path computed, and the sums are taken the same way.
 """
+import json
 import math
 import random
 from dataclasses import replace
@@ -30,8 +31,10 @@ from edbn import (
     generate,
     inject_anomalies,
     learn_edbn,
+    load_model,
     parse_log,
     rank_traces,
+    save_model,
     score_prefix,
     score_trace,
     serialize_log,
@@ -87,7 +90,7 @@ def _assert_equals_reference(entry, ref):
 
 @pytest.mark.parametrize("case", CASES, ids=[f"{n}-k{k}" for n, k in CASES])
 def test_compiled_scoring_equals_per_factor_reference(cases, case):
-    # both drivers of the tables: the batch ranking, and score_trace and score_prefix event by event
+    # the batch ranking, and score_trace and score_prefix, which code the events themselves
     model, log = cases[case]
     references = {t.trace_id: ReferenceScore(model, t) for t in log.traces}
     ranking = rank_traces(model, log)
@@ -171,39 +174,59 @@ def imposed_models(draw):
 @settings(max_examples=150, deadline=None)
 @given(imposed_models(), st.sampled_from([1, 2, 3, 5, 512]))
 def test_batch_ranking_equals_per_trace_scoring(case, chunk_events):
-    # rank_traces reuses factor blocks across events, traces and chunks; score_trace
-    # computes every event's factors.  Two models in a row: no block may
-    # leak from one model's ranking into another's.
+    # rank_traces reuses factor blocks across events, traces and chunks, and score_trace
+    # across the events of one trace; the per-factor reference computes every factor.
+    # Two models in a row: no block may leak from one model's ranking into another's.
     *models, log = case
     for model in models:
         with patch.object(model_module, "_CHUNK_EVENTS", chunk_events):
             ranking = rank_traces(model, log)
-        assert sorted(ranking.trace_ids()) == sorted(log.trace_ids)
-        for entry in ranking:
-            ref = score_trace(model, log.trace_by_id(entry.trace_id))
-            assert entry.log_score == ref.log_score
-            assert entry.score == ref.score
-            assert entry.factor_values == ref.factor_values
-            assert entry.zero_factor_count == ref.zero_factor_count
-            for top_n in (1, 3):
-                assert explain(entry, top_n) == explain(ref, top_n)
+            assert sorted(ranking.trace_ids()) == sorted(log.trace_ids)
+            for entry in ranking:
+                trace = log.trace_by_id(entry.trace_id)
+                ref = ReferenceScore(model, trace)
+                _assert_equals_reference(entry, ref)
+                _assert_equals_reference(score_trace(model, trace), ref)
 
 
 # --- runs of key-sharing attributes ----------------------------------------------------
+
+
+def _assert_model_codes(model):
+    """Return, per attribute, the tables' value -> model code dict, after checking that it gives PADDING 0 and
+    each other value that the model names for the attribute (in its active domain, CPT cells, CPT
+    configurations, FD map keys or FD map values) a code of its own, and nothing else a code."""
+    named = {a: {PADDING} | model.active_domains[a] for a in model.schema.names}
+    for attr, cpt in model.cpts.items():
+        for cfg, counts in cpt.rows.items():
+            named[attr] |= set(counts)
+            for parent, x in zip(cpt.parents, cfg):
+                named[parent.attr].add(x)
+    for m in model.fd_mappings:
+        named[m.edge.source.attr] |= set(m.map)
+        named[m.edge.target.attr] |= set(m.map.values())
+    codes = dict(zip(model.schema.names, model.scoring_tables._coders))
+    for attr, code in codes.items():
+        assert set(code) == named[attr] and code[PADDING] == 0
+        assert sorted(code.values()) == list(range(len(code)))  # UNSEEN, len(code), is no value's code
+    return codes
 
 
 def _assert_runs_follow_the_walk(model):
     """Return the runs' keys, after checking that ScoringTables grouped the attributes in schema order
     into runs whose members each share a key position with the run's earlier members, that each member
     reads its value, CPT parents and FD sources through the run's key with the value table, CPT rows and
-    FD maps rebuilt here from the model, and that the members' factors, concatenated, give ``labels``."""
+    FD maps rebuilt here from the model over its model codes, and that the members' factors, concatenated,
+    give ``labels``."""
     tables, pos = model.scoring_tables, model._var_positions
+    codes = _assert_model_codes(model)
     attrs = iter(model.schema.names)
     labels, previous = [], []
     for key, run in tables._blocks:
         union = []  # the k-context positions of the run's members so far, in order
         for x_at, values, unseen_value, relation, fds in run:
             attr = next(attrs)
+            code = codes[attr]
             cpt, mappings = model.cpts[attr], model.mappings_into(attr)
             parents = tuple(map(pos.__getitem__, cpt.parents))
             own = [pos[Variable(attr, 0)], *parents, *(pos[m.edge.source] for m in mappings)]
@@ -214,7 +237,7 @@ def _assert_runs_follow_the_walk(model):
             union += own
             rate = model.new_value[attr]
             assert key[x_at] == own[0]
-            assert values == dict.fromkeys(model.active_domains[attr], float(1 - rate))
+            assert values == {code[x]: float(1 - rate) for x in model.active_domains[attr]}
             assert unseen_value == float(rate)
             labels.append((attr, VALUE, None))
             if cpt.parents:
@@ -222,12 +245,14 @@ def _assert_runs_follow_the_walk(model):
                 parents_of, rows, unseen_parents = relation
                 rate = model.new_relation[attr]
                 assert parents_of(key) == parents
-                assert rows == {cfg: ({x: float(1 - rate) * (c / cpt.row_totals[cfg]) for x, c in counts.items()}, 0.0)
+                assert rows == {tuple(codes[p.attr][x] for p, x in zip(cpt.parents, cfg)):
+                                ({code[x]: float(1 - rate) * (c / cpt.row_totals[cfg]) for x, c in counts.items()}, 0.0)
                                 for cfg, counts in cpt.rows.items()}
                 assert unseen_parents == float(rate)
             else:
                 assert relation is None
-            assert [(key[at], expected_of) for at, expected_of, *_ in fds] == [(pos[m.edge.source], m.map) for m in mappings]
+            assert [(key[at], expected_of) for at, expected_of, *_ in fds] == [
+                (pos[m.edge.source], {codes[m.edge.source.attr][x]: code[y] for x, y in m.map.items()}) for m in mappings]
             assert [f[2:] for f in fds] == [(float(1 - m.violation_rate), float(m.violation_rate if m.map else 1 - m.violation_rate))
                                             for m in mappings]
             labels += [(attr, FD_CHECK, m.edge.source) for m in mappings]
@@ -279,38 +304,43 @@ LOW_REUSE = {
 
 
 def _assert_scored_as_per_trace(model, ranking, log):
+    # each trace scored as the per-factor reference scores it alone
     assert sorted(ranking.trace_ids()) == sorted(log.trace_ids)
     for entry in ranking:
-        ref = score_trace(model, log.trace_by_id(entry.trace_id))
-        assert entry.event_ids == ref.event_ids
-        assert entry.log_score == ref.log_score
-        assert entry.score == ref.score
-        assert entry.factor_values == ref.factor_values
-        assert entry.zero_factor_count == ref.zero_factor_count
-        assert explain(entry, 3) == explain(ref, 3)
+        trace = log.trace_by_id(entry.trace_id)
+        assert entry.event_ids == tuple(e.id for e in trace.events)
+        _assert_equals_reference(entry, ReferenceScore(model, trace))
 
 
 @pytest.mark.parametrize("is_unique", LOW_REUSE.values(), ids=LOW_REUSE.keys())
 def test_batch_ranking_never_scores_event_by_event_when_keys_rarely_repeat(monkeypatch, is_unique):
-    # an attribute unique per event, like an amount, brings a new key at every event;
-    # only the block of the run that reads it is computed anew: at most one per event
+    # an attribute unique per event, like an amount, brings a value the model never saw at
+    # every event; all such values share one model code, so the blocks computed stay near
+    # the unmodified log's count, far below one per event
     process = default_shipping_model()
     model = learn_edbn(generate(process, 300, 41), 1, 0.99)
     unmodified = generate(process, 300, 42)
     log = _unique_value(unmodified, is_unique)
     assert len(log.event_ids) > 3000
-    per_event, calls = ScoringTables.score, []
     block, blocks = ScoringTables._block, []
-    monkeypatch.setattr(ScoringTables, "score", lambda *args: calls.append(1) or per_event(*args))
     monkeypatch.setattr(ScoringTables, "_block", lambda *args: blocks.append(1) or block(*args))
     rank_traces(model, unmodified)
     distinct = len(blocks)
     blocks.clear()
     ranking = rank_traces(model, log)
-    assert calls == []
-    assert len(blocks) <= distinct + len(log.event_ids)
+    assert len(blocks) <= distinct * 3 // 2 < len(log.event_ids) // 3
     monkeypatch.undo()
     _assert_scored_as_per_trace(model, ranking, log)
+
+
+def test_a_log_of_byte_codes_scores_against_a_model_of_wider_codes():
+    # the model names more items than a byte holds, so the log's item codes, bytes, are translated
+    # to model codes by a list where every other column goes through bytes.translate
+    process = default_shipping_model()
+    model = learn_edbn(_unique_value(generate(process, 40, 61), lambda t, e: True), 1, 0.99)
+    log = generate(process, 30, 62)
+    assert type(log.codes[log.schema.names.index("item")]) is bytes and len(model.active_domains["item"]) > 256
+    _assert_scored_as_per_trace(model, rank_traces(model, log), log)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -362,6 +392,50 @@ def test_batch_ranking_is_exact_across_chunks_and_padding(lengths, k):
     parsed = parse_log(serialize_log(built), AttributeSchema(("A", "B"), "tid", event_id_column="event_id"))
     for log in (built, parsed):
         _assert_scored_as_per_trace(model, rank_traces(model, log), built)
+
+
+def _model_naming_values_outside_its_domains():
+    """A loaded model whose file names, outside active_domains, a CPT cell and a CPT configuration value
+    (B given A), an FD map key and an FD map value (A at lag 1 determines A)."""
+    model = learn_edbn(_chunk_log([4, 1, 6, 2, 5] * 8), 1, 0.99, structure={(Variable("A", 0), Variable("B", 0))})
+    doc = json.loads(save_model(model))
+    assert doc["active_domains"] == {"A": ["a", "b", "c"], "B": ["u", "v"]}
+    (fd,) = doc["fd_mappings"]
+    assert (fd["source"], fd["target"], fd["map"]) == (["A", 1], ["A", 0], {"a": "b", "b": "c", "c": "a"})
+    fd["map"].update(ka="c", kb="zc")
+    (b_cpt,) = [cpt for cpt in doc["cpts"] if cpt["attribute"] == "B"]
+    row = next(row for row in b_cpt["rows"] if row["parents"] == ["a"])
+    row["counts"]["zb"] = 6
+    row["total"] += 6
+    b_cpt["rows"].append({"parents": ["za"], "counts": {"u": 2}, "total": 2})
+    return load_model(json.dumps(doc))
+
+
+# each named value next to a value that no part of the model names
+OUTSIDE = {
+    "cell": [("a", "zb"), ("a", "zy")],
+    "configuration": [("za", "u"), ("zy", "u")],
+    "key, violated": [("ka", "u"), ("a", "u")],
+    "key, agreed": [("ka", "u"), ("c", "v")],
+    "value, agreed": [("kb", "u"), ("zc", "v")],
+    "value, violated": [("kb", "u"), ("zq", "v")],
+}
+
+
+def test_values_a_model_names_outside_its_active_domains_score_as_the_reference():
+    # each such value keeps a model code of its own: coded as unseen, the cell, the configuration's
+    # row and the two FD checks would read another factor
+    model = _model_naming_values_outside_its_domains()
+    log = EventLog(model.schema, tuple(
+        Trace(name, tuple(Event(f"{name}-{i}", values) for i, values in enumerate(rows))) for name, rows in OUTSIDE.items()))
+    ranking = rank_traces(model, log)
+    assert ranking.trace_ids() == reference_ranking(ReferenceScore(model, t) for t in log.traces)
+    for entry in ranking:
+        trace = log.trace_by_id(entry.trace_id)
+        _assert_equals_reference(entry, ReferenceScore(model, trace))
+        for n in range(1, len(trace.events) + 1):
+            prefix = Trace(trace.trace_id, trace.events[:n])
+            _assert_equals_reference(score_prefix(model, prefix), ReferenceScore(model, prefix))
 
 
 # --- a parsed log, scored from its codes -------------------------------------------
@@ -444,9 +518,9 @@ UNIQUE = {
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("unique", UNIQUE.values(), ids=UNIQUE.keys())
 def test_score_log_equals_score_trace_bit_for_bit(k, unique):
-    # the batch driver (score_log) and the event-by-event one (ScoringTables.score, under score_trace)
-    # give the same blocks (factors, fixed-point log, smallest factor) and event logs, and every
-    # event's log from the blocks' fixed-point sums equals math.fsum of the reference factors' logs
+    # a log coded by vocabulary (score_log) and a trace coded value by value (ScoringTables.score_events,
+    # under score_trace) give the same blocks (factors, fixed-point log, smallest factor) and event logs,
+    # and every event's log from the blocks' fixed-point sums equals math.fsum of the reference factors' logs
     process = default_shipping_model()
     model = learn_edbn(generate(process, 300, 51), k, 0.99)
     log = inject_anomalies(generate(process, 120, 52), 0.3, 53).log
@@ -465,7 +539,7 @@ def test_score_log_equals_score_trace_bit_for_bit(k, unique):
         assert entry.score.hex() == ref.score.hex()
         assert entry.factor_values == ref.factor_values
         assert entry.zero_factor_count == ref.zero_factor_count == ref.factor_values.count(0.0)
-        event_blocks, event_logs_of_trace = tables.score(trace.events)
+        event_blocks, event_logs_of_trace = tables.score_events(trace.events)
         assert blocks == event_blocks
         assert [x.hex() for x in logs] == [x.hex() for x in event_logs_of_trace]
         reference = ReferenceScore(model, trace).decomposition

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from edbn import (
     ANOMALOUS,
     NORMAL,
+    EventLog,
     LabeledLog,
     ProcessModel,
     ProcessModelError,
@@ -147,6 +148,15 @@ def test_fraction_rounds_up_and_is_reproducible():
     assert len(anomalous) == 100
     assert first == second
     assert serialize_labels(first) == serialize_labels(second)
+
+
+def test_injection_leaves_no_decoded_ids_or_values_on_the_log_it_reads():
+    # a generated log names its events by row and holds its values as codes; injection decodes
+    # both for itself, so the caller's log gains neither, and injects as into a log holding them
+    log = generate(default_shipping_model(), 200, 42)
+    labeled = inject_anomalies(log, 0.1, 43)
+    assert "event_ids" not in vars(log) and "columns" not in vars(log)
+    assert labeled == inject_anomalies(EventLog(log.schema, log.traces), 0.1, 43)
 
 
 def test_normal_traces_stay_bit_identical(clean_log):
