@@ -22,9 +22,13 @@ For the shipping seeds 7 and 1001 it runs, in process and inside OUT_DIR:
   traces interleave round robin and whose ``event_id`` column is dropped, so
   that explanations name events by data row through the parse's regrouping;
 - ``edbn evaluate --out`` at k = 1 on the training log and the labeled test
-  log: the report, the precision/recall curve, the scores and stdout.
+  log: the report, the precision/recall curve, the scores and stdout;
+- ``edbn generate`` with AWKWARD_PROCESS, a small process model whose names and
+  values hold the delimiter, a quote and line breaks: a 200-trace log with 20%
+  anomalies and its labels, and the log without anomalies written with
+  ``--delimiter '\\t'``.
 
-108 files in all.
+116 files in all.
 
 Run it on two trees and compare; an empty ``diff -r`` is the gate:
 
@@ -37,6 +41,7 @@ import contextlib
 import csv
 import io
 import itertools
+import json
 import os
 import sys
 from pathlib import Path
@@ -84,6 +89,26 @@ def _interleaved(src: str, dst: str) -> None:
 
 QUOTED_LINES = {"train-one-quoted": 2, "train-middle-quoted": 10_000}
 
+# every value that the writer must quote: a delimiter (comma or tab), a quote, LF, CR
+AWKWARD_PROCESS = {
+    "name": "awkward",
+    "trace_id_column": "case, id",
+    "attributes": ["activity", 'the "note"', "owner", "kind", "code"],
+    "activity_attribute": "activity",
+    "start_activity": "open, then check",
+    "end_activities": ["close\nout"],
+    "transitions": {"open, then check": {'say "yes"': 0.6, "tab\there": 0.4},
+                    'say "yes"': {"close\nout": 1.0}, "tab\there": {'say "yes"': 0.5, "close\nout": 0.5}},
+    "rules": {
+        'the "note"': {"kind": "pool", "values": ["a,b", '"', "two\nlines", "cr\rhere", " edge ", "plain", ""]},
+        "owner": {"kind": "pool", "scope": "trace", "values": ["ann", "bo,b", "é\t1"]},
+        "kind": {"kind": "derived", "source": "activity",
+                 "mapping": {"open, then check": "in", 'say "yes"': "mid\r\n", "tab\there": "mid\r\n",
+                             "close\nout": '"out"'}},
+        "code": {"kind": "constant", "value": 'x,"y"'},
+    },
+}
+
 
 def _quoted_copies(src: str, d: str) -> None:
     """Copies of the log, which quotes no field, with the third field quoted on each line of
@@ -119,6 +144,10 @@ def main() -> int:
                     "--n-traces", "1000", "--fraction", "0.1", "--seed", str(seed + 1)])
         _run(edbn, ["generate", "--out", f"{d}/all-anomalous.csv", "--labels", f"{d}/all-anomalous-labels.csv",
                     "--n-traces", "300", "--fraction", "1.0", "--seed", str(seed + 2)])
+        Path(f"{d}/awkward-process.json").write_text(json.dumps(AWKWARD_PROCESS), encoding="utf-8")
+        awkward = ["generate", "--process-model", f"{d}/awkward-process.json", "--n-traces", "200", "--seed", str(seed)]
+        _run(edbn, [*awkward, "--out", f"{d}/awkward.csv", "--labels", f"{d}/awkward-labels.csv", "--fraction", "0.2"])
+        _run(edbn, [*awkward, "--out", f"{d}/awkward-tab.csv", "--delimiter", "\\t"])
         _unique_item(f"{d}/test.csv", f"{d}/test-unique-item.csv")
         _unique_item(f"{d}/train.csv", f"{d}/train-unique-item.csv", 10_000)
         _interleaved(f"{d}/test.csv", f"{d}/test-interleaved.csv")

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .detect import TraceScore, explain, rank_traces
 from .evaluate import render_report, run_experiment, serialize_curve, serialize_scores
-from .event_log import AttributeSchema, DuplicateEventIdError, EventLog, LogFormatError, csv_text, load_log, open_utf8, read_header, serialize_log
+from .event_log import AttributeSchema, DuplicateEventIdError, EventLog, LogFormatError, csv_text, load_log, open_utf8, read_header, write_log
 from .model import learn_edbn, read_model, write_model
 from .synth import (
     LabeledLog,
@@ -62,11 +62,7 @@ def _schema_for(config: argparse.Namespace, path: str) -> AttributeSchema:
             raise LogFormatError("--attrs is required with --no-header")
         skip = {trace_col, config.order_col}
         names = tuple(c for c in config.attrs if c not in skip)
-    return AttributeSchema(
-        names=names,
-        trace_id_column=trace_col,
-        event_order_column=config.order_col,
-    )
+    return AttributeSchema(names=names, trace_id_column=trace_col, event_order_column=config.order_col)
 
 
 def _read_log(config: argparse.Namespace, path: str, schema: AttributeSchema) -> EventLog:
@@ -150,8 +146,7 @@ def cmd_generate(config: argparse.Namespace) -> int:
         process = default_shipping_model()
     log = _stage("generate", generate, process, config.n_traces, config.seed)
     labeled = _stage("inject", inject_anomalies, log, config.fraction, config.seed + 1)
-    text = _stage("serialize", serialize_log, labeled.log, delimiter=config.delimiter)
-    Path(config.out).write_text(text, encoding="utf-8")
+    _stage("write", write_log, labeled.log, config.out, delimiter=config.delimiter)
     if config.labels:
         _stage("write-labels", write_labels, labeled, config.labels)
     n_anom = sum(1 for v in labeled.labels.values() if v == "anomalous")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from array import array
 from collections import Counter
 from contextlib import contextmanager
@@ -28,6 +29,7 @@ PADDING = "__NONE__"
 _CHUNK_FIELDS = 4096
 _LAST_CHAR = itemgetter(slice(-1, None))
 _BYTE_CODES = 256  # a log's codes of up to this many values are bytes, of more 4-byte unsigned ints
+_BLOCK_ROWS = 4096  # serialize_log joins and write_log writes this many rows at a time
 
 
 class LogFormatError(ValueError):
@@ -495,36 +497,56 @@ def _read_utf8(path, error: type[ValueError], what: str) -> str:
         return fh.read()
 
 
-def _write_csv(out: TextIO, header: Sequence[str], rows: Iterable[Sequence], delimiter: str) -> None:
-    """Writes a header and rows to ``out`` as delimited text, a field quoted only where it holds
-    the delimiter, a quote or a line break."""
-    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
 def csv_text(header: Sequence[str], rows: Iterable[Sequence], delimiter: str = ",") -> str:
-    """A header and rows as the text _write_csv writes."""
+    """A header and rows as delimited text, a field quoted only where it holds the delimiter, a quote or a
+    line break (csv.writer's rows, each ended by LF)."""
     out = io.StringIO()
-    _write_csv(out, header, rows, delimiter)
+    csv.writer(out, delimiter=delimiter, lineterminator="\n").writerows(chain([header], rows))
     return out.getvalue()
 
 
-def _log_table(log: EventLog) -> tuple[list[str], Iterator[tuple[str, ...]]]:
-    """A log's header (trace id, event id, then attribute columns) and its rows, one per event."""
-    trace_ids = chain.from_iterable(map(repeat, log.trace_ids, log.trace_lengths))
-    return [log.schema.trace_id_column, "event_id", *log.schema.names], zip(trace_ids, log.event_ids, *log.columns)
+def _rendered(values: Sequence[str], delimiter: str) -> Sequence[str]:
+    """Each value as a field of csv_text: as it is, or as csv_text writes it alone where it holds the
+    delimiter, a quote, CR, LF or NUL (csv decides which of these to quote on each Python version)."""
+    special = (delimiter, '"', "\r", "\n", "\0")
+    if not any(map("".join(values).__contains__, special)):
+        return values
+    return [csv_text([v], (), delimiter)[:-1] if any(map(v.__contains__, special)) else v for v in values]
+
+
+def _log_blocks(log: EventLog, delimiter: str) -> Iterator[str]:
+    """The text of serialize_log in blocks of rows, joined from the log's codes and each distinct value, trace
+    id and event id rendered once (_rendered); neither ``columns`` nor ``event_ids`` is decoded onto the log."""
+    yield delimiter.join(_rendered([log.schema.trace_id_column, "event_id", *log.schema.names], delimiter)) + "\n"
+    event_ids = log.event_ids if log.event_rows is None else list(map(str, log.event_rows))
+    trace_ids = chain.from_iterable(map(repeat, _rendered(log.trace_ids, delimiter), log.trace_lengths))
+    columns = (map(_rendered(vocab, delimiter).__getitem__, codes) for vocab, codes in zip(log.vocabularies, log.codes))
+    rows = map(delimiter.join, zip(trace_ids, _rendered(event_ids, delimiter), *columns))
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        yield "\n".join(block) + "\n"
+
+
+def write_text(path, blocks: Iterable[str]) -> None:
+    """Writes the text blocks to ``path`` all or nothing: into a new file beside it, which replaces ``path``
+    (os.replace) once written whole and closed; where anything fails, the new file is removed."""
+    temporary = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(temporary, "x", newline="", encoding="utf-8") as fh:
+            fh.writelines(blocks)
+        os.replace(temporary, path)
+    finally:
+        if os.path.exists(temporary):  # not replaced: the write failed
+            os.remove(temporary)
 
 
 def serialize_log(log: EventLog, *, delimiter: str = ",") -> str:
-    """Render a log as delimited text (trace id, event id, then attribute columns)."""
-    return csv_text(*_log_table(log), delimiter)
+    """Render a log as delimited text (trace id, event id, then attribute columns), as csv_text writes it."""
+    return "".join(_log_blocks(log, delimiter))
 
 
 def write_log(log: EventLog, path, *, delimiter: str = ",") -> None:
-    """Writes the text of serialize_log to ``path`` row by row, never holding it whole."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        _write_csv(fh, *_log_table(log), delimiter)
+    """Writes the text of serialize_log to ``path`` a block of rows at a time, all or nothing (write_text)."""
+    write_text(path, _log_blocks(log, delimiter))
 
 
 def build_k_context(log: EventLog, k: int) -> KContextLog:

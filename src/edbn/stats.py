@@ -38,7 +38,7 @@ def tuple_keys(columns: Sequence[tuple[np.ndarray, int]], n: int) -> tuple[np.nd
     the key-space size; keys are re-coded before they outgrow a bincount pass.  The keys are held
     in code_type(size), the narrowest unsigned type of their key space: before each column is
     joined, the keys so far are copied into the type of the key space they are about to span
-    (see _joined).  The keys of a single column are its codes array itself."""
+    (see joined_keys).  The keys of a single column are its codes array itself."""
     import numpy as np
     if not columns:
         return np.zeros(n, dtype=code_type(1)), 1
@@ -46,11 +46,11 @@ def tuple_keys(columns: Sequence[tuple[np.ndarray, int]], n: int) -> tuple[np.nd
     for codes, card in rest:
         if size * card > dense_size(n):
             keys, size = dense_ranks(keys, size)
-        keys, size = _joined(keys, size, codes, card), size * card
+        keys, size = joined_keys(keys, size, codes, card), size * card
     return keys, size
 
 
-def _joined(keys: np.ndarray, size: int, codes: np.ndarray, card: int) -> np.ndarray:
+def joined_keys(keys: np.ndarray, size: int, codes: np.ndarray, card: int) -> np.ndarray:
     """keys * card + codes in code_type(size * card), widened before the multiply so that no key
     overflows; the type is chosen here, not by NumPy's promotion rules, which differ by version."""
     import numpy as np
@@ -114,7 +114,7 @@ def _coded_mutual_information(x: CodedColumn, y: CodedColumn) -> tuple[float, in
     """I(X;Y) of two aligned coded columns, and the number of distinct (x, y) pairs."""
     import numpy as np
     n, nx, ny = len(x.codes), len(x.counts), len(y.counts)
-    joint, joint_counts = key_counts(_joined(x.codes, nx, y.codes, ny), nx * ny)
+    joint, joint_counts = key_counts(joined_keys(x.codes, nx, y.codes, ny), nx * ny)
     x_of, y_of = np.divmod(joint.astype(np.int64, copy=False), ny)  # where nx is 1, the keys' type may not hold ny
     p_xy = joint_counts / n
     p_x = x.counts[x_of] / n

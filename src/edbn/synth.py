@@ -15,10 +15,10 @@ import math
 import random
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain, islice
+from itertools import accumulate, chain, islice, repeat
 from typing import Mapping, Sequence
 
-from .event_log import PADDING, AttributeSchema, EventLog, _read_utf8, csv_text
+from .event_log import PADDING, AttributeSchema, EventLog, _read_utf8, csv_text, write_text
 
 NORMAL = "normal"
 ANOMALOUS = "anomalous"
@@ -147,51 +147,52 @@ def _validate_model(model: ProcessModel) -> None:
             raise ProcessModelError(f"{attr!r} can produce the reserved token {PADDING!r}")
 
 
-def _walk(model: ProcessModel, rng: random.Random) -> list[str]:
-    path = [model.start_activity]
-    while path[-1] not in model.end_activities:
-        targets = model.transitions[path[-1]]  # not empty: _validate_model rules out dead ends
-        step = rng.choices(list(targets), weights=list(targets.values()))[0]
-        path.append(step)
-        if len(path) > _WALK_LIMIT:
-            raise ProcessModelError("random walk failed to reach an end activity")
-    return path
-
-
 def generate(model: ProcessModel, n_traces: int, seed: int) -> EventLog:
     """n_traces random start-to-end walks with attributes filled per the rules.
 
-    Each event's values are appended to one column per attribute, filled with
-    every derivation after its source; the log is coded from these columns in
-    log order (see EventLog), and no Event or Trace is built.
+    Only the rules that draw run per trace, in fill order: its trace-scope pools, its walk, then per event its
+    event-scope pools and activity choices.  The other columns are then filled whole, sources first; the log
+    is coded from the columns in log order (see EventLog), and no Event or Trace is built.
     """
     if n_traces < 1:
         raise ValueError("n_traces must be >= 1")
     activity_attr, *order = _possible_values(model)  # the activity attribute, then the others, sources first
-    columns = {attr: [] for attr in model.attributes}
-    fills = [(attr, model.rules[attr], columns[attr]) for attr in order]
-    lengths = []
+    rules = {attr: model.rules[attr] for attr in order}
+    columns = {attr: [] for attr in order if rules[attr].kind in ("pool", "activity_choice")}  # the drawn ones
+    trace_scope = [a for a in columns if rules[a].kind == "pool" and rules[a].scope == "trace"]
+    # per activity: the column and the values of each draw that its events make, and its successors with
+    # their cumulative weights, as rng.choices computes them from the weights
+    per_event = {act: [(columns[a], rules[a].pools[act] if rules[a].kind == "activity_choice" else rules[a].values)
+                       for a in columns if a not in trace_scope] for act in model.activities}
+    steps = {act: (tuple(targets), tuple(accumulate(targets.values()))) for act, targets in model.transitions.items()}
+    activities, lengths = [], []
     for i in range(n_traces):
         rng = random.Random(seed * 2**32 + i)
-        trace_values = {attr: rng.choice(rule.values) for attr, rule, _ in fills
-                        if rule.kind == "pool" and rule.scope == "trace"}
-        path = _walk(model, rng)
-        lengths.append(len(path))
+        for attr in trace_scope:
+            columns[attr].append(rng.choice(rules[attr].values))
+        path = [model.start_activity]
+        while path[-1] not in model.end_activities:  # _validate_model rules out dead ends
+            population, cum_weights = steps[path[-1]]
+            path.append(rng.choices(population, cum_weights=cum_weights)[0])
+            if len(path) > _WALK_LIMIT:
+                raise ProcessModelError("random walk failed to reach an end activity")
         for activity in path:
-            columns[activity_attr].append(activity)
-            for attr, rule, column in fills:
-                if rule.kind == "constant":
-                    column.append(rule.value)
-                elif rule.kind == "pool":
-                    column.append(trace_values[attr] if rule.scope == "trace" else rng.choice(rule.values))
-                elif rule.kind == "derived":
-                    column.append(rule.mapping[columns[rule.source][-1]])
-                else:  # activity_choice
-                    column.append(rng.choice(rule.pools[activity]))
+            for column, values in per_event[activity]:
+                column.append(rng.choice(values))
+        activities += path
+        lengths.append(len(path))
+    columns[activity_attr] = activities
+    for attr, rule in rules.items():
+        if rule.kind == "constant":
+            columns[attr] = [rule.value] * len(activities)
+        elif rule.kind == "derived":
+            columns[attr] = list(map(rule.mapping.__getitem__, columns[rule.source]))
+        elif attr in trace_scope:
+            columns[attr] = list(chain.from_iterable(map(repeat, columns[attr], lengths)))
     width = max(4, len(str(n_traces)))
-    return EventLog._from_columns(model.schema(), range(sum(lengths)),
+    return EventLog._from_columns(model.schema(), range(len(activities)),
                                   tuple(f"t{i:0{width}d}" for i in range(n_traces)), tuple(lengths),
-                                  tuple(tuple(columns[attr]) for attr in model.attributes))
+                                  tuple(columns[attr] for attr in model.attributes))
 
 
 # --- anomaly injection ------------------------------------------------------
@@ -387,8 +388,7 @@ def serialize_labels(labeled: LabeledLog) -> str:
 
 
 def write_labels(labeled: LabeledLog, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(serialize_labels(labeled))
+    write_text(path, [serialize_labels(labeled)])
 
 
 def read_labels(path) -> dict[str, str]:
