@@ -28,7 +28,10 @@ For the shipping seeds 7 and 1001 it runs, in process and inside OUT_DIR:
   anomalies and its labels, and the log without anomalies written with
   ``--delimiter '\\t'``.
 
-116 files in all.
+116 files in all.  Every log that ``edbn generate`` wrote is loaded back with
+``load_log`` and the delimiter it was written with, and every labels file with
+``read_labels``; a file that does not load fails the script, so the gate also
+catches a written file that cannot be read back.
 
 Run it on two trees and compare; an empty ``diff -r`` is the gate:
 
@@ -39,6 +42,7 @@ Run it on two trees and compare; an empty ``diff -r`` is the gate:
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import itertools
 import json
@@ -124,6 +128,27 @@ def _quoted_copies(src: str, d: str) -> None:
             fh.writelines([*lines[: line - 1], ",".join(fields), *lines[line:]])
 
 
+def _read_back(d: str) -> None:
+    """Loads every log and labels file that edbn generate wrote into ``d``; one that does not load fails the
+    script, naming it."""
+    from edbn import AttributeSchema, default_shipping_model, load_log, load_process_model, read_labels
+
+    shipping, awkward = default_shipping_model(), load_process_model(f"{d}/awkward-process.json")
+    logs = [("train", shipping, ","), ("test", shipping, ","), ("all-anomalous", shipping, ","),
+            ("awkward", awkward, ","), ("awkward-tab", awkward, "\t")]
+    loads = {}
+    for name, process, delimiter in logs:
+        schema = AttributeSchema(process.attributes, process.trace_id_column, event_id_column="event_id")
+        loads[f"{d}/{name}.csv"] = functools.partial(load_log, schema=schema, delimiter=delimiter)
+    for name in ("labels", "all-anomalous-labels", "awkward-labels"):
+        loads[f"{d}/{name}.csv"] = read_labels
+    for path, load in loads.items():
+        try:
+            load(path)
+        except ValueError as exc:
+            raise SystemExit(f"{path} does not read back: {exc}") from None
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("out_dir")
@@ -148,6 +173,7 @@ def main() -> int:
         awkward = ["generate", "--process-model", f"{d}/awkward-process.json", "--n-traces", "200", "--seed", str(seed)]
         _run(edbn, [*awkward, "--out", f"{d}/awkward.csv", "--labels", f"{d}/awkward-labels.csv", "--fraction", "0.2"])
         _run(edbn, [*awkward, "--out", f"{d}/awkward-tab.csv", "--delimiter", "\\t"])
+        _read_back(d)
         _unique_item(f"{d}/test.csv", f"{d}/test-unique-item.csv")
         _unique_item(f"{d}/train.csv", f"{d}/train-unique-item.csv", 10_000)
         _interleaved(f"{d}/test.csv", f"{d}/test-interleaved.csv")

@@ -8,11 +8,10 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from .detect import TraceScore, explain, rank_traces
 from .evaluate import render_report, run_experiment, serialize_curve, serialize_scores
-from .event_log import AttributeSchema, DuplicateEventIdError, EventLog, LogFormatError, csv_text, load_log, open_utf8, read_header, write_log
+from .event_log import AttributeSchema, DuplicateEventIdError, EventLog, LogFormatError, csv_text, load_log, open_utf8, read_header, write_log, write_text
 from .model import learn_edbn, read_model, write_model
 from .synth import (
     LabeledLog,
@@ -102,7 +101,7 @@ def cmd_train(config: argparse.Namespace) -> int:
 
 
 def _render_ranking(entries) -> str:
-    return csv_text(["trace_id", "score", "event_count"], ((e.trace_id, repr(e.score), e.event_count) for e in entries))
+    return csv_text(["trace_id", "score", "event_count"], ((e.trace_id, repr(e.score), str(e.event_count)) for e in entries))
 
 
 def _render_explanation(entry: TraceScore, top_n: int) -> str:
@@ -128,14 +127,14 @@ def cmd_score(config: argparse.Namespace) -> int:
     ranking = _stage("score", rank_traces, model, log)
     text = _render_ranking(ranking)
     if config.out:
-        Path(config.out).write_text(text, encoding="utf-8")
+        write_text(config.out, [text])
     else:
         print(text, end="")
     if config.explain_n:
         blocks = "".join(_render_explanation(e, config.explain_n) for e in ranking)
         print(blocks, end="")
         if config.out:
-            Path(f"{config.out}.explain.txt").write_text(blocks, encoding="utf-8")
+            write_text(f"{config.out}.explain.txt", [blocks])
     return 0
 
 
@@ -163,9 +162,9 @@ def cmd_evaluate(config: argparse.Namespace) -> int:
     report = _stage("evaluate", run_experiment, train, labeled, config.k, config.fd_threshold)
     print(f"auc: {report.auc!r}")
     if config.out:
-        Path(f"{config.out}.report.txt").write_text(render_report(report), encoding="utf-8")
-        Path(f"{config.out}.curve.csv").write_text(serialize_curve(report), encoding="utf-8")
-        Path(f"{config.out}.scores.csv").write_text(serialize_scores(report), encoding="utf-8")
+        write_text(f"{config.out}.report.txt", [render_report(report)])
+        write_text(f"{config.out}.curve.csv", [serialize_curve(report)])
+        write_text(f"{config.out}.scores.csv", [serialize_scores(report)])
     return 0
 
 

@@ -497,43 +497,50 @@ def _read_utf8(path, error: type[ValueError], what: str) -> str:
         return fh.read()
 
 
-def csv_text(header: Sequence[str], rows: Iterable[Sequence], delimiter: str = ",") -> str:
-    """A header and rows as delimited text, a field quoted only where it holds the delimiter, a quote or a
-    line break (csv.writer's rows, each ended by LF)."""
-    out = io.StringIO()
-    csv.writer(out, delimiter=delimiter, lineterminator="\n").writerows(chain([header], rows))
-    return out.getvalue()
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[str]], delimiter: str = ",") -> str:
+    """A header and rows of strings, all of its width, as delimited text: each column rendered by _rendered,
+    each row ended by LF."""
+    columns = (_rendered(column, delimiter) for column in zip(header, *rows, strict=True))
+    return "".join(delimiter.join(row) + "\n" for row in zip(*columns))
 
 
 def _rendered(values: Sequence[str], delimiter: str) -> Sequence[str]:
-    """Each value as a field of csv_text: as it is, or as csv_text writes it alone where it holds the
-    delimiter, a quote, CR, LF or NUL (csv decides which of these to quote on each Python version)."""
-    special = (delimiter, '"', "\r", "\n", "\0")
+    """Each value as a field of a written file: as it is, or quoted, its quotes doubled, where it holds the
+    delimiter, a quote, CR or LF, so that every field reads back on every Python version.  A delimiter that
+    is not one character, which no reader accepts, raises ValueError."""
+    if len(delimiter) != 1:
+        raise ValueError('"delimiter" must be a 1-character string')
+    special = (delimiter, '"', "\r", "\n")
     if not any(map("".join(values).__contains__, special)):
         return values
-    return [csv_text([v], (), delimiter)[:-1] if any(map(v.__contains__, special)) else v for v in values]
+    return ['"' + v.replace('"', '""') + '"' if any(map(v.__contains__, special)) else v for v in values]
 
 
 def _log_blocks(log: EventLog, delimiter: str) -> Iterator[str]:
-    """The text of serialize_log in blocks of rows, joined from the log's codes and each distinct value, trace
-    id and event id rendered once (_rendered); neither ``columns`` nor ``event_ids`` is decoded onto the log."""
-    yield delimiter.join(_rendered([log.schema.trace_id_column, "event_id", *log.schema.names], delimiter)) + "\n"
+    """The text of serialize_log: its header, then blocks of rows joined from the log's codes.  Each distinct
+    value, trace id and event id is rendered once (_rendered), before write_text opens a file; neither
+    ``columns`` nor ``event_ids`` is decoded onto the log."""
+    header = delimiter.join(_rendered([log.schema.trace_id_column, "event_id", *log.schema.names], delimiter))
     event_ids = log.event_ids if log.event_rows is None else list(map(str, log.event_rows))
     trace_ids = chain.from_iterable(map(repeat, _rendered(log.trace_ids, delimiter), log.trace_lengths))
     columns = (map(_rendered(vocab, delimiter).__getitem__, codes) for vocab, codes in zip(log.vocabularies, log.codes))
     rows = map(delimiter.join, zip(trace_ids, _rendered(event_ids, delimiter), *columns))
-    while block := list(islice(rows, _BLOCK_ROWS)):
-        yield "\n".join(block) + "\n"
+    blocks = iter(lambda: list(islice(rows, _BLOCK_ROWS)), [])
+    return chain([header + "\n"], ("\n".join(block) + "\n" for block in blocks))
 
 
 def write_text(path, blocks: Iterable[str]) -> None:
-    """Writes the text blocks to ``path`` all or nothing: into a new file beside it, which replaces ``path``
-    (os.replace) once written whole and closed; where anything fails, the new file is removed."""
+    """Writes the text blocks to ``path`` all or nothing, as every output file is written: into a new file beside
+    it, which replaces ``path`` (os.replace) once written whole and closed; where anything fails, it is removed."""
     temporary = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
     try:
         with open(temporary, "x", newline="", encoding="utf-8") as fh:
             fh.writelines(blocks)
         os.replace(temporary, path)
+    except OSError as exc:
+        if exc.filename == temporary:  # name ``path``, as writing it in place would
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
+        raise
     finally:
         if os.path.exists(temporary):  # not replaced: the write failed
             os.remove(temporary)

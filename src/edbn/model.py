@@ -30,6 +30,7 @@ from .event_log import (
     Variable,
     _read_utf8,
     build_k_context,
+    write_text,
 )
 from .fd import FDEdge, FDMapping, build_mapping, discover_fds, fdm_probability
 from .structure import CPT, DAG, Edge, fit_cpts, learn_structure, make_constraints
@@ -478,8 +479,7 @@ def save_model(model: EDBNModel) -> str:
 
 
 def write_model(model: EDBNModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(save_model(model))
+    write_text(path, [save_model(model)])
 
 
 _TOP_KEYS = {"format", "format_version", "k", "schema", "training_event_count", "dag_edges",
