@@ -125,16 +125,17 @@ def cmd_score(config: argparse.Namespace) -> int:
         raise StageError("score", ValueError("log attributes do not match the model schema"))
     log = _stage("parse", _read_scored_log, config, schema, has_ids)
     ranking = _stage("score", rank_traces, model, log)
-    text = _render_ranking(ranking)
+    text, files = _render_ranking(ranking), {}
     if config.out:
-        write_text(config.out, [text])
+        files[config.out] = [text]
     else:
         print(text, end="")
     if config.explain_n:
         blocks = "".join(_render_explanation(e, config.explain_n) for e in ranking)
         print(blocks, end="")
         if config.out:
-            write_text(f"{config.out}.explain.txt", [blocks])
+            files[f"{config.out}.explain.txt"] = [blocks]
+    write_text(files)  # every file, or none
     return 0
 
 
@@ -162,9 +163,9 @@ def cmd_evaluate(config: argparse.Namespace) -> int:
     report = _stage("evaluate", run_experiment, train, labeled, config.k, config.fd_threshold)
     print(f"auc: {report.auc!r}")
     if config.out:
-        write_text(f"{config.out}.report.txt", [render_report(report)])
-        write_text(f"{config.out}.curve.csv", [serialize_curve(report)])
-        write_text(f"{config.out}.scores.csv", [serialize_scores(report)])
+        write_text({f"{config.out}.report.txt": [render_report(report)],
+                    f"{config.out}.curve.csv": [serialize_curve(report)],
+                    f"{config.out}.scores.csv": [serialize_scores(report)]})
     return 0
 
 

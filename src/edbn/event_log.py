@@ -11,12 +11,13 @@ import csv
 import io
 import math
 import os
+import shutil
 from array import array
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, islice, pairwise, repeat
 from operator import itemgetter, le
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO, Union
 
@@ -116,8 +117,9 @@ class EventLog:
     slices and iterates as ints.  ``columns`` (the values per attribute) and ``traces`` are decoded
     from them when first read.  parse_log codes a log as it reads it, so its vocabularies follow
     first appearance in the file, which differs from the log's where traces interleave or an order
-    column moves an event.  generate, ``EventLog(schema, traces)`` (kept as ``traces``) and
-    inject_anomalies, where it mutates a trace, code in log order through _from_columns.  Equality
+    column moves an event.  generate and ``EventLog(schema, traces)`` (kept as ``traces``) code in
+    log order.  inject_anomalies reads and codes only the traces it mutates (_spliced): the others
+    keep their codes, and each vocabulary still follows first appearance in the log.  Equality
     ignores vocabulary order, and a log is immutable.
     """
 
@@ -135,22 +137,48 @@ class EventLog:
 
     @classmethod
     def _from_columns(cls, schema, event_ids, trace_ids, trace_lengths, columns) -> "EventLog":
-        """The log of these values per attribute, each coded in order of first appearance; a value that is
-        PADDING or not a string raises ValueError naming it, its attribute and its first event."""
-        vocabularies = []
-        for attr, column in zip(schema.names, columns):
-            try:
-                vocab = tuple(dict.fromkeys(column))
-            except TypeError:  # an unhashable value
-                vocab = column
-            if bad := [v for v in vocab if not isinstance(v, str) or v == PADDING]:
-                raise ValueError(f"event {str(event_ids[column.index(bad[0])])!r} holds {bad[0]!r:.40} as {attr!r}; "
-                                 f"values must be strings other than the reserved token {PADDING!r}")
-            vocabularies.append(vocab)
+        """The log of these values per attribute, each coded in order of first appearance (_coded), once
+        _check_values has checked them and the event ids are found unique."""
+        vocabularies = list(map(_check_values, schema.names, columns, repeat(event_ids)))
         _check_unique(event_ids)
-        codes = tuple(_packed(map({v: c for c, v in enumerate(vocab)}.__getitem__, column), len(vocab))
-                      for vocab, column in zip(vocabularies, columns))
-        return cls._from_codes(schema, event_ids, trace_ids, trace_lengths, tuple(vocabularies), codes)
+        coded = map(_coded, columns, vocabularies)
+        return cls._from_codes(schema, event_ids, trace_ids, trace_lengths, *map(tuple, zip(*coded)))
+
+    def _spliced(self, event_ids: tuple[str, ...], edited: dict[int, list[tuple]],
+                 vocabularies: Sequence[Sequence[str]]) -> "EventLog":
+        """This log, its events named by ``event_ids``, with the trace at each key of ``edited`` (ascending) made of
+        those rows (an event's id, then its codes into ``vocabularies``, each the log's own with any new values
+        after it).  Every other run of traces keeps its slice of the codes and ids.  Each vocabulary then takes
+        back the order of first appearance, the codes taken through it (_recoded) only where it moved; ids and
+        values are checked as _from_columns checks them."""
+        starts, n_events = list(accumulate(self.trace_lengths, initial=0)), len(event_ids)
+        kept = list(zip([0, *(starts[i + 1] for i in edited)], [*map(starts.__getitem__, edited), n_events]))
+        added = pairwise(accumulate(map(len, edited.values()), initial=n_events))  # where each trace's rows follow
+        pieces = _merged(chain(*zip(kept, added), kept[-1:]))  # of the log's events and the rows after them
+        new_ids, *columns = zip(*chain.from_iterable(edited.values()))
+        whole_ids = event_ids + new_ids
+        ids = tuple(chain.from_iterable([whole_ids[lo:hi] for lo, hi in pieces]))
+        coded = []
+        for attr, vocab, held, column in zip(self.schema.names, vocabularies, self.codes, columns):
+            whole = bytearray(held) if type(held) is bytes and len(vocab) <= _BYTE_CODES else array("I", iter(held))
+            whole.extend(column)
+            codes = b"".join([whole[lo:hi] for lo, hi in pieces])  # 4-byte codes as their bytes
+            if type(whole) is bytearray:  # each code that occurs -> its first event: one bytes.find per code
+                first = {c: at for c in range(len(vocab)) if (at := codes.find(c)) >= 0}
+            else:  # a code's last entry, going backwards, is its first event
+                codes = memoryview(codes).cast("I")
+                first = dict(zip(reversed(codes), range(len(codes) - 1, -1, -1)))
+            first = dict(sorted(first.items(), key=itemgetter(1)))  # in order of first appearance
+            _check_values(attr, [vocab[c] for c in first], [ids[at] for at in first.values()])
+            if list(first) != list(range(len(vocab))):  # a value moved, or is gone
+                rank = dict(zip(first, range(len(first))))
+                codes = _recoded(codes, list(map(rank.get, range(len(vocab)), repeat(0))), len(first))
+            coded.append((tuple(map(vocab.__getitem__, first)), codes))
+        _check_unique(ids)
+        lengths = list(self.trace_lengths)
+        for i, rows in edited.items():
+            lengths[i] = len(rows)
+        return self._from_codes(self.schema, ids, self.trace_ids, tuple(lengths), *map(tuple, zip(*coded)))
 
     @classmethod
     def _from_codes(cls, schema, event_ids, trace_ids, trace_lengths, vocabularies, codes) -> "EventLog":
@@ -201,11 +229,50 @@ class EventLog:
         raise KeyError(trace_id)
 
 
+def _check_values(attr: str, column: Sequence, event_ids: Sequence) -> tuple[str, ...]:
+    """The column's values in order of first appearance; a value that is PADDING or not a string raises
+    ValueError naming it, its attribute and its first event."""
+    try:
+        vocab = tuple(dict.fromkeys(column))
+    except TypeError:  # an unhashable value
+        vocab = column
+    if bad := [v for v in vocab if not isinstance(v, str) or v == PADDING]:
+        raise ValueError(f"event {str(event_ids[column.index(bad[0])])!r} holds {bad[0]!r:.40} as {attr!r}; "
+                         f"values must be strings other than the reserved token {PADDING!r}")
+    return vocab
+
+
+def _merged(spans: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The spans (lo, hi) in order, each that begins where the one before it ends joined to it, empty ones left out."""
+    merged = []
+    for lo, hi in spans:
+        if merged and merged[-1][1] == lo:
+            merged[-1] = (merged[-1][0], hi)
+        elif lo < hi:
+            merged.append((lo, hi))
+    return merged
+
+
 def _packed(codes: Iterable[int], n_values: int):
     """The codes as EventLog holds them for a vocabulary of ``n_values``: bytes, or 4-byte codes read-only."""
     if n_values <= _BYTE_CODES:
         return bytes(codes)
     return memoryview(array("I", codes)).toreadonly()
+
+
+def _coded(values: Sequence[str], vocab: tuple[str, ...] | None = None) -> tuple[tuple[str, ...], bytes | memoryview]:
+    """``vocab``, by default the distinct values in order of first appearance, and the values' codes into it
+    (_packed)."""
+    vocab = tuple(dict.fromkeys(values)) if vocab is None else vocab
+    return vocab, _packed(map(dict(zip(vocab, range(len(vocab)))).__getitem__, values), len(vocab))
+
+
+def _recoded(codes, table: Sequence[int], n_values: int):
+    """Each code taken through ``table`` (old code -> new), packed for ``n_values`` (by bytes.translate where
+    both widths are a byte)."""
+    if type(codes) is bytes and n_values <= _BYTE_CODES:
+        return codes.translate(bytes(table).ljust(256, b"\0"))
+    return _packed(map(table.__getitem__, codes), n_values)
 
 
 def code_type(n: int):
@@ -529,21 +596,30 @@ def _log_blocks(log: EventLog, delimiter: str) -> Iterator[str]:
     return chain([header + "\n"], ("\n".join(block) + "\n" for block in blocks))
 
 
-def write_text(path, blocks: Iterable[str]) -> None:
-    """Writes the text blocks to ``path`` all or nothing, as every output file is written: into a new file beside
-    it, which replaces ``path`` (os.replace) once written whole and closed; where anything fails, it is removed."""
-    temporary = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+def write_text(files: dict) -> None:
+    """Writes each path's text blocks, all or nothing, as every output file is written: into a new file beside the
+    file that the path names (through a symbolic link), which replaces that file (os.replace), its permission
+    bits kept, once every new file is written whole and closed; where anything fails, no new file is left."""
+    written = {}  # each new file -> its path, and the file that the path names
     try:
-        with open(temporary, "x", newline="", encoding="utf-8") as fh:
-            fh.writelines(blocks)
-        os.replace(temporary, path)
+        for path, blocks in files.items():
+            target = os.path.realpath(path)
+            temporary = f"{target}.{os.urandom(4).hex()}.tmp"
+            written[temporary] = path, target
+            with open(temporary, "x", newline="", encoding="utf-8") as fh:
+                fh.writelines(blocks)
+            if os.path.exists(target):
+                shutil.copymode(target, temporary)
+        for temporary, (_, target) in written.items():
+            os.replace(temporary, target)
     except OSError as exc:
-        if exc.filename == temporary:  # name ``path``, as writing it in place would
-            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
+        if exc.filename in written:  # name the path, as writing it in place would
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(written[exc.filename][0])) from None
         raise
     finally:
-        if os.path.exists(temporary):  # not replaced: the write failed
-            os.remove(temporary)
+        for temporary in written:
+            if os.path.exists(temporary):  # not replaced: a write failed
+                os.remove(temporary)
 
 
 def serialize_log(log: EventLog, *, delimiter: str = ",") -> str:
@@ -553,7 +629,7 @@ def serialize_log(log: EventLog, *, delimiter: str = ",") -> str:
 
 def write_log(log: EventLog, path, *, delimiter: str = ",") -> None:
     """Writes the text of serialize_log to ``path`` a block of rows at a time, all or nothing (write_text)."""
-    write_text(path, _log_blocks(log, delimiter))
+    write_text({path: _log_blocks(log, delimiter)})
 
 
 def build_k_context(log: EventLog, k: int) -> KContextLog:

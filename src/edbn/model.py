@@ -235,9 +235,10 @@ class ScoringTables:
 
     Every event has the same factor layout, ``labels``: per attribute in schema order its value factor,
     its relation factor when it has CPT parents, then one FD check per mapping into it.  Every table float
-    comes from one call of value_probability, relation_probability or fdm_probability on a code's value (a
-    sentinel for UNSEEN), so factors equal those functions' results bit for bit.  Tables are dicts by code,
-    as sparse as the model, each with its unseen fallback.
+    is what value_probability, relation_probability or fdm_probability gives for a code's value (a sentinel
+    for UNSEEN), bit for bit: each attribute's ``float(1 - rate)`` is derived once, and times a CPT cell's
+    probability, as those functions compute it.  Tables are dicts by code, as sparse as the model, each with
+    its unseen fallback.
 
     An attribute's own positions are the k-context positions of its value, its CPT parents and its FD
     sources.  ``_blocks`` holds one entry per run of attributes, taken in schema order, where each
@@ -271,14 +272,16 @@ class ScoringTables:
                 key.setdefault(p, len(key))
             at = key.__getitem__
             labels.append((attr, VALUE, None))
-            values = {code(attr, x): value_probability(model, attr, x) for x in sorted(model.active_domains[attr])}
+            # float(1 - rate) for a seen value and for a seen parent combination, derived once per attribute
+            seen, relation_seen = float(1 - model.new_value[attr]), float(1 - model.new_relation[attr])
+            values = dict.fromkeys([code(attr, x) for x in sorted(model.active_domains[attr])], seen)
             relation = None
             if cpt.parents:
                 labels.append((attr, RELATION, None))
                 rows = {
                     tuple(map(code, [p.attr for p in cpt.parents], cfg)): (
-                        {code(attr, x): relation_probability(model, attr, x, cfg) for x in counts},
-                        relation_probability(model, attr, _UNSEEN, cfg),
+                        {code(attr, x): relation_seen * cpt.probability(x, cfg) for x in counts},
+                        relation_seen * cpt.probability(_UNSEEN, cfg),
                     )
                     for cfg, counts in cpt.rows.items()
                 }
@@ -479,7 +482,7 @@ def save_model(model: EDBNModel) -> str:
 
 
 def write_model(model: EDBNModel, path) -> None:
-    write_text(path, [save_model(model)])
+    write_text({path: [save_model(model)]})
 
 
 _TOP_KEYS = {"format", "format_version", "k", "schema", "training_event_count", "dag_edges",

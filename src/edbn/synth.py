@@ -13,12 +13,14 @@ import io
 import json
 import math
 import random
+from bisect import bisect
 from dataclasses import dataclass
 from importlib import resources
 from itertools import accumulate, chain, islice, repeat
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .event_log import PADDING, AttributeSchema, EventLog, _read_utf8, csv_text, write_text
+from .event_log import (PADDING, AttributeSchema, EventLog, _coded, _merged, _packed, _read_utf8, _recoded, csv_text,
+                        write_text)
 
 NORMAL = "normal"
 ANOMALOUS = "anomalous"
@@ -147,12 +149,23 @@ def _validate_model(model: ProcessModel) -> None:
             raise ProcessModelError(f"{attr!r} can produce the reserved token {PADDING!r}")
 
 
+def _draw(getrandbits, draws: Iterable[tuple]) -> None:
+    """Makes each draw (append, values, n, k) of a trace: appends values[r], r the first getrandbits(k) below
+    n = len(values), k = n.bit_length(); so rng.choice(values) draws on Python 3.10-3.13."""
+    for append, values, n, k in draws:
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        append(values[r])
+
+
 def generate(model: ProcessModel, n_traces: int, seed: int) -> EventLog:
     """n_traces random start-to-end walks with attributes filled per the rules.
 
     Only the rules that draw run per trace, in fill order: its trace-scope pools, its walk, then per event its
-    event-scope pools and activity choices.  The other columns are then filled whole, sources first; the log
-    is coded from the columns in log order (see EventLog), and no Event or Trace is built.
+    event-scope pools and activity choices, each draw taken as rng.choice or rng.choices takes it (_draw).
+    The drawn columns and the activities are coded in log order (see EventLog); the other columns' codes are
+    derived whole, sources first, and no Event or Trace is built.
     """
     if n_traces < 1:
         raise ValueError("n_traces must be >= 1")
@@ -160,39 +173,52 @@ def generate(model: ProcessModel, n_traces: int, seed: int) -> EventLog:
     rules = {attr: model.rules[attr] for attr in order}
     columns = {attr: [] for attr in order if rules[attr].kind in ("pool", "activity_choice")}  # the drawn ones
     trace_scope = [a for a in columns if rules[a].kind == "pool" and rules[a].scope == "trace"]
-    # per activity: the column and the values of each draw that its events make, and its successors with
-    # their cumulative weights, as rng.choices computes them from the weights
-    per_event = {act: [(columns[a], rules[a].pools[act] if rules[a].kind == "activity_choice" else rules[a].values)
+
+    def draw(attr, values):  # a draw of _draw into the attribute's column
+        return columns[attr].append, values, len(values), len(values).bit_length()
+    trace_draws = [draw(a, rules[a].values) for a in trace_scope]
+    # per activity: each draw that its events make, and its successors with their cumulative weights, as
+    # rng.choices computes them; an activity whose weights add up to no finite total has no entry
+    per_event = {act: [draw(a, rules[a].pools[act] if rules[a].kind == "activity_choice" else rules[a].values)
                        for a in columns if a not in trace_scope] for act in model.activities}
-    steps = {act: (tuple(targets), tuple(accumulate(targets.values()))) for act, targets in model.transitions.items()}
+    steps = {act: (tuple(targets), cum_weights, cum_weights[-1] + 0.0, len(targets) - 1)
+             for act, targets in model.transitions.items()
+             if (cum_weights := tuple(accumulate(targets.values()))) and math.isfinite(cum_weights[-1])}
     activities, lengths = [], []
+    rng = random.Random()
+    getrandbits, uniform = rng.getrandbits, rng.random
     for i in range(n_traces):
-        rng = random.Random(seed * 2**32 + i)
-        for attr in trace_scope:
-            columns[attr].append(rng.choice(rules[attr].values))
+        rng.seed(seed * 2**32 + i)
+        _draw(getrandbits, trace_draws)
         path = [model.start_activity]
-        while path[-1] not in model.end_activities:  # _validate_model rules out dead ends
-            population, cum_weights = steps[path[-1]]
-            path.append(rng.choices(population, cum_weights=cum_weights)[0])
-            if len(path) > _WALK_LIMIT:
-                raise ProcessModelError("random walk failed to reach an end activity")
-        for activity in path:
-            for column, values in per_event[activity]:
-                column.append(rng.choice(values))
+        try:
+            while path[-1] not in model.end_activities:  # _validate_model rules out dead ends
+                population, cum_weights, total, hi = steps[path[-1]]
+                path.append(population[bisect(cum_weights, uniform() * total, 0, hi)])
+                if len(path) > _WALK_LIMIT:
+                    raise ProcessModelError("random walk failed to reach an end activity")
+        except KeyError:
+            raise ValueError("Total of weights must be finite") from None  # as rng.choices says
+        _draw(getrandbits, chain.from_iterable(map(per_event.__getitem__, path)))
         activities += path
         lengths.append(len(path))
-    columns[activity_attr] = activities
+    coded = {activity_attr: _coded(activities)}  # attribute -> its vocabulary and codes, sources first
     for attr, rule in rules.items():
         if rule.kind == "constant":
-            columns[attr] = [rule.value] * len(activities)
-        elif rule.kind == "derived":
-            columns[attr] = list(map(rule.mapping.__getitem__, columns[rule.source]))
-        elif attr in trace_scope:
-            columns[attr] = list(chain.from_iterable(map(repeat, columns[attr], lengths)))
+            coded[attr] = (rule.value,), bytes(len(activities))
+        elif rule.kind == "derived":  # the source's codes, taken to the first appearances of its values' images
+            values, codes = coded[rule.source]
+            vocab, table = _coded(list(map(rule.mapping.__getitem__, values)))
+            coded[attr] = vocab, _recoded(codes, table, len(vocab))
+        elif attr in trace_scope:  # one code per trace, repeated over its events
+            vocab, codes = _coded(columns[attr])
+            coded[attr] = vocab, _packed(chain.from_iterable(map(repeat, codes, lengths)), len(vocab))
+        else:
+            coded[attr] = _coded(columns[attr])
     width = max(4, len(str(n_traces)))
-    return EventLog._from_columns(model.schema(), range(len(activities)),
-                                  tuple(f"t{i:0{width}d}" for i in range(n_traces)), tuple(lengths),
-                                  tuple(columns[attr] for attr in model.attributes))
+    vocabularies, codes = zip(*map(coded.get, model.attributes))
+    return EventLog._from_codes(model.schema(), range(len(activities)),
+                                tuple(f"t{i:0{width}d}" for i in range(n_traces)), tuple(lengths), vocabularies, codes)
 
 
 # --- anomaly injection ------------------------------------------------------
@@ -246,9 +272,10 @@ def inject_anomalies(log: EventLog, fraction: float, seed: int) -> LabeledLog:
     events, delete an event, duplicate an event at a random position, replace
     an attribute value with another active-domain value, or replace one with
     a fresh unseen value.  Unchosen traces are returned untouched.  Only the
-    chosen traces' rows (an event's id, then its values) are edited, and the
-    rows are coded as generate codes its columns, building no Event or Trace;
-    where no trace is chosen, the log given is returned as it is.
+    chosen traces' rows (an event's id, then its codes) are read and edited, a
+    fresh value coded after its vocabulary's, and spliced into the log's codes
+    (EventLog._spliced), building no Event or Trace; where no trace is chosen,
+    the log given is returned as it is.
     """
     if not 0 <= fraction <= 1:
         raise ValueError("fraction must be in [0, 1]")
@@ -261,18 +288,21 @@ def inject_anomalies(log: EventLog, fraction: float, seed: int) -> LabeledLog:
     if not chosen:
         return LabeledLog(log, labels, {})
 
-    domains = {a: sorted(vocab) for a, vocab in zip(log.schema.names, log.vocabularies)}
+    # per attribute its values with their codes, by value, and its vocabulary, which each fresh value joins
+    domains = {a: sorted(zip(vocab, range(len(vocab)))) for a, vocab in zip(log.schema.names, log.vocabularies)}
+    vocabularies = list(map(list, log.vocabularies))
     multi_valued = [a for a in log.schema.names if len(domains[a]) >= 2]
     event_ids = log.event_ids if log.event_rows is None else tuple(map(str, log.event_rows))  # not cached on log
-    used_ids = set(event_ids)
+    used_ids = set(event_ids) if log.event_rows is None else set()  # a data row's id holds no "+"
     fresh_counter = 0
 
-    rows = zip(event_ids, *(map(vocab.__getitem__, codes) for vocab, codes in zip(log.vocabularies, log.codes)))
-    traces = [list(islice(rows, n)) for n in log.trace_lengths]
+    starts = list(accumulate(log.trace_lengths, initial=0))
+    spans = _merged((starts[i], starts[i + 1]) for i in chosen)  # the chosen traces' events
+    rows = zip(*(chain.from_iterable([held[lo:hi] for lo, hi in spans]) for held in (event_ids, *log.codes)))
+    traces = {index: list(islice(rows, log.trace_lengths[index])) for index in chosen}
     details: dict[str, tuple[Mutation, ...]] = {}
 
-    for index in chosen:
-        events = traces[index]
+    for index, events in traces.items():
         mutations: list[Mutation] = []
         for _ in range(rng.randint(1, 3)):
             kind = rng.choice(_applicable_kinds(len(events), multi_valued))
@@ -296,23 +326,24 @@ def inject_anomalies(log: EventLog, fraction: float, seed: int) -> LabeledLog:
             else:
                 attr = rng.choice(multi_valued if kind == "replace_value" else log.schema.names)
                 pos = rng.randrange(len(events))
-                i = log.schema.index_of(attr) + 1  # the value's place in the row
+                i = log.schema.index_of(attr) + 1  # the code's place in the row
+                vocab = vocabularies[i - 1]
                 if kind == "replace_value":
-                    value = rng.choice([v for v in domains[attr] if v != events[pos][i]])
+                    value, code = rng.choice([vc for vc in domains[attr] if vc[0] != vocab[events[pos][i]]])
                 else:  # fresh_value
                     while True:
                         fresh_counter += 1
                         value = f"unseen-{attr}-{fresh_counter}"
-                        if value not in domains[attr]:
+                        if value not in log.vocabularies[i - 1]:
                             break
-                events[pos] = (*events[pos][:i], value, *events[pos][i + 1:])
+                    code = len(vocab)
+                    vocab.append(value)
+                events[pos] = (*events[pos][:i], code, *events[pos][i + 1:])
                 mutations.append(Mutation(kind, pos, attribute=attr, new_value=value))
         labels[log.trace_ids[index]] = ANOMALOUS
         details[log.trace_ids[index]] = tuple(mutations)
 
-    event_ids, *columns = tuple(zip(*chain.from_iterable(traces))) or ((),) * (len(log.schema.names) + 1)
-    return LabeledLog(EventLog._from_columns(log.schema, event_ids, log.trace_ids, tuple(map(len, traces)), columns),
-                      labels, details)
+    return LabeledLog(log._spliced(event_ids, traces, vocabularies), labels, details)
 
 
 # --- process-model and label files -----------------------------------------
@@ -388,7 +419,7 @@ def serialize_labels(labeled: LabeledLog) -> str:
 
 
 def write_labels(labeled: LabeledLog, path) -> None:
-    write_text(path, [serialize_labels(labeled)])
+    write_text({path: [serialize_labels(labeled)]})
 
 
 def read_labels(path) -> dict[str, str]:

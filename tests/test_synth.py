@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import random
 import re
+from itertools import accumulate
 from importlib import resources
 
 import pytest
@@ -25,8 +27,9 @@ from edbn import (
     serialize_log,
     uncertainty_coefficient,
 )
-from edbn.synth import Rule, serialize_labels
+from edbn.synth import Rule, _draw, serialize_labels
 
+from reference_generation import reference_generate
 from test_model import _paths
 
 _SHIPPING = resources.files("edbn.data").joinpath("shipping.json").read_text(encoding="utf-8")
@@ -116,6 +119,67 @@ def test_incomplete_derivation_is_rejected():
 def test_generate_requires_positive_count():
     with pytest.raises(ValueError):
         generate(_linear_model(), 0, seed=1)
+
+
+# --- draws -----------------------------------------------------------------
+
+# sizes 1-300, with 1, the powers of two and one more than each among them
+_SIZES = st.one_of(st.integers(1, 300), st.sampled_from([1, *(2**k for k in range(9)), *(2**k + 1 for k in range(9))]))
+_WEIGHTS = st.one_of(st.integers(1, 9), st.floats(1e-3, 1e3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64), _SIZES, st.integers(1, 40))
+def test_draws_take_what_rng_choice_takes(seed, size, count):
+    values, drawn, rng, reference = [f"v{i}" for i in range(size)], [], random.Random(seed), random.Random(seed)
+    _draw(rng.getrandbits, [(drawn.append, values, size, size.bit_length())] * count)
+    assert drawn == [reference.choice(values) for _ in range(count)]
+    assert rng.getstate() == reference.getstate()  # as many words drawn
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2**32), st.integers(1, 300).flatmap(lambda n: st.lists(_WEIGHTS, min_size=n, max_size=n)),
+       _SIZES, st.integers(1, 8))
+def test_generated_steps_and_draws_take_what_rng_choices_and_choice_take(seed, weights, size, n_traces):
+    """Each trace steps once from the start, by its weights, to an end; its two events each draw a value."""
+    targets, values = [f"a{i}" for i in range(len(weights))], tuple(f"v{i}" for i in range(size))
+    model = ProcessModel("draws", "case", ("activity", "x"), "activity", "start", frozenset(targets),
+                         {"start": dict(zip(targets, weights))}, {"x": Rule(kind="pool", values=values)})
+    log = generate(model, n_traces, seed)
+    expected = []
+    for i in range(n_traces):
+        rng = random.Random(seed * 2**32 + i)
+        step = rng.choices(targets, cum_weights=list(accumulate(weights)))[0]
+        expected += [("start", rng.choice(values)), (step, rng.choice(values))]
+    assert list(zip(*log.columns)) == expected
+
+
+@pytest.mark.parametrize("scope", ["event", "trace"])
+def test_generate_codes_pools_of_more_than_256_values_as_the_reference_generator(scope):
+    # a derived attribute takes the 300 codes to 300 values (4-byte codes), another to 3 (bytes), and a third
+    # derives from the second; the activity choice is a constant by another name
+    values = tuple(f"p{i}" for i in range(300))
+    rules = {"pool": Rule(kind="pool", values=values, scope=scope),
+             "wide": Rule(kind="derived", source="pool", mapping={v: f"w{v}" for v in values}),
+             "narrow": Rule(kind="derived", source="pool", mapping={v: f"n{int(v[1:]) % 3}" for v in values}),
+             "chained": Rule(kind="derived", source="narrow", mapping={"n0": "c", "n1": "c", "n2": "d"}),
+             "who": Rule(kind="activity_choice", pools={"start": ("x",), "finish": ("y", "z")}),
+             "const": Rule(kind="constant", value="k")}
+    model = ProcessModel("wide", "case", ("chained", "activity", *rules.keys() - {"chained"}), "activity", "start",
+                         frozenset({"finish"}), {"start": {"finish": 1}}, rules)
+    log, expected = generate(model, 1500, 5), reference_generate(model, 1500, 5)
+    assert (log.vocabularies, [bytes(c) for c in log.codes]) == (expected.vocabularies, [bytes(c) for c in expected.codes])
+    assert [type(c) for c in log.codes] == [type(c) for c in expected.codes]
+    assert memoryview in {type(c) for c in log.codes} and serialize_log(log) == serialize_log(expected)
+
+
+def test_a_walk_whose_weights_add_up_to_no_finite_total_fails_as_rng_choices_does():
+    model = ProcessModel("inf", "case", ("activity",), "activity", "start", frozenset({"a", "b"}),
+                         {"start": {"a": 1e308, "b": 1e308}}, {})
+    with pytest.raises(ValueError, match="^Total of weights must be finite$"):
+        random.Random(0).choices(["a", "b"], cum_weights=list(accumulate([1e308, 1e308])))
+    with pytest.raises(ValueError, match="^Total of weights must be finite$"):
+        generate(model, 3, 1)
 
 
 # --- anomaly injection ------------------------------------------------------

@@ -7,14 +7,16 @@ field holding a lone CR, each row then ended by LF.  That is csv.writer's own
 text, as Python 3.11 writes it with LF, for every field without a lone CR.
 Every log and labels file written reads back to the values it was written
 from.  ``write_text`` writes every output file all or nothing: a failure at
-any write leaves the target with its old bytes, or absent, and no temporary
-file behind.
+any write of a command leaves each of its targets with its old bytes, or
+absent, and no temporary file behind.  A rewritten file keeps its permission
+bits, and a symbolic link stays a link to the file that gets the bytes.
 """
 import csv
 import io
 import itertools
 import os
 import re
+import stat
 
 import pytest
 from hypothesis import given, settings
@@ -249,6 +251,37 @@ def test_written_files_take_the_permissions_of_a_plainly_opened_file(tmp_path):
     assert os.stat(tmp_path / "log.csv").st_mode == os.stat(tmp_path / "plain").st_mode
 
 
+def test_a_rewritten_file_keeps_its_permission_bits(tmp_path):
+    log = generate(default_shipping_model(), 3, 1)
+    for mode in (0o600, 0o640, 0o444):
+        target = tmp_path / "log.csv"
+        target.write_bytes(b"old")
+        os.chmod(target, mode)
+        write_log(log, target)
+        assert stat.S_IMODE(os.stat(target).st_mode) == mode
+        assert target.read_text(encoding="utf-8") == serialize_log(log)
+        assert os.listdir(tmp_path) == ["log.csv"]
+        os.chmod(target, 0o600)
+        target.unlink()
+
+
+@pytest.mark.parametrize("dangling", [False, True], ids=["to-a-file", "dangling"])
+def test_a_symbolic_link_stays_a_link_and_the_file_it_names_gets_the_bytes(dangling, tmp_path):
+    (tmp_path / "data").mkdir()
+    named, link = tmp_path / "data" / "log.csv", tmp_path / "link.csv"
+    if not dangling:
+        named.write_bytes(b"old")
+        os.chmod(named, 0o600)
+    link.symlink_to(os.path.join("data", "log.csv"))
+    log = generate(default_shipping_model(), 3, 1)
+    write_log(log, link)
+    assert link.is_symlink() and os.readlink(link) == os.path.join("data", "log.csv")
+    assert named.read_text(encoding="utf-8") == serialize_log(log)
+    assert sorted(os.listdir(tmp_path)) == ["data", "link.csv"] and os.listdir(tmp_path / "data") == ["log.csv"]
+    if not dangling:
+        assert stat.S_IMODE(os.stat(named).st_mode) == 0o600
+
+
 def test_cli_generate_streams_its_log_and_keeps_old_files_at_a_failed_write(tmp_path, monkeypatch, capsys):
     out, labels = tmp_path / "log.csv", tmp_path / "labels.csv"
     argv = ["generate", "--out", str(out), "--labels", str(labels), "--n-traces", "300", "--fraction", "0.1",
@@ -301,9 +334,9 @@ def test_write_model_leaves_old_bytes_or_nothing_at_a_failed_write(tmp_path, mon
 
 
 def _assert_each_failed_write_keeps_its_target(argv, targets, tmp_path, monkeypatch, capsys):
-    """Runs the command whole, then again failing at each of its writes in turn, over old files and over none:
-    the targets written before the failure hold the whole run's bytes, the others their old bytes or nothing,
-    and no other file is left in the directory."""
+    """Runs the command whole, then again failing at each of its writes in turn (the second file's among them),
+    over old files and over none: every target keeps its old bytes, or stays absent, and no other file is left
+    in the directory; then the command run whole writes every target."""
     inputs = set(os.listdir(tmp_path))
     assert cli.main(argv) == 0
     written = [target.read_bytes() for target in targets]
@@ -317,10 +350,11 @@ def _assert_each_failed_write_keeps_its_target(argv, targets, tmp_path, monkeypa
                 patch.setattr(event_log, "open", _failing_open(fail_at), raising=False)
                 assert cli.main(argv) == 1
             assert capsys.readouterr().err.endswith(": [Errno 28] No space left on device\n")
-            kept = [target.read_bytes() if target.exists() else None for target in targets]
-            assert kept == written[:fail_at] + [old] * (len(targets) - fail_at)
-            present = targets if old is not None else targets[:fail_at]
+            assert [target.read_bytes() if target.exists() else None for target in targets] == [old] * len(targets)
+            present = targets if old is not None else []
             assert sorted(os.listdir(tmp_path)) == sorted(inputs | {target.name for target in present})
+        assert cli.main(argv) == 0
+        assert [target.read_bytes() for target in targets] == written
 
 
 @pytest.fixture
