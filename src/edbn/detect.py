@@ -13,7 +13,6 @@ blocks whose smallest factor can be among the top n.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress
@@ -131,24 +130,12 @@ def explain(score: TraceScore, top_n: int) -> list[tuple[str, str, str, str | No
     lows = list(map(itemgetter(2), blocks))  # each block's smallest factor
     # each block holds a factor equal to its smallest, so the top_n smallest factors are all at or under
     # the top_n-th smallest block minimum, the bound, and only blocks whose minimum is at or under it hold any
-    ordered = sorted(lows)
-    bound = ordered[top_n - 1] if top_n <= len(lows) else math.inf
-    below = bisect_left(ordered, bound)  # blocks whose smallest factor is under the bound
+    bound = sorted(lows)[top_n - 1] if top_n <= len(lows) else math.inf
     taken = []  # (value, flat position) of each factor at or under the bound, in position order
     for j in compress(range(len(lows)), map(bound.__ge__, lows)):
         event, run = divmod(j, runs)
-        factors, _, low = blocks[j]
         start = event * n + offsets[run]
-        if low < bound:
-            below -= 1
-            taken += [(v, start + i) for i, v in enumerate(factors) if v <= bound]
-        else:  # its factors at or under the bound are those equal to it
-            i = -1
-            for _ in range(factors.count(low)):
-                i = factors.index(low, i + 1)
-                taken.append((factors[i], start + i))
-        if not below and len(taken) >= top_n:
-            break  # any factor still unread equals the bound and sorts after every one taken
+        taken += [(v, start + i) for i, v in enumerate(blocks[j][0]) if v <= bound]
     taken.sort(key=itemgetter(0))  # stable: ties keep position order
     entries = []
     for value, i in taken[:top_n]:

@@ -148,13 +148,13 @@ class EventLog:
                  vocabularies: Sequence[Sequence[str]]) -> "EventLog":
         """This log, its events named by ``event_ids``, with the trace at each key of ``edited`` (ascending) made of
         those rows (an event's id, then its codes into ``vocabularies``, each the log's own with any new values
-        after it).  Every other run of traces keeps its slice of the codes and ids.  Each vocabulary then takes
-        back the order of first appearance, the codes taken through it (_recoded) only where it moved; ids and
-        values are checked as _from_columns checks them."""
+        after it), put in its place: one slice of the codes and ids per gap between edited traces, an empty one
+        too.  Each vocabulary then takes back the order of first appearance, the codes taken through it (_recoded)
+        only where it moved; ids and values are checked as _from_columns checks them."""
         starts, n_events = list(accumulate(self.trace_lengths, initial=0)), len(event_ids)
         kept = list(zip([0, *(starts[i + 1] for i in edited)], [*map(starts.__getitem__, edited), n_events]))
         added = pairwise(accumulate(map(len, edited.values()), initial=n_events))  # where each trace's rows follow
-        pieces = _merged(chain(*zip(kept, added), kept[-1:]))  # of the log's events and the rows after them
+        pieces = [*chain(*zip(kept, added)), kept[-1]]  # of the log's events and the rows after them, empty ones too
         new_ids, *columns = zip(*chain.from_iterable(edited.values()))
         whole_ids = event_ids + new_ids
         ids = tuple(chain.from_iterable([whole_ids[lo:hi] for lo, hi in pieces]))
@@ -240,17 +240,6 @@ def _check_values(attr: str, column: Sequence, event_ids: Sequence) -> tuple[str
         raise ValueError(f"event {str(event_ids[column.index(bad[0])])!r} holds {bad[0]!r:.40} as {attr!r}; "
                          f"values must be strings other than the reserved token {PADDING!r}")
     return vocab
-
-
-def _merged(spans: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The spans (lo, hi) in order, each that begins where the one before it ends joined to it, empty ones left out."""
-    merged = []
-    for lo, hi in spans:
-        if merged and merged[-1][1] == lo:
-            merged[-1] = (merged[-1][0], hi)
-        elif lo < hi:
-            merged.append((lo, hi))
-    return merged
 
 
 def _packed(codes: Iterable[int], n_values: int):
@@ -559,8 +548,8 @@ def load_log(path, schema: AttributeSchema, **options) -> EventLog:
         return parse_log(fh, schema, **options)
 
 
-def _read_utf8(path, error: type[ValueError], what: str) -> str:
-    with open_utf8(path, error, what, "utf-8") as fh:
+def _read_utf8(path, error: type[ValueError], what: str, encoding: str = "utf-8") -> str:
+    with open_utf8(path, error, what, encoding) as fh:
         return fh.read()
 
 

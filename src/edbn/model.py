@@ -29,6 +29,7 @@ from .event_log import (
     Trace,
     Variable,
     _read_utf8,
+    _recoded,
     build_k_context,
     write_text,
 )
@@ -321,20 +322,17 @@ class ScoringTables:
 
     def score_traces(self, codes, vocabularies, trace_lengths) -> Iterator[tuple[tuple[Block, ...], list[float]]]:
         """score_events of each trace of a log given as code columns (per attribute, one code per event into its
-        entry of ``vocabularies``) and ``trace_lengths``.  Each vocabulary is coded once; then each chunk of whole
-        traces, about _CHUNK_EVENTS events, is translated (by bytes.translate where both fit a byte) and scored."""
-        tables = [list(map(coder.get, vocab, repeat(len(coder)))) for coder, vocab in zip(self._coders, vocabularies)]
-        tables = [bytes(table).ljust(256, b"\0") if type(column) is bytes and max(table, default=0) < 256 else table
-                  for table, column in zip(tables, codes)]
+        entry of ``vocabularies``) and ``trace_lengths``.  Each vocabulary is coded once and each column taken
+        through it to model codes (_recoded); then each chunk of whole traces, about _CHUNK_EVENTS events, is scored."""
+        codes = [_recoded(column, list(map(coder.get, vocab, repeat(unseen))), unseen + 1)
+                 for coder, unseen, vocab, column in zip(self._coders, self._unseen, vocabularies, codes)]
         memos, runs = [_Memo(self._block, plan) for _, plan in self._blocks], len(self._blocks)
         for _, chunk in groupby(zip(accumulate(trace_lengths, initial=0), trace_lengths),
                                 key=lambda trace: trace[0] // _CHUNK_EVENTS):  # (first event, length) of each trace
             chunk = list(chunk)
             lo, hi = chunk[0][0], sum(chunk[-1])  # the chunk's first event, and the end of its last trace
-            columns = [column[lo:hi].translate(to) if type(to) is bytes else list(map(to.__getitem__, column[lo:hi]))
-                       for to, column in zip(tables, codes)]
             chunk = [(start - lo, length) for start, length in chunk]
-            blocks, logs = self._score_chunk(columns, chunk, memos)
+            blocks, logs = self._score_chunk([column[lo:hi] for column in codes], chunk, memos)
             for start, length in chunk:
                 yield blocks[start * runs : (start + length) * runs], logs[start : start + length]
 

@@ -19,7 +19,7 @@ from importlib import resources
 from itertools import accumulate, chain, islice, repeat
 from typing import Iterable, Mapping, Sequence
 
-from .event_log import (PADDING, AttributeSchema, EventLog, _coded, _merged, _packed, _read_utf8, _recoded, csv_text,
+from .event_log import (PADDING, AttributeSchema, EventLog, _coded, _packed, _read_utf8, _recoded, csv_text,
                         write_text)
 
 NORMAL = "normal"
@@ -272,10 +272,10 @@ def inject_anomalies(log: EventLog, fraction: float, seed: int) -> LabeledLog:
     events, delete an event, duplicate an event at a random position, replace
     an attribute value with another active-domain value, or replace one with
     a fresh unseen value.  Unchosen traces are returned untouched.  Only the
-    chosen traces' rows (an event's id, then its codes) are read and edited, a
-    fresh value coded after its vocabulary's, and spliced into the log's codes
-    (EventLog._spliced), building no Event or Trace; where no trace is chosen,
-    the log given is returned as it is.
+    chosen traces' rows (an event's id, then its codes) are read, one slice
+    per trace, and edited, a fresh value coded after its vocabulary's, and
+    spliced into the log's codes (EventLog._spliced), building no Event or
+    Trace; where no trace is chosen, the log given is returned as it is.
     """
     if not 0 <= fraction <= 1:
         raise ValueError("fraction must be in [0, 1]")
@@ -297,7 +297,7 @@ def inject_anomalies(log: EventLog, fraction: float, seed: int) -> LabeledLog:
     fresh_counter = 0
 
     starts = list(accumulate(log.trace_lengths, initial=0))
-    spans = _merged((starts[i], starts[i + 1]) for i in chosen)  # the chosen traces' events
+    spans = [(starts[i], starts[i + 1]) for i in chosen]  # the chosen traces' events
     rows = zip(*(chain.from_iterable([held[lo:hi] for lo, hi in spans]) for held in (event_ids, *log.codes)))
     traces = {index: list(islice(rows, log.trace_lengths[index])) for index in chosen}
     details: dict[str, tuple[Mutation, ...]] = {}
@@ -425,7 +425,7 @@ def write_labels(labeled: LabeledLog, path) -> None:
 def read_labels(path) -> dict[str, str]:
     """trace id -> label from a labels file; a malformed file raises ValueError naming it and the line."""
     where = f"labels file {str(path)!r}"
-    text = _read_utf8(path, ValueError, "labels file")
+    text = _read_utf8(path, ValueError, "labels file", "utf-8-sig")  # as a log is read: a byte order mark skipped
     if "\0" in text:  # Python 3.10's csv rejects NUL and later ones read it as a character
         line = sum(1 for _ in io.StringIO(text[: text.index("\0") + 1], newline=""))
         raise ValueError(f"{where} line {line}: NUL character")

@@ -50,7 +50,10 @@ def process_models(draw) -> ProcessModel:
             rules[name] = Rule(kind="activity_choice", pools=pools)
             possible[name] = {v for pool in pools.values() for v in pool}
         else:
-            source = draw(st.sampled_from(sorted(possible)))
+            # once an attribute is derived, each later derivation reads a derived one, so that every run of
+            # 200 draws holds chains (the first derivation still reads any attribute)
+            derived = [n for n, rule in rules.items() if rule.kind == "derived"]
+            source = draw(st.sampled_from(derived or sorted(possible)))
             mapping = {x: draw(TEXT) for x in sorted(possible[source])}
             rules[name] = Rule(kind="derived", source=source, mapping=mapping)
             possible[name] = set(mapping.values())

@@ -8,7 +8,7 @@ import json
 import math
 import random
 from dataclasses import replace
-from itertools import chain
+from itertools import accumulate, chain
 from unittest.mock import patch
 
 import pytest
@@ -334,13 +334,20 @@ def test_batch_ranking_never_scores_event_by_event_when_keys_rarely_repeat(monke
 
 
 def test_a_log_of_byte_codes_scores_against_a_model_of_wider_codes():
-    # the model names more items than a byte holds, so the log's item codes, bytes, are translated
-    # to model codes by a list where every other column goes through bytes.translate
+    # the model names more items than a byte holds, or 255, which with PADDING's code leave only the
+    # unseen code, 256, past a byte: the log's item codes, bytes, are translated to model codes by a
+    # list where every other column goes through bytes.translate
     process = default_shipping_model()
-    model = learn_edbn(_unique_value(generate(process, 40, 61), lambda t, e: True), 1, 0.99)
-    log = generate(process, 30, 62)
-    assert type(log.codes[log.schema.names.index("item")]) is bytes and len(model.active_domains["item"]) > 256
-    _assert_scored_as_per_trace(model, rank_traces(model, log), log)
+    train = generate(process, 40, 61)
+    items, starts = train.columns[train.schema.names.index("item")], list(accumulate(train.trace_lengths, initial=0))
+    log = _unique_value(generate(process, 30, 62), lambda t, e: e == 0)  # an item the model never saw per trace
+    assert type(log.codes[log.schema.names.index("item")]) is bytes and len(items) > 256
+    for named in (len(items), 255):
+        # the items of the first `unique` events made unique, so that the model names `named` items
+        unique = next(m for m in range(len(items) + 1) if m + len(set(items[m:])) == named)
+        model = learn_edbn(_unique_value(train, lambda t, e: starts[t] + e < unique), 1, 0.99)
+        assert len(model.active_domains["item"]) == named
+        _assert_scored_as_per_trace(model, rank_traces(model, log), log)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
