@@ -22,7 +22,7 @@ from .event_log import (
     serialize_log,
     write_log,
 )
-from .fd import FDEdge, FDMapping, build_mapping, discover_fds, fdm_probability
+from .fd import FDEdge, FDMapping, build_mapping, discover_fds
 from .model import (
     EDBNModel,
     EventScore,
@@ -31,11 +31,9 @@ from .model import (
     learn_edbn,
     load_model,
     read_model,
-    relation_probability,
     save_model,
     trace_log_probability,
     trace_probability,
-    value_probability,
     write_model,
 )
 from .stats import entropy, mutual_information, uncertainty_coefficient

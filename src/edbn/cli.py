@@ -135,7 +135,7 @@ def cmd_score(config: argparse.Namespace) -> int:
         print(blocks, end="")
         if config.out:
             files[f"{config.out}.explain.txt"] = [blocks]
-    write_text(files)  # every file, or none
+    _stage("write", write_text, files)  # every file, or none
     return 0
 
 
@@ -163,9 +163,9 @@ def cmd_evaluate(config: argparse.Namespace) -> int:
     report = _stage("evaluate", run_experiment, train, labeled, config.k, config.fd_threshold)
     print(f"auc: {report.auc!r}")
     if config.out:
-        write_text({f"{config.out}.report.txt": [render_report(report)],
-                    f"{config.out}.curve.csv": [serialize_curve(report)],
-                    f"{config.out}.scores.csv": [serialize_scores(report)]})
+        _stage("write", write_text, {f"{config.out}.report.txt": [render_report(report)],
+                                     f"{config.out}.curve.csv": [serialize_curve(report)],
+                                     f"{config.out}.scores.csv": [serialize_scores(report)]})
     return 0
 
 

@@ -214,9 +214,11 @@ class EventLog:
     def columns(self) -> tuple[tuple[str, ...], ...]:
         return tuple(tuple(map(v.__getitem__, c)) for v, c in zip(self.vocabularies, self.codes))
 
-    @cached_property
-    def event_ids(self) -> tuple[str, ...]:
-        return tuple(map(str, self.event_rows))  # a log that holds its ids never reaches this
+    def uncached_event_ids(self) -> tuple[str, ...]:
+        """event_ids; where the log is named by data row, built from ``event_rows`` on each call, never cached."""
+        return self.event_ids if self.event_rows is None else tuple(map(str, self.event_rows))
+
+    event_ids = cached_property(uncached_event_ids)  # a log that holds its ids has them in __dict__
 
     @property
     def event_count(self) -> int:
@@ -577,7 +579,7 @@ def _log_blocks(log: EventLog, delimiter: str) -> Iterator[str]:
     value, trace id and event id is rendered once (_rendered), before write_text opens a file; neither
     ``columns`` nor ``event_ids`` is decoded onto the log."""
     header = delimiter.join(_rendered([log.schema.trace_id_column, "event_id", *log.schema.names], delimiter))
-    event_ids = log.event_ids if log.event_rows is None else list(map(str, log.event_rows))
+    event_ids = log.uncached_event_ids()
     trace_ids = chain.from_iterable(map(repeat, _rendered(log.trace_ids, delimiter), log.trace_lengths))
     columns = (map(_rendered(vocab, delimiter).__getitem__, codes) for vocab, codes in zip(log.vocabularies, log.codes))
     rows = map(delimiter.join, zip(trace_ids, _rendered(event_ids, delimiter), *columns))
@@ -621,6 +623,11 @@ def write_log(log: EventLog, path, *, delimiter: str = ",") -> None:
     write_text({path: _log_blocks(log, delimiter)})
 
 
+def k_context_variables(names: Sequence[str], k: int) -> tuple[Variable, ...]:
+    """The variables of a k-context over attributes ``names``: slice k down to slice 0, schema order within each."""
+    return tuple(Variable(attr, lag) for lag in range(k, -1, -1) for attr in names)
+
+
 def build_k_context(log: EventLog, k: int) -> KContextLog:
     """Widen every event with the descriptions of its k predecessors, as integer codes.
 
@@ -650,6 +657,6 @@ def build_k_context(log: EventLog, k: int) -> KContextLog:
             present = np.bincount(shifted, minlength=len(vocab)) > 0  # re-densify the codes
             dense = (np.cumsum(present) - 1).astype(code_type(np.count_nonzero(present)))
             coded[Variable(attr, lag)] = dense[shifted], tuple(compress(vocab, present))
-    variables = tuple(Variable(attr, lag) for lag in range(k, -1, -1) for attr in names)
+    variables = k_context_variables(names, k)
     codes, vocabularies = zip(*map(coded.pop, variables))
     return KContextLog(k, variables, codes, vocabularies, log)

@@ -24,6 +24,9 @@ class FDEdge:
     def __post_init__(self) -> None:
         if self.target.lag != 0:
             raise ValueError("FD targets must be in slice 0")
+        if not 0 <= self.strength <= 1:  # false for NaN too
+            raise ValueError(f"strength of {self.source.column_name} -> {self.target.column_name} must be in [0, 1], "
+                             f"got {self.strength!r}")
 
 
 @dataclass(frozen=True)
@@ -86,15 +89,3 @@ def build_mapping(ctx: KContextLog, edge: FDEdge) -> FDMapping:
                 best[x] = count, y
     violations -= sum(count for count, _ in best.values())
     return FDMapping(edge, {xs[x]: ys[y] for x, (_, y) in best.items()}, Fraction(violations, len(ctx)))
-
-
-def fdm_probability(mapping: FDMapping, x, y) -> float:
-    """Probability contribution of one FD check for source value x, target value y.
-
-    Returns 1 - violation_rate when the mapping agrees or x was never seen as
-    a source (padding included); the violation rate otherwise.
-    """
-    expected = mapping.map.get(x)
-    if expected is None or expected == y:
-        return float(1 - mapping.violation_rate)
-    return float(mapping.violation_rate)

@@ -31,9 +31,10 @@ from .event_log import (
     _read_utf8,
     _recoded,
     build_k_context,
+    k_context_variables,
     write_text,
 )
-from .fd import FDEdge, FDMapping, build_mapping, discover_fds, fdm_probability
+from .fd import FDEdge, FDMapping, build_mapping, discover_fds
 from .structure import CPT, DAG, Edge, fit_cpts, learn_structure, make_constraints
 
 MODEL_FORMAT_VERSION = 1
@@ -115,23 +116,7 @@ class EDBNModel:
 
     @cached_property
     def variables(self) -> tuple[Variable, ...]:
-        return tuple(
-            Variable(attr, lag) for lag in range(self.k, -1, -1) for attr in self.schema.names
-        )
-
-    @cached_property
-    def _var_positions(self) -> dict[Variable, int]:
-        return {v: i for i, v in enumerate(self.variables)}
-
-    @cached_property
-    def _mappings_by_target(self) -> dict[str, tuple[FDMapping, ...]]:
-        grouped: dict[str, list[FDMapping]] = {a: [] for a in self.schema.names}
-        for m in self.fd_mappings:
-            grouped[m.edge.target.attr].append(m)
-        return {a: tuple(ms) for a, ms in grouped.items()}
-
-    def mappings_into(self, attr: str) -> tuple[FDMapping, ...]:
-        return self._mappings_by_target[attr]
+        return k_context_variables(self.schema.names, self.k)
 
     @cached_property
     def scoring_tables(self) -> ScoringTables:
@@ -178,33 +163,6 @@ def learn_edbn(
     )
 
 
-def value_probability(model: EDBNModel, attr: str, x: str) -> float:
-    """1 - new_value(attr) for a training-seen value, new_value(attr) otherwise."""
-    rate = model.new_value[attr]
-    if x in model.active_domains[attr]:
-        return float(1 - rate)
-    return float(rate)
-
-
-def relation_probability(model: EDBNModel, attr: str, x: str, parent_values: tuple) -> float:
-    """Conditional-dependency factor for one attribute value given its parent tuple.
-
-    Parentless attributes contribute 1.  An unseen parent combination yields
-    new_relation(attr); a seen one yields (1 - new_relation(attr)) * CPT.
-    """
-    cpt = model.cpts[attr]
-    if not cpt.parents:
-        return 1.0
-    if len(parent_values) != len(cpt.parents):
-        raise ValueError(f"{attr!r} expects {len(cpt.parents)} parent values")
-    rate = model.new_relation[attr]
-    if parent_values not in cpt.rows:
-        return float(rate)
-    return float(1 - rate) * cpt.probability(x, parent_values)
-
-
-# Takes the unseen branch of every factor function: no log or model holds it.
-_UNSEEN = object()
 _CHUNK_EVENTS = 512  # ScoringTables.score_traces reads whole traces, a chunk of about this many events at a time
 
 # A run's block (ScoringTables._block): its factor values, the int sum of their fixed-point logs (-inf when a
@@ -235,11 +193,13 @@ class ScoringTables:
     the values a model never names alike, so one code for them all is exact.
 
     Every event has the same factor layout, ``labels``: per attribute in schema order its value factor,
-    its relation factor when it has CPT parents, then one FD check per mapping into it.  Every table float
-    is what value_probability, relation_probability or fdm_probability gives for a code's value (a sentinel
-    for UNSEEN), bit for bit: each attribute's ``float(1 - rate)`` is derived once, and times a CPT cell's
-    probability, as those functions compute it.  Tables are dicts by code, as sparse as the model, each with
-    its unseen fallback.
+    its relation factor when it has CPT parents, then one FD check per mapping into it, in model order.
+    Each table float is taken once from its exact rate.  Value: ``float(1 - new_value)`` for a value of the
+    active domain, ``float(new_value)`` for any other.  Relation: ``float(1 - new_relation)`` times the CPT
+    cell's probability for a parent configuration that is a CPT row (``0.0`` for a value missing from the
+    row), ``float(new_relation)`` for any other configuration.  FD check: ``float(1 - violation_rate)`` where
+    the source is not a map key (PADDING included) or maps to the value, ``float(violation_rate)`` where it
+    maps to another.  Tables are dicts by code, as sparse as the model, each with its unseen fallback.
 
     An attribute's own positions are the k-context positions of its value, its CPT parents and its FD
     sources.  ``_blocks`` holds one entry per run of attributes, taken in schema order, where each
@@ -255,7 +215,8 @@ class ScoringTables:
     """
 
     def __init__(self, model: EDBNModel):
-        pos, names = model._var_positions, model.schema.names
+        names = model.schema.names
+        pos = {v: i for i, v in enumerate(model.variables)}  # each variable's k-context position
         self._n_attrs = len(names)
         coders = {a: {PADDING: 0} for a in names}
 
@@ -264,7 +225,7 @@ class ScoringTables:
         labels: list[tuple[str, str, Variable | None]] = []
         blocks, rates = [], []  # rates: every float a factor can take
         for attr in names:
-            cpt, mappings = model.cpts[attr], model.mappings_into(attr)
+            cpt, mappings = model.cpts[attr], [m for m in model.fd_mappings if m.edge.target.attr == attr]
             own = [pos[Variable(attr, 0)], *(pos[p] for p in cpt.parents), *(pos[m.edge.source] for m in mappings)]
             if not blocks or blocks[-1][0].keys().isdisjoint(own):
                 blocks.append(({}, []))  # a new run
@@ -281,23 +242,19 @@ class ScoringTables:
                 labels.append((attr, RELATION, None))
                 rows = {
                     tuple(map(code, [p.attr for p in cpt.parents], cfg)): (
-                        {code(attr, x): relation_seen * cpt.probability(x, cfg) for x in counts},
-                        relation_seen * cpt.probability(_UNSEEN, cfg),
-                    )
+                        {code(attr, x): relation_seen * cpt.probability(x, cfg) for x in counts}, 0.0)
                     for cfg, counts in cpt.rows.items()
                 }
-                relation = (_tuple_getter([at(pos[p]) for p in cpt.parents]), rows,
-                            relation_probability(model, attr, _UNSEEN, (_UNSEEN,) * len(cpt.parents)))
+                relation = (_tuple_getter([at(pos[p]) for p in cpt.parents]), rows, float(model.new_relation[attr]))
                 rates += [relation[2], *chain.from_iterable([*row.values(), unseen] for row, unseen in rows.values())]
             fds = []
             for m in mappings:
                 labels.append((attr, FD_CHECK, m.edge.source))
-                agree = fdm_probability(m, _UNSEEN, _UNSEEN)
-                # any mapped source with an unseen target violates; an empty map never does
-                violate = next((fdm_probability(m, x, _UNSEEN) for x in m.map), agree)
+                agree = float(1 - m.violation_rate)
+                violate = float(m.violation_rate) if m.map else agree  # an empty map never violates
                 expected = {code(m.edge.source.attr, x): code(attr, y) for x, y in m.map.items()}
                 fds.append((at(pos[m.edge.source]), expected, agree, violate))
-            unseen_value = value_probability(model, attr, _UNSEEN)
+            unseen_value = float(model.new_value[attr])
             rates += [*values.values(), unseen_value, *chain.from_iterable(f[2:] for f in fds)]
             run.append((at(own[0]), values, unseen_value, relation, tuple(fds)))
         self.labels = tuple(labels)
@@ -305,9 +262,9 @@ class ScoringTables:
         self._unseen = tuple(map(len, self._coders))  # each attribute's UNSEEN code, past all of its codes
         self._blocks = tuple((tuple(key), tuple(run)) for key, run in blocks)
         self._keys_of = tuple(_tuple_getter(key) for key, _ in self._blocks)  # per run, its key positions' columns
-        # every k-context position that a key reads, with its attribute and lag
-        positions = sorted(set(chain.from_iterable(key for key, _ in self._blocks)))
-        self._columns = tuple((p, p % len(names), model.k - p // len(names)) for p in positions)
+        # every k-context position that a key reads, with its attribute's index and its lag
+        positions = set(chain.from_iterable(key for key, _ in self._blocks))
+        self._columns = tuple((p, names.index(v.attr), v.lag) for p, v in enumerate(model.variables) if p in positions)
         self._scale, fixed = _fixed_point(rates)
         self._log_of = fixed.__getitem__
 
@@ -418,8 +375,7 @@ def trace_probability(model: EDBNModel, trace: Union[Trace, Sequence[Event]]) ->
     History comes from the trace itself, padded at the head.  Computed in log
     space; exactly 0.0 only when some factor is exactly zero.
     """
-    logp = trace_log_probability(model, trace)
-    return math.exp(logp) if logp > -math.inf else 0.0
+    return math.exp(trace_log_probability(model, trace))  # exp(-inf) is 0.0
 
 
 # --- serialization ---------------------------------------------------------
@@ -555,7 +511,7 @@ def load_model(text: str) -> EDBNModel:
         names = tuple(_load(doc["schema"]["attributes"], list, "schema attributes"))
         schema = AttributeSchema(names, **{c: doc["schema"][c] for c in columns})
     k = _load_int(doc["k"], "k", 1)
-    variables = tuple(Variable(a, lag) for lag in range(k, -1, -1) for a in schema.names)
+    variables = k_context_variables(schema.names, k)
     with _field("dag_edges"):
         edges = frozenset(
             tuple(_load_var(v, "dag_edges") for v in _load(e, list, "dag_edges", 2))
@@ -563,7 +519,7 @@ def load_model(text: str) -> EDBNModel:
         )
         dag = DAG(variables, edges)
 
-    mappings = []
+    mappings = {}  # by source and target
     with _field("fd_mappings"):
         for entry in _load(doc["fd_mappings"], list, "fd_mappings"):
             _check_keys(entry, {"source", "target", "strength", "map", "violation"}, "fd_mappings")
@@ -572,9 +528,11 @@ def load_model(text: str) -> EDBNModel:
                 _load_var(entry["target"], "fd_mappings"),
                 _load(entry["strength"], float, "fd_mappings strength"),
             )
+            if (edge.source, edge.target) in mappings:
+                raise ModelFormatError(f"fd_mappings repeats {edge.source.column_name} -> {edge.target.column_name}")
             fd_map = _load(entry["map"], dict, "fd_mappings map")
             _load(list(fd_map.values()), list, f"fd_mappings map values of {edge.target.column_name}", items=str)
-            mappings.append(FDMapping(edge, fd_map, _load_frac(entry["violation"], "fd_mappings")))
+            mappings[edge.source, edge.target] = FDMapping(edge, fd_map, _load_frac(entry["violation"], "fd_mappings"))
 
     cpts: dict[str, CPT] = {}
     with _field("cpts"):
@@ -588,9 +546,13 @@ def load_model(text: str) -> EDBNModel:
                 cfg = tuple(_load(row["parents"], list, "cpts row parents", items=str))
                 if len(cfg) != len(parents):
                     raise ModelFormatError(f"CPT row arity mismatch for {entry['attribute']!r} in cpts")
+                if cfg in rows:
+                    raise ModelFormatError(f"repeated cpts row {list(cfg)!r} for {entry['attribute']!r}")
                 rows[cfg] = {k2: _load_int(v, "cpts count", 0) for k2, v in row["counts"].items()}
                 totals[cfg] = _load_int(row["total"], "cpts total", 1)
             attr = _load(entry["attribute"], str, "cpts attribute")
+            if attr in cpts:
+                raise ModelFormatError(f"a second cpts entry for {attr!r}")
             cpts[attr] = CPT(Variable(attr, 0), parents, rows, totals)
 
     with _field("new_value"):
@@ -605,7 +567,7 @@ def load_model(text: str) -> EDBNModel:
             k=k,
             schema=schema,
             dag=dag,
-            fd_mappings=tuple(mappings),
+            fd_mappings=tuple(mappings.values()),
             cpts=cpts,
             new_value=new_value,
             new_relation=new_relation,

@@ -25,8 +25,6 @@ from .event_log import (PADDING, AttributeSchema, EventLog, _coded, _packed, _re
 NORMAL = "normal"
 ANOMALOUS = "anomalous"
 
-MUTATION_KINDS = ("swap_adjacent", "delete_event", "duplicate_event", "replace_value", "fresh_value")
-
 _WALK_LIMIT = 10_000
 _JSON_TYPES = {dict: "object", list: "list", str: "string"}
 
@@ -292,7 +290,7 @@ def inject_anomalies(log: EventLog, fraction: float, seed: int) -> LabeledLog:
     domains = {a: sorted(zip(vocab, range(len(vocab)))) for a, vocab in zip(log.schema.names, log.vocabularies)}
     vocabularies = list(map(list, log.vocabularies))
     multi_valued = [a for a in log.schema.names if len(domains[a]) >= 2]
-    event_ids = log.event_ids if log.event_rows is None else tuple(map(str, log.event_rows))  # not cached on log
+    event_ids = log.uncached_event_ids()
     used_ids = set(event_ids) if log.event_rows is None else set()  # a data row's id holds no "+"
     fresh_counter = 0
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,10 @@ from edbn import (
     build_k_context,
     build_mapping,
     discover_fds,
-    fdm_probability,
+    learn_edbn,
 )
+from edbn.model import event_scores
+from edbn.structure import DAG
 
 from test_stats import oracle_entropy, oracle_mi
 
@@ -131,21 +134,40 @@ def test_padding_sources_are_not_violations():
     assert mapping.violation_rate == Fraction(0)
 
 
-def test_fdm_probability_branches(permission_ctx):
-    edge = FDEdge(Variable("UserID", 0), Variable("UserRole", 0), 1.0)
-    mapping = build_mapping(permission_ctx, edge)
-    assert fdm_probability(mapping, "001", "employee") == 1.0
-    assert fdm_probability(mapping, "001", "manager") == 0.0
-    assert fdm_probability(mapping, "999", "anything") == 1.0
-    assert fdm_probability(mapping, PADDING, "anything") == 1.0
+def _model_with(log, mappings):
+    """A k = 1 model of ``log`` whose only FD mappings are ``mappings``, with no CPT parents."""
+    model = learn_edbn(log, 1, 1.0, structure=())  # no U exceeds 1: no FD is discovered
+    edges = frozenset((m.edge.source, m.edge.target) for m in mappings)
+    return replace(model, fd_mappings=tuple(mappings), dag=DAG(model.variables, edges))
 
 
-def test_fdm_probabilities_complement_for_seen_sources():
+def _fd_factors(model, values):
+    """Each FD check's value at the first event of a trace whose first event holds ``values``, by its source."""
+    return {f.source: f.value for f in event_scores(model, [Event("e", values)])[0].factors if f.kind == "fd"}
+
+
+def test_fd_factor_branches(permission_log, permission_ctx):
+    mapping = build_mapping(permission_ctx, FDEdge(Variable("UserID", 0), Variable("UserRole", 0), 1.0))
+    # the same map, read from the previous event: at a trace's first event its source is PADDING
+    lagged = FDMapping(FDEdge(Variable("UserID", 1), Variable("UserRole", 0), 1.0), mapping.map, mapping.violation_rate)
+    model = _model_with(permission_log, [mapping, lagged])
+
+    def factors(user_id, role):
+        return _fd_factors(model, ("User-Actions", "Log in", user_id, "User1", role))
+
+    assert factors("001", "employee") == {Variable("UserID", 0): 1.0, Variable("UserID", 1): 1.0}
+    assert factors("001", "manager")[Variable("UserID", 0)] == 0.0
+    assert factors("999", "anything")[Variable("UserID", 0)] == 1.0
+    assert factors("001", "anything")[Variable("UserID", 1)] == 1.0
+
+
+def test_fd_factors_complement_for_seen_sources():
     pairs = [("k1", "v1")] * 9 + [("k1", "v2")]
-    ctx = build_k_context(_one_attribute_log(pairs), 1)
-    mapping = build_mapping(ctx, FDEdge(Variable("X", 0), Variable("Y", 0), 0.5))
-    agree = fdm_probability(mapping, "k1", mapping.map["k1"])
-    disagree = fdm_probability(mapping, "k1", "v2")
+    log = _one_attribute_log(pairs)
+    mapping = build_mapping(build_k_context(log, 1), FDEdge(Variable("X", 0), Variable("Y", 0), 0.5))
+    model = _model_with(log, [mapping])
+    (agree,) = _fd_factors(model, ("k1", mapping.map["k1"])).values()
+    (disagree,) = _fd_factors(model, ("k1", "v2")).values()
     assert agree + disagree == pytest.approx(1.0, abs=1e-15)
     assert math.isclose(disagree, 0.1)
 

@@ -18,13 +18,11 @@ from edbn import (
     build_k_context,
     learn_edbn,
     load_model,
-    relation_probability,
     save_model,
     score_prefix,
     score_trace,
     trace_log_probability,
     trace_probability,
-    value_probability,
 )
 from edbn.model import EDBNModel, event_scores
 from edbn.structure import DAG, fit_cpts
@@ -99,17 +97,29 @@ def test_unique_values_give_rate_one():
     assert model.new_value["A"] == 1
 
 
-def test_value_probability_branches(permission_log):
+def _factor(model, values, attr, kind):
+    """The value of ``attr``'s factor of ``kind`` at the first event of a trace whose first event holds ``values``,
+    read from event_scores."""
+    factors = event_scores(model, [Event("e", values)])[0].factors
+    (value,) = [f.value for f in factors if (f.attribute, f.kind) == (attr, kind)]
+    return value
+
+
+def _permission_event(activity="Create Request", role="employee"):
+    return ("Request Permission", activity, "001", "User1", role)
+
+
+def test_value_factor_of_a_seen_and_an_unseen_value(permission_log):
     model = learn_edbn(permission_log, 1, 0.99)
-    assert value_probability(model, "UserRole", "employee") == 0.8
-    assert value_probability(model, "UserRole", "auditor") == 0.2
+    assert _factor(model, _permission_event(role="employee"), "UserRole", "value") == 0.8
+    assert _factor(model, _permission_event(role="auditor"), "UserRole", "value") == 0.2
 
 
-def test_value_probability_boundary_rate_one():
+def test_value_factor_of_a_seen_value_at_rate_one():
     events = tuple(Event(str(i), (f"v{i}",)) for i in range(5))
     log = EventLog(AttributeSchema(("A",), "tid"), (Trace("1", events),))
     model = learn_edbn(log, 1, 0.99)
-    assert value_probability(model, "A", "v0") == 0.0  # 1 - 1
+    assert _factor(model, ("v0",), "A", "value") == 0.0  # 1 - 1
 
 
 # --- relation factor -----------------------------------------------------------
@@ -123,25 +133,28 @@ def imposed_structure_model(permission_log):
     )
 
 
-def test_relation_probability_worked_example(imposed_structure_model):
-    p = relation_probability(imposed_structure_model, "UserRole", "employee", ("Create Request",))
+def test_relation_factor_worked_example(imposed_structure_model):
+    p = _factor(imposed_structure_model, _permission_event("Create Request", "employee"), "UserRole", "relation")
     assert p == pytest.approx(0.6, abs=1e-12)
 
 
-def test_relation_probability_unseen_parents(imposed_structure_model):
-    p = relation_probability(imposed_structure_model, "UserRole", "employee", ("Escalate",))
+def test_relation_factor_of_unseen_parents(imposed_structure_model):
+    p = _factor(imposed_structure_model, _permission_event("Escalate", "employee"), "UserRole", "relation")
     assert p == float(imposed_structure_model.new_relation["UserRole"]) == 0.4
 
 
-def test_relation_probability_zero_cpt(imposed_structure_model):
+def test_relation_factor_of_a_zero_cpt_cell(imposed_structure_model):
     # Approved rows never co-occur with employee
-    p = relation_probability(imposed_structure_model, "UserRole", "employee", ("Log in",))
+    p = _factor(imposed_structure_model, _permission_event("Log in", "employee"), "UserRole", "relation")
     assert p == pytest.approx((1 - 0.4) * 1.0, abs=1e-12)
-    assert relation_probability(imposed_structure_model, "UserRole", "purchaser", ("Log in",)) == 0.0
+    assert _factor(imposed_structure_model, _permission_event("Log in", "purchaser"), "UserRole", "relation") == 0.0
 
 
-def test_relation_probability_parentless_is_one(imposed_structure_model):
-    assert relation_probability(imposed_structure_model, "UserID", "001", ()) == 1.0
+def test_parentless_attribute_has_no_relation_factor(imposed_structure_model):
+    assert not imposed_structure_model.cpts["UserID"].parents
+    assert ("UserID", "relation", None) not in imposed_structure_model.scoring_tables.labels
+    factors = event_scores(imposed_structure_model, [Event("e", _permission_event())])[0].factors
+    assert "relation" not in [f.kind for f in factors if f.attribute == "UserID"]
     assert imposed_structure_model.new_relation["UserID"] == 0
 
 
@@ -433,11 +446,6 @@ def test_event_scores_rejects_wrong_arity(permission_log):
         event_scores(model, [Event("e", ("just", "two"))])
 
 
-def test_relation_probability_rejects_wrong_parent_arity(imposed_structure_model):
-    with pytest.raises(ValueError, match="parent values"):
-        relation_probability(imposed_structure_model, "UserRole", "employee", ("a", "b"))
-
-
 def _set_new_value_rate(doc):
     doc["new_value"]["UserRole"] = [1, 0]
 
@@ -498,6 +506,44 @@ def test_loader_names_the_malformed_field(permission_log, mutate, field):
     doc = json.loads(save_model(learn_edbn(permission_log, 1, 0.99)))
     mutate(doc)
     with pytest.raises(ModelFormatError, match=rf"\b{field}\b"):
+        load_model(json.dumps(doc))
+
+
+def _repeated(entries, index=0, **changes):
+    """Append a copy of ``entries[index]`` with ``changes`` to ``entries``."""
+    entries.append(dict(json.loads(json.dumps(entries[index])), **changes))
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda doc: _repeated(doc["cpts"]), "a second cpts entry for 'Activity'"),
+        (lambda doc: _repeated(doc["cpts"], 1, attribute="Activity"), "a second cpts entry for 'Activity'"),
+        (lambda doc: _repeated(doc["cpts"][0]["rows"]), r"repeated cpts row \['Create Request'\] for 'Activity'"),
+        (lambda doc: _repeated(doc["cpts"][0]["rows"], counts={"Log in": 3}),
+         r"repeated cpts row \['Create Request'\] for 'Activity'"),
+        (lambda doc: _repeated(doc["fd_mappings"]), "fd_mappings repeats Activity_1 -> Type_0"),
+        (lambda doc: _repeated(doc["fd_mappings"], 4, strength=0.5, map={}, violation=[1, 2]),
+         "fd_mappings repeats UserID_0 -> UserRole_0"),
+    ],
+    ids=["cpts-entry", "cpts-entry-of-other-parents", "cpts-row", "cpts-row-of-other-counts", "fd-mapping",
+         "fd-mapping-of-other-strength-map-and-violation"],
+)
+def test_loader_rejects_a_repeated_entry(permission_log, mutate, message):
+    doc = json.loads(save_model(learn_edbn(permission_log, 1, 0.99)))
+    mutate(doc)
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("strength", [math.nan, math.inf, -math.inf, 7.5, -1.0, 1.0000000000000002, -1e-300])
+def test_loader_rejects_an_fd_strength_outside_zero_to_one(permission_log, strength):
+    doc = json.loads(save_model(learn_edbn(permission_log, 1, 0.99)))
+    for valid in (0.0, 1.0):
+        doc["fd_mappings"][2]["strength"] = valid
+        assert load_model(json.dumps(doc)).fd_mappings[2].edge.strength == valid
+    doc["fd_mappings"][2]["strength"] = strength
+    with pytest.raises(ModelFormatError, match=r"fd_mappings: strength of UserName_0 -> UserID_0 must be in \[0, 1\]"):
         load_model(json.dumps(doc))
 
 

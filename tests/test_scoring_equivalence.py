@@ -124,7 +124,7 @@ def test_cases_reach_every_factor_branch(cases):
                             reached.add("unseen parents")
                         elif x not in cpt.rows[cfg]:
                             reached.add("unseen value in a seen row")
-                    for m in model.mappings_into(attr):
+                    for m in [fd for fd in model.fd_mappings if fd.edge.target.attr == attr]:
                         source = row[pos[m.edge.source]]
                         if source == PADDING:
                             reached.add("padded FD source")
@@ -218,7 +218,7 @@ def _assert_runs_follow_the_walk(model):
     reads its value, CPT parents and FD sources through the run's key with the value table, CPT rows and
     FD maps rebuilt here from the model over its model codes, and that the members' factors, concatenated,
     give ``labels``."""
-    tables, pos = model.scoring_tables, model._var_positions
+    tables, pos = model.scoring_tables, {v: i for i, v in enumerate(model.variables)}
     codes = _assert_model_codes(model)
     attrs = iter(model.schema.names)
     labels, previous = [], []
@@ -227,7 +227,7 @@ def _assert_runs_follow_the_walk(model):
         for x_at, values, unseen_value, relation, fds in run:
             attr = next(attrs)
             code = codes[attr]
-            cpt, mappings = model.cpts[attr], model.mappings_into(attr)
+            cpt, mappings = model.cpts[attr], [m for m in model.fd_mappings if m.edge.target.attr == attr]
             parents = tuple(map(pos.__getitem__, cpt.parents))
             own = [pos[Variable(attr, 0)], *parents, *(pos[m.edge.source] for m in mappings)]
             if union:

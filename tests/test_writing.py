@@ -333,10 +333,11 @@ def test_write_model_leaves_old_bytes_or_nothing_at_a_failed_write(tmp_path, mon
     assert os.listdir(tmp_path) == ["model.json"]
 
 
-def _assert_each_failed_write_keeps_its_target(argv, targets, tmp_path, monkeypatch, capsys):
+def _assert_each_failed_write_keeps_its_target(argv, targets, stage, tmp_path, monkeypatch, capsys):
     """Runs the command whole, then again failing at each of its writes in turn (the second file's among them),
-    over old files and over none: every target keeps its old bytes, or stays absent, and no other file is left
-    in the directory; then the command run whole writes every target."""
+    over old files and over none: the command reports the failure as an error in ``stage``, every target keeps
+    its old bytes, or stays absent, and no other file is left in the directory; then the command run whole
+    writes every target."""
     inputs = set(os.listdir(tmp_path))
     assert cli.main(argv) == 0
     written = [target.read_bytes() for target in targets]
@@ -349,7 +350,7 @@ def _assert_each_failed_write_keeps_its_target(argv, targets, tmp_path, monkeypa
             with monkeypatch.context() as patch:
                 patch.setattr(event_log, "open", _failing_open(fail_at), raising=False)
                 assert cli.main(argv) == 1
-            assert capsys.readouterr().err.endswith(": [Errno 28] No space left on device\n")
+            assert capsys.readouterr().err == f"error in {stage}: [Errno 28] No space left on device\n"
             assert [target.read_bytes() if target.exists() else None for target in targets] == [old] * len(targets)
             present = targets if old is not None else []
             assert sorted(os.listdir(tmp_path)) == sorted(inputs | {target.name for target in present})
@@ -374,14 +375,14 @@ def test_cli_score_keeps_each_old_file_at_a_failed_write(shipping_files, monkeyp
     argv = ["score", "--model", str(shipping_files / "model.json"), "--log", str(shipping_files / "test.csv"),
             "--out", str(out), "--explain", "3"]
     targets = [out, shipping_files / "ranking.csv.explain.txt"]
-    _assert_each_failed_write_keeps_its_target(argv, targets, shipping_files, monkeypatch, capsys)
+    _assert_each_failed_write_keeps_its_target(argv, targets, "write", shipping_files, monkeypatch, capsys)
 
 
 def test_cli_train_keeps_the_old_model_file_at_a_failed_write(shipping_files, monkeypatch, capsys):
     argv = ["train", "--log", str(shipping_files / "train.csv"), "--trace-col", "case_id",
             "--out", str(shipping_files / "trained.json")]
-    _assert_each_failed_write_keeps_its_target(argv, [shipping_files / "trained.json"], shipping_files, monkeypatch,
-                                               capsys)
+    _assert_each_failed_write_keeps_its_target(argv, [shipping_files / "trained.json"], "write-model", shipping_files,
+                                               monkeypatch, capsys)
 
 
 def test_cli_evaluate_keeps_each_old_file_at_a_failed_write(shipping_files, monkeypatch, capsys):
@@ -389,4 +390,20 @@ def test_cli_evaluate_keeps_each_old_file_at_a_failed_write(shipping_files, monk
     argv = ["evaluate", "--train-log", str(shipping_files / "train.csv"), "--log", str(shipping_files / "test.csv"),
             "--labels", str(shipping_files / "labels.csv"), "--trace-col", "case_id", "--out", str(out)]
     targets = [shipping_files / f"eval.{name}" for name in ("report.txt", "curve.csv", "scores.csv")]
-    _assert_each_failed_write_keeps_its_target(argv, targets, shipping_files, monkeypatch, capsys)
+    _assert_each_failed_write_keeps_its_target(argv, targets, "write", shipping_files, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("command", ["score", "evaluate"])
+def test_cli_score_and_evaluate_report_a_missing_directory_as_an_error_in_write(command, shipping_files, capsys):
+    out, inputs = shipping_files / "nodir" / "out", sorted(os.listdir(shipping_files))
+    if command == "score":
+        argv = ["score", "--model", str(shipping_files / "model.json"), "--log", str(shipping_files / "test.csv"),
+                "--out", str(out), "--explain", "3"]
+        first = out
+    else:
+        argv = ["evaluate", "--train-log", str(shipping_files / "train.csv"), "--log", str(shipping_files / "test.csv"),
+                "--labels", str(shipping_files / "labels.csv"), "--trace-col", "case_id", "--out", str(out)]
+        first = shipping_files / "nodir" / "out.report.txt"
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error in write: [Errno 2] No such file or directory: {str(first)!r}\n"
+    assert sorted(os.listdir(shipping_files)) == inputs
