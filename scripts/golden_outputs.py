@@ -30,14 +30,20 @@ For the shipping seeds 7 and 1001 it runs, in process and inside OUT_DIR:
 
 116 files in all.  Every log that ``edbn generate`` wrote is loaded back with
 ``load_log`` and the delimiter it was written with, and every labels file with
-``read_labels``; a file that does not load fails the script, so the gate also
-catches a written file that cannot be read back.
+``read_labels``; every model file must give back its text through ``load_model``
+and ``save_model``.  A file that does not do so fails the script, so the gate
+also catches a written file that cannot be read back.
 
-Run it on two trees and compare; an empty ``diff -r`` is the gate:
+The gate in one command: ``--against SRC`` writes the outputs of the tree at
+SRC and of this checkout's, each in a subprocess under PYTHONHASHSEED 1 and 987,
+into OUT_DIR/<against|this>-hash<seed>.  It prints ``116 files identical``, or
+names each file that differs from the first run's or is missing, and exits 1:
 
-    python scripts/golden_outputs.py /tmp/before --src <other checkout>/src
+    python scripts/golden_outputs.py /tmp/golden --against <other checkout>/src
+
+One tree's outputs alone, from this checkout's src or from ``--src``:
+
     python scripts/golden_outputs.py /tmp/after
-    diff -r /tmp/before /tmp/after
 """
 import argparse
 import contextlib
@@ -47,11 +53,14 @@ import io
 import itertools
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
 SEEDS = (7, 1001)
 KS = (1, 2)
+HASH_SEEDS = ("1", "987")
+THIS_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _run(main, argv: list[str], stdout_file: str | None = None) -> None:
@@ -149,16 +158,59 @@ def _read_back(d: str) -> None:
             raise SystemExit(f"{path} does not read back: {exc}") from None
 
 
+def _round_trip(d: str) -> None:
+    """Requires ``save_model(load_model(text)) == text`` of every model file written into ``d``."""
+    from edbn import load_model, save_model
+
+    for path in sorted(Path(d).glob("*model-k*.json")):
+        text = path.read_text(encoding="utf-8")
+        if save_model(load_model(text)) != text:
+            raise SystemExit(f"{path} does not give back its text through load_model and save_model")
+
+
+def _files(run: Path) -> set[Path]:
+    return {p.relative_to(run) for p in run.rglob("*") if p.is_file()}
+
+
+def _against(src: str, out: Path) -> int:
+    """Writes the outputs of the tree at ``src`` and of this checkout's under each of HASH_SEEDS, one
+    subprocess a run, and compares every run's files with the first run's."""
+    trees = {"against": Path(src).resolve(), "this": THIS_SRC}
+    runs = []
+    for name, tree in trees.items():
+        for seed in HASH_SEEDS:
+            run = out / f"{name}-hash{seed}"
+            argv = [sys.executable, __file__, str(run), "--src", str(tree)]
+            if subprocess.run(argv, env={**os.environ, "PYTHONHASHSEED": seed}, stdout=subprocess.DEVNULL).returncode:
+                raise SystemExit(f"writing the outputs of {tree} under PYTHONHASHSEED={seed} failed")
+            runs.append(run)
+    first, expected = runs[0], _files(runs[0])
+    faults = []
+    for run in runs[1:]:
+        got = _files(run)
+        faults += [f"missing: {run / f}" for f in sorted(expected - got)]
+        faults += [f"missing: {first / f}" for f in sorted(got - expected)]
+        faults += [f"differs: {run / f}" for f in sorted(expected & got) if (run / f).read_bytes() != (first / f).read_bytes()]
+    if faults:
+        print("\n".join(faults))
+        return 1
+    print(f"{len(expected)} files identical")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("out_dir")
-    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
-                        help="the source tree to import edbn from (default: this checkout's)")
+    parser.add_argument("--src", default=str(THIS_SRC), help="the source tree to import edbn from (default: this checkout's)")
+    parser.add_argument("--against", metavar="SRC", default=None,
+                        help="compare the outputs of the source tree SRC with this checkout's, under two hash seeds")
     args = parser.parse_args()
+    out = Path(args.out_dir)
+    if args.against is not None:
+        return _against(args.against, out)
     sys.path.insert(0, str(Path(args.src).resolve()))
     from edbn.cli import main as edbn
 
-    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)  # relative paths keep the directory out of every output
     for seed in SEEDS:
@@ -201,6 +253,7 @@ def main() -> int:
             _run(edbn, ["train", "--log", f"{d}/{copy}.csv", "--trace-col", "case_id", "--out", model, "--k", "1"])
             if Path(model).read_bytes() != Path(f"{d}/model-k1.json").read_bytes():
                 raise SystemExit(f"{model} differs from {d}/model-k1.json")
+        _round_trip(d)
     print(f"wrote {sum(1 for p in Path('.').rglob('*') if p.is_file())} files to {out}")
     return 0
 

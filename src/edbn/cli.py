@@ -25,18 +25,14 @@ from .synth import (
 
 
 class StageError(Exception):
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"error in {stage}: {cause}")
-        self.stage = stage
+    """A command's failure, its message naming the stage that failed: ``error in <stage>: <cause>``."""
 
 
 def _stage(name: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except StageError:
-        raise
     except Exception as exc:
-        raise StageError(name, exc) from exc
+        raise StageError(f"error in {name}: {exc}") from exc
 
 
 def _header(config: argparse.Namespace, path: str) -> list[str]:
@@ -121,8 +117,6 @@ def cmd_score(config: argparse.Namespace) -> int:
         trace_id_column=config.trace_col or model.schema.trace_id_column,
         event_order_column=config.order_col,
     )
-    if schema.names != model.schema.names:
-        raise StageError("score", ValueError("log attributes do not match the model schema"))
     log = _stage("parse", _read_scored_log, config, schema, has_ids)
     ranking = _stage("score", rank_traces, model, log)
     text, files = _render_ranking(ranking), {}
@@ -251,7 +245,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

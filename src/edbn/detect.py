@@ -74,8 +74,7 @@ class Ranking:
 
 def _trace_score(model: EDBNModel, trace_id: str, event_ids: tuple[str, ...], blocks, logs) -> TraceScore:
     log_mean = math.fsum(logs) / len(event_ids)
-    score = math.exp(log_mean) if log_mean > -math.inf else 0.0
-    return TraceScore(trace_id, score, len(event_ids), log_mean, event_ids, tuple(blocks),
+    return TraceScore(trace_id, math.exp(log_mean), len(event_ids), log_mean, event_ids, tuple(blocks),
                       model.scoring_tables.labels)
 
 

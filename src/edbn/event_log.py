@@ -52,7 +52,7 @@ class Variable(NamedTuple):
     def column_name(self) -> str:
         return f"{self.attr}_{self.lag}"
 
-    def __str__(self) -> str:  # pragma: no cover - repr sugar
+    def __str__(self) -> str:
         return self.column_name
 
 
@@ -294,10 +294,9 @@ class KContextRow:
 class KContextLog:
     """The k-context as integer codes: ``codes[i]`` holds one code per event, in log order, into
     ``vocabularies[i]``, the sorted values that ``variables[i]`` takes; a NumPy array of
-    ``code_type(len(vocabularies[i]))``, the narrowest unsigned type that holds its codes.
-    ``rows`` reads each event's event id and trace id from ``log``, the log it widens."""
+    ``code_type(len(vocabularies[i]))``, the narrowest unsigned type that holds its codes; k is the
+    deepest lag of ``variables``.  ``rows`` reads each event's event id and trace id from ``log``, the log it widens."""
 
-    k: int
     variables: tuple[Variable, ...]
     codes: tuple = ()
     vocabularies: tuple[tuple[str, ...], ...] = ()
@@ -659,4 +658,4 @@ def build_k_context(log: EventLog, k: int) -> KContextLog:
             coded[Variable(attr, lag)] = dense[shifted], tuple(compress(vocab, present))
     variables = k_context_variables(names, k)
     codes, vocabularies = zip(*map(coded.pop, variables))
-    return KContextLog(k, variables, codes, vocabularies, log)
+    return KContextLog(variables, codes, vocabularies, log)

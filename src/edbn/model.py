@@ -1,13 +1,12 @@
-"""The learned model: graph, FD mappings, CPTs, novelty rates, and event scoring.
+"""The learned model: FD mappings, CPTs, novelty rates, the graph they span, and event scoring.
 
-A trained model combines a dependency DAG over time-sliced attributes, one CPT
-per attribute, majority-vote FD mappings with violation rates, and per-attribute
-new_value / new_relation rates.  Every rate and CPT cell is an exact rational
-over training counts, so scores are bit-identical across platforms and across a
-save/load round trip.  Scoring reads float tables that each model compiles
-once from those rationals (ScoringTables).  Models and their tables are
-immutable; scoring keeps any reuse of factors local to one call, so it is
-read-only and safe to call from many threads.
+A trained model combines one CPT per attribute, majority-vote FD mappings with violation rates,
+and per-attribute new_value / new_relation rates.  Its dependency DAG over time-sliced attributes
+is derived: the CPT parent edges and the FD edges.  Every rate and CPT cell is an exact rational
+over training counts, so scores are bit-identical across platforms and across a save/load round
+trip.  Scoring reads float tables that each model compiles once from those rationals
+(ScoringTables).  Models and their tables are immutable; scoring keeps any reuse of factors local
+to one call, so it is read-only and safe to call from many threads.
 """
 from __future__ import annotations
 
@@ -82,9 +81,10 @@ class EventScore:
 
 @dataclass(frozen=True)
 class EDBNModel:
+    """A learned model.  ``cpts`` holds each attribute's CPT; ``dag`` is derived from the CPT parents and FD edges."""
+
     k: int
     schema: AttributeSchema
-    dag: DAG
     fd_mappings: tuple[FDMapping, ...]
     cpts: dict[str, CPT]
     new_value: dict[str, Fraction]
@@ -107,12 +107,12 @@ class EDBNModel:
                 raise ValueError(f"cpts: a parent of {attr!r} is not a model variable")
         for m in self.fd_mappings:
             if m.edge.source not in variables or m.edge.target not in variables:
-                raise ValueError(f"fd_mappings: {m.edge.source.column_name} -> "
-                                 f"{m.edge.target.column_name} uses an unknown variable")
-        explained = self.fd_edges() | {(p, Variable(a, 0)) for a, cpt in self.cpts.items() for p in cpt.parents}
-        if self.dag.edges != explained:
-            odd = sorted(f"{s.column_name} -> {t.column_name}" for s, t in self.dag.edges ^ explained)
-            raise ValueError(f"dag_edges differ from the CPT parent and FD edges in {odd}")
+                raise ValueError(f"fd_mappings: {m.edge.source} -> {m.edge.target} uses an unknown variable")
+
+    @cached_property
+    def dag(self) -> DAG:
+        parents = {(p, Variable(a, 0)) for a, cpt in self.cpts.items() for p in cpt.parents}
+        return DAG(self.variables, self.fd_edges() | parents)
 
     @cached_property
     def variables(self) -> tuple[Variable, ...]:
@@ -153,7 +153,6 @@ def learn_edbn(
     return EDBNModel(
         k=k,
         schema=log.schema,
-        dag=dag,
         fd_mappings=tuple(build_mapping(ctx, fd) for fd in fds),
         cpts=cpts,
         new_value={a: Fraction(len(domain), n) for a, domain in domains.items()},
@@ -217,13 +216,12 @@ class ScoringTables:
     def __init__(self, model: EDBNModel):
         names = model.schema.names
         pos = {v: i for i, v in enumerate(model.variables)}  # each variable's k-context position
-        self._n_attrs = len(names)
         coders = {a: {PADDING: 0} for a in names}
 
         def code(attr: str, x: str) -> int:  # a value the tables name gets the next code of its attribute
             return coders[attr].setdefault(x, len(coders[attr]))
         labels: list[tuple[str, str, Variable | None]] = []
-        blocks, rates = [], []  # rates: every float a factor can take
+        blocks, rates = [], [0.0]  # rates: every float a factor can take; 0.0 for a value missing from a CPT row
         for attr in names:
             cpt, mappings = model.cpts[attr], [m for m in model.fd_mappings if m.edge.target.attr == attr]
             own = [pos[Variable(attr, 0)], *(pos[p] for p in cpt.parents), *(pos[m.edge.source] for m in mappings)]
@@ -241,12 +239,12 @@ class ScoringTables:
             if cpt.parents:
                 labels.append((attr, RELATION, None))
                 rows = {
-                    tuple(map(code, [p.attr for p in cpt.parents], cfg)): (
-                        {code(attr, x): relation_seen * cpt.probability(x, cfg) for x in counts}, 0.0)
+                    tuple(map(code, [p.attr for p in cpt.parents], cfg)):
+                        {code(attr, x): relation_seen * cpt.probability(x, cfg) for x in counts}
                     for cfg, counts in cpt.rows.items()
                 }
                 relation = (_tuple_getter([at(pos[p]) for p in cpt.parents]), rows, float(model.new_relation[attr]))
-                rates += [relation[2], *chain.from_iterable([*row.values(), unseen] for row, unseen in rows.values())]
+                rates += [relation[2], *chain.from_iterable(row.values() for row in rows.values())]
             fds = []
             for m in mappings:
                 labels.append((attr, FD_CHECK, m.edge.source))
@@ -271,11 +269,11 @@ class ScoringTables:
     def score_events(self, events: Sequence[Event]) -> tuple[tuple[Block, ...], list[float]]:
         """Every event's blocks, one per run in run order, event after event, and each event's log-probability,
         for one ordered sequence of events whose history is the sequence itself, padded at the head."""
-        if any(len(e.values) != self._n_attrs for e in events):
+        if any(len(e.values) != len(self._coders) for e in events):
             raise ValueError("event values do not match the model's schema")
         coded = [tuple(map(dict.get, self._coders, e.values, self._unseen)) for e in events]
         memos = [_Memo(self._block, plan) for _, plan in self._blocks]
-        return self._score_chunk(list(zip(*coded)) or [()] * self._n_attrs, [(0, len(events))], memos)
+        return self._score_chunk(list(zip(*coded)) or [()] * len(self._coders), [(0, len(events))], memos)
 
     def score_traces(self, codes, vocabularies, trace_lengths) -> Iterator[tuple[tuple[Block, ...], list[float]]]:
         """score_events of each trace of a log given as code columns (per attribute, one code per event into its
@@ -323,7 +321,7 @@ class ScoringTables:
             if relation is not None:
                 parents_of, rows, unseen_parents = relation
                 row = rows.get(parents_of(key))
-                append(unseen_parents if row is None else row[0].get(x, row[1]))
+                append(unseen_parents if row is None else row.get(x, 0.0))
             for src_at, expected_of, agree, violate in fds:
                 expected = expected_of.get(key[src_at])
                 append(agree if expected is None or expected == x else violate)
@@ -479,6 +477,22 @@ def _load(value, kind: type, where: str, length: int | None = None, items: type 
     return value
 
 
+def _once(items: list, where: str, name=repr) -> list:
+    """``items``, or a ModelFormatError naming the first item that it lists twice."""
+    if len(set(items)) < len(items):
+        repeated = next(item for i, item in enumerate(items) if item in items[:i])
+        raise ModelFormatError(f"{where} repeats {name(repeated)}")
+    return items
+
+
+def _object(pairs: list) -> dict:
+    """A JSON object of the model document; a key that it names twice raises ModelFormatError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        _once([key for key, _ in pairs], "a JSON object", lambda key: f"the key {key!r}")
+    return obj
+
+
 def _load_var(pair, where: str) -> Variable:
     attr, lag = _load(pair, list, f"variable in {where}", 2)
     return Variable(_load(attr, str, f"variable in {where}"), _load_int(lag, f"variable lag in {where}", 0))
@@ -496,11 +510,9 @@ def load_model(text: str) -> EDBNModel:
     never fails when it is first scored.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"not a valid model document: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ModelFormatError("model document must be a JSON object")
     _check_keys(doc, _TOP_KEYS, "model")
     version = doc["format_version"]
     if (doc["format"], version, type(version)) != ("edbn-model", MODEL_FORMAT_VERSION, int):
@@ -511,15 +523,12 @@ def load_model(text: str) -> EDBNModel:
         names = tuple(_load(doc["schema"]["attributes"], list, "schema attributes"))
         schema = AttributeSchema(names, **{c: doc["schema"][c] for c in columns})
     k = _load_int(doc["k"], "k", 1)
-    variables = k_context_variables(schema.names, k)
     with _field("dag_edges"):
-        edges = frozenset(
-            tuple(_load_var(v, "dag_edges") for v in _load(e, list, "dag_edges", 2))
-            for e in _load(doc["dag_edges"], list, "dag_edges")
-        )
-        dag = DAG(variables, edges)
+        edges = [tuple(_load_var(v, "dag_edges") for v in _load(e, list, "dag_edges", 2))
+                 for e in _load(doc["dag_edges"], list, "dag_edges")]
+        _once(edges, "dag_edges", lambda e: f"{e[0]} -> {e[1]}")
 
-    mappings = {}  # by source and target
+    mappings = []
     with _field("fd_mappings"):
         for entry in _load(doc["fd_mappings"], list, "fd_mappings"):
             _check_keys(entry, {"source", "target", "strength", "map", "violation"}, "fd_mappings")
@@ -528,52 +537,55 @@ def load_model(text: str) -> EDBNModel:
                 _load_var(entry["target"], "fd_mappings"),
                 _load(entry["strength"], float, "fd_mappings strength"),
             )
-            if (edge.source, edge.target) in mappings:
-                raise ModelFormatError(f"fd_mappings repeats {edge.source.column_name} -> {edge.target.column_name}")
             fd_map = _load(entry["map"], dict, "fd_mappings map")
             _load(list(fd_map.values()), list, f"fd_mappings map values of {edge.target.column_name}", items=str)
-            mappings[edge.source, edge.target] = FDMapping(edge, fd_map, _load_frac(entry["violation"], "fd_mappings"))
+            mappings.append(FDMapping(edge, fd_map, _load_frac(entry["violation"], "fd_mappings")))
+        _once([(m.edge.source, m.edge.target) for m in mappings], "fd_mappings", lambda e: f"{e[0]} -> {e[1]}")
 
     cpts: dict[str, CPT] = {}
     with _field("cpts"):
         for entry in _load(doc["cpts"], list, "cpts"):
             _check_keys(entry, {"attribute", "parents", "rows"}, "cpts")
-            parents = tuple(_load_var(p, "cpts") for p in _load(entry["parents"], list, "cpts parents"))
+            attr = _load(entry["attribute"], str, "cpts attribute")
+            parents = [_load_var(p, "cpts") for p in _load(entry["parents"], list, "cpts parents")]
+            _once(parents, f"the parent list of {attr!r} in cpts", str)
             rows: dict = {}
-            totals: dict = {}
             for row in _load(entry["rows"], list, "cpts rows"):
                 _check_keys(row, {"parents", "total", "counts"}, "cpts row")
                 cfg = tuple(_load(row["parents"], list, "cpts row parents", items=str))
                 if len(cfg) != len(parents):
-                    raise ModelFormatError(f"CPT row arity mismatch for {entry['attribute']!r} in cpts")
+                    raise ModelFormatError(f"CPT row arity mismatch for {attr!r} in cpts")
                 if cfg in rows:
-                    raise ModelFormatError(f"repeated cpts row {list(cfg)!r} for {entry['attribute']!r}")
+                    raise ModelFormatError(f"repeated cpts row {list(cfg)!r} for {attr!r}")
                 rows[cfg] = {k2: _load_int(v, "cpts count", 0) for k2, v in row["counts"].items()}
-                totals[cfg] = _load_int(row["total"], "cpts total", 1)
-            attr = _load(entry["attribute"], str, "cpts attribute")
+                if sum(rows[cfg].values()) != _load_int(row["total"], "cpts total", 1):
+                    raise ModelFormatError(f"cpts row {list(cfg)!r} of {attr!r}: counts do not sum to its total")
             if attr in cpts:
                 raise ModelFormatError(f"a second cpts entry for {attr!r}")
-            cpts[attr] = CPT(Variable(attr, 0), parents, rows, totals)
+            cpts[attr] = CPT(tuple(parents), rows)
 
     with _field("new_value"):
         new_value = {a: _load_frac(v, f"new_value[{a!r}]") for a, v in doc["new_value"].items()}
     with _field("new_relation"):
         new_relation = {a: _load_frac(v, f"new_relation[{a!r}]") for a, v in doc["new_relation"].items()}
     with _field("active_domains"):
-        domains = {a: frozenset(_load(vals, list, f"active_domains[{a!r}]", items=str))
+        domains = {a: frozenset(_once(_load(vals, list, f"active_domains[{a!r}]", items=str), f"active_domains[{a!r}]"))
                    for a, vals in doc["active_domains"].items()}
     with _field("model"):
-        return EDBNModel(
+        model = EDBNModel(
             k=k,
             schema=schema,
-            dag=dag,
-            fd_mappings=tuple(mappings.values()),
+            fd_mappings=tuple(mappings),
             cpts=cpts,
             new_value=new_value,
             new_relation=new_relation,
             active_domains=domains,
             training_event_count=_load_int(doc["training_event_count"], "training_event_count", 0),
         )
+    if set(edges) != model.dag.edges:
+        odd = sorted(f"{s} -> {t}" for s, t in set(edges) ^ model.dag.edges)
+        raise ModelFormatError(f"dag_edges differ from the CPT parent and FD edges in {odd}")
+    return model
 
 
 def read_model(path) -> EDBNModel:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .event_log import KContextLog, Variable
@@ -59,21 +60,17 @@ class DAG:
 
 @dataclass(frozen=True)
 class CPT:
-    """Empirical conditional distribution of a slice-0 attribute given its parents.
-
-    Rows are keyed by parent-value tuples and hold raw counts, so every
-    probability is an exact m/n from the training rows.
+    """Empirical conditional distribution of a slice-0 attribute, the child that the model files it
+    under, given its parents.  Rows are keyed by parent-value tuples and hold raw counts, so every
+    probability is an exact m/n from the training rows; n, a row's total, is summed from its counts.
     """
 
-    child: Variable
     parents: tuple[Variable, ...]
     rows: dict
-    row_totals: dict
 
-    def __post_init__(self) -> None:
-        for cfg, counts in self.rows.items():
-            if sum(counts.values()) != self.row_totals[cfg]:
-                raise ValueError(f"CPT row {cfg} counts do not sum to its total")
+    @cached_property
+    def row_totals(self) -> dict:
+        return {cfg: sum(counts.values()) for cfg, counts in self.rows.items()}
 
     def probability(self, value, cfg) -> float:
         return self.rows[cfg].get(value, 0) / self.row_totals[cfg]
@@ -243,7 +240,5 @@ def fit_cpts(ctx: KContextLog, dag: DAG, fds: Iterable[FDEdge]) -> dict[str, CPT
     cpts: dict[str, CPT] = {}
     for child in ctx.current_variables():
         parents = tuple(sorted(dag.parents_of(child, exclude=fd_edges), key=var_pos.__getitem__))
-        rows = cell_counts(ctx, parents + (child,))
-        totals = {cfg: sum(cell.values()) for cfg, cell in rows.items()}
-        cpts[child.attr] = CPT(child, parents, rows, totals)
+        cpts[child.attr] = CPT(parents, cell_counts(ctx, parents + (child,)))
     return cpts

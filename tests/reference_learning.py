@@ -163,7 +163,8 @@ def reference_fit_cpts(ctx, dag, fds):
             counts = rows.setdefault(cfg, {})
             counts[row[child_i]] = counts.get(row[child_i], 0) + 1
             totals[cfg] = totals.get(cfg, 0) + 1
-        cpts[child.attr] = CPT(child, parents, rows, totals)
+        cpts[child.attr] = CPT(parents, rows)
+        assert cpts[child.attr].row_totals == totals  # the CPT's totals are summed from its counts
     return cpts
 
 
@@ -192,10 +193,9 @@ def reference_learn(log, k, fd_threshold=0.99, structure=None):
     cpts = reference_fit_cpts(ctx, dag, fds)
     n = len(ctx.rows)
     domains = {a: frozenset(e.values[i] for t in log.traces for e in t.events) for i, a in enumerate(log.schema.names)}
-    return EDBNModel(
+    model = EDBNModel(
         k=k,
         schema=log.schema,
-        dag=dag,
         fd_mappings=tuple(reference_build_mapping(ctx, fd) for fd in fds),
         cpts=cpts,
         new_value={a: Fraction(len(d), n) for a, d in domains.items()},
@@ -205,3 +205,5 @@ def reference_learn(log, k, fd_threshold=0.99, structure=None):
         active_domains=domains,
         training_event_count=n,
     )
+    assert model.dag == dag  # the model derives the graph searched here from its CPT parents and FD edges
+    return model

@@ -106,6 +106,26 @@ def test_score_schema_mismatch_fails(tmp_path, permission_file, capsys):
     assert code != 0 and "error in parse" in err
 
 
+def test_score_attrs_other_than_the_models_fail_in_score(tmp_path, permission_file, capsys):
+    model_path = tmp_path / "model.json"
+    main(["train", "--log", str(permission_file), "--out", str(model_path), *SCHEMA_FLAGS])
+    capsys.readouterr()
+    code = main(["score", "--model", str(model_path), "--log", str(permission_file), "--trace-col", "tID",
+                 "--attrs", "Type,Activity"])
+    assert (code, capsys.readouterr().err) == (1, "error in score: log attributes do not match the model schema\n")
+
+
+def test_train_without_a_header_needs_attrs(permission_file, capsys):
+    code = main(["train", "--log", str(permission_file), "--no-header"])
+    assert (code, capsys.readouterr().err) == (1, "error in schema: --attrs is required with --no-header\n")
+
+
+def test_generate_rejects_a_fraction_above_one(tmp_path, capsys):
+    code = main(["generate", "--out", str(tmp_path / "x.csv"), "--fraction", "2"])
+    assert (code, capsys.readouterr().err) == (1, "error: --fraction must be in [0, 1]\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_generate_labels_file_counts(tmp_path, capsys):
     log_path = tmp_path / "log.csv"
     labels_path = tmp_path / "labels.csv"
@@ -197,6 +217,12 @@ def test_module_entry_point_runs(tmp_path):
     )
     assert result.returncode == 0
     assert (tmp_path / "x.csv").exists()
+
+
+def test_module_help_runs():
+    result = subprocess.run([sys.executable, "-m", "edbn", "--help"], capture_output=True, text=True, env=_child_env())
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.startswith("usage: edbn ")
 
 
 SCORE_WITHOUT_NUMPY = """

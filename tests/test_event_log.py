@@ -51,6 +51,25 @@ def test_interleaved_traces_group_by_trace_id(permission_log):
     assert [e.id for e in trace3.events] == ["9", "10", "11", "13", "14"]
 
 
+def test_trace_by_id_of_an_unknown_id_raises_key_error(permission_log):
+    with pytest.raises(KeyError, match="^'nope'$"):
+        permission_log.trace_by_id("nope")
+
+
+def test_a_log_compares_unequal_to_what_is_not_a_log(permission_log):
+    assert permission_log.__eq__(1) is NotImplemented
+    assert permission_log != 1
+
+
+@pytest.mark.parametrize("names, error, message", [
+    ((), ValueError, "schema needs at least one attribute"),
+    (("A", 3), TypeError, "column names must be strings"),
+], ids=["no-names", "non-string-name"])
+def test_schema_rejects_no_names_and_a_non_string_name(names, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        AttributeSchema(names, "tid")
+
+
 def test_two_interleaved_traces():
     schema = AttributeSchema(("A",), "tid")
     log = parse_log("A,tid\nx,1\ny,2\nz,1\nw,2\n", schema)

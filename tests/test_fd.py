@@ -19,7 +19,6 @@ from edbn import (
     learn_edbn,
 )
 from edbn.model import event_scores
-from edbn.structure import DAG
 
 from test_stats import oracle_entropy, oracle_mi
 
@@ -137,8 +136,7 @@ def test_padding_sources_are_not_violations():
 def _model_with(log, mappings):
     """A k = 1 model of ``log`` whose only FD mappings are ``mappings``, with no CPT parents."""
     model = learn_edbn(log, 1, 1.0, structure=())  # no U exceeds 1: no FD is discovered
-    edges = frozenset((m.edge.source, m.edge.target) for m in mappings)
-    return replace(model, fd_mappings=tuple(mappings), dag=DAG(model.variables, edges))
+    return replace(model, fd_mappings=tuple(mappings))
 
 
 def _fd_factors(model, values):
@@ -180,7 +178,7 @@ def test_fd_edge_targets_slice_zero_only():
 def test_discovery_rejects_empty_context(permission_ctx):
     from edbn import KContextLog
 
-    empty = KContextLog(1, permission_ctx.variables, ())
+    empty = KContextLog(permission_ctx.variables, ())
     with pytest.raises(ValueError, match="empty"):
         discover_fds(empty, 0.9)
 

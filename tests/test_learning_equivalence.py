@@ -201,7 +201,7 @@ def test_cpt_counts_do_not_overflow_with_many_high_cardinality_parents():
 
 def _ordered_cpts(cpts):
     # rows, counts and totals in dict order: the model file keeps it
-    return [(attr, cpt.child, cpt.parents, [(cfg, list(cell.items())) for cfg, cell in cpt.rows.items()],
+    return [(attr, cpt.parents, [(cfg, list(cell.items())) for cfg, cell in cpt.rows.items()],
              list(cpt.row_totals.items())) for attr, cpt in cpts.items()]
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -185,7 +186,6 @@ def test_empty_structure_identity():
     model = EDBNModel(
         k=1,
         schema=schema,
-        dag=DAG(ctx.variables, frozenset()),
         fd_mappings=(),
         cpts=cpts,
         new_value={"A": Fraction(0), "B": Fraction(0)},
@@ -514,6 +514,14 @@ def _repeated(entries, index=0, **changes):
     entries.append(dict(json.loads(json.dumps(entries[index])), **changes))
 
 
+def _a_parent_twice(doc):
+    """Activity's CPT with its parent listed twice, each row's configuration extended to match."""
+    entry = doc["cpts"][0]
+    entry["parents"].append(entry["parents"][0])
+    for row in entry["rows"]:
+        row["parents"].append(row["parents"][0])
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -525,14 +533,49 @@ def _repeated(entries, index=0, **changes):
         (lambda doc: _repeated(doc["fd_mappings"]), "fd_mappings repeats Activity_1 -> Type_0"),
         (lambda doc: _repeated(doc["fd_mappings"], 4, strength=0.5, map={}, violation=[1, 2]),
          "fd_mappings repeats UserID_0 -> UserRole_0"),
+        (lambda doc: doc["active_domains"]["UserRole"].insert(0, "employee"),
+         r"^active_domains\['UserRole'\] repeats 'employee'$"),
+        (_a_parent_twice, "^the parent list of 'Activity' in cpts repeats Activity_1$"),
+        (lambda doc: doc["dag_edges"].append(doc["dag_edges"][3]), "^dag_edges repeats Type_1 -> Type_0$"),
     ],
     ids=["cpts-entry", "cpts-entry-of-other-parents", "cpts-row", "cpts-row-of-other-counts", "fd-mapping",
-         "fd-mapping-of-other-strength-map-and-violation"],
+         "fd-mapping-of-other-strength-map-and-violation", "active-domain-value", "cpt-parent", "dag-edge"],
 )
 def test_loader_rejects_a_repeated_entry(permission_log, mutate, message):
     doc = json.loads(save_model(learn_edbn(permission_log, 1, 0.99)))
     mutate(doc)
     with pytest.raises(ModelFormatError, match=message):
+        load_model(json.dumps(doc))
+
+
+_REPEAT = "zz-written-as-the-repeated-key"
+
+
+@pytest.mark.parametrize("object_of, key, value", [
+    (lambda doc: doc["cpts"][0]["rows"][0]["counts"], "Send Mail", 3),
+    (lambda doc: doc["fd_mappings"][2]["map"], "User1", "001"),
+    (lambda doc: doc["new_value"], "Activity", [2, 5]),
+    (lambda doc: doc, "k", 1),
+], ids=["cpts-row-counts", "fd-map", "new_value", "top-level"])
+def test_loader_rejects_a_repeated_json_key(permission_log, object_of, key, value):
+    # json.loads alone keeps the last of a repeated key, so each of these documents would load
+    doc = json.loads(save_model(learn_edbn(permission_log, 1, 0.99)))
+    object_of(doc)[_REPEAT] = value
+    text = json.dumps(doc).replace(json.dumps(_REPEAT), json.dumps(key))
+    with pytest.raises(ModelFormatError, match=f"^a JSON object repeats the key {re.escape(repr(key))}$"):
+        load_model(text)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda doc: doc["cpts"][0]["rows"][0].update(total=4),
+     r"cpts row \['Create Request'\] of 'Activity': counts do not sum to its total"),
+    (lambda doc: doc["fd_mappings"][2].update(source=["UserName", 2]),
+     "malformed model: fd_mappings: UserName_2 -> UserID_0 uses an unknown variable"),
+], ids=["cpt-row-total", "fd-source-beyond-k"])
+def test_loader_rejects_a_row_total_that_is_not_its_sum_and_a_variable_beyond_k(permission_log, mutate, message):
+    doc = json.loads(save_model(learn_edbn(permission_log, 1, 0.99)))
+    mutate(doc)
+    with pytest.raises(ModelFormatError, match=f"^{message}$"):
         load_model(json.dumps(doc))
 
 

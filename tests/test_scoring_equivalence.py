@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edbn import (
-    DAG,
     PADDING,
     AttributeSchema,
     Event,
@@ -166,8 +165,8 @@ def imposed_models(draw):
     fds |= draw(st.sets(st.sampled_from(legal), max_size=3))
     base = learn_edbn(train, k, 1.0, structure=structure)  # a threshold of 1 accepts no FD
     ctx = build_k_context(train, k)
-    model = replace(base, fd_mappings=tuple(build_mapping(ctx, FDEdge(s, t, 1.0)) for s, t in sorted(fds)),
-                    dag=DAG(base.dag.vertices, base.dag.edges | fds))
+    model = replace(base, fd_mappings=tuple(build_mapping(ctx, FDEdge(s, t, 1.0)) for s, t in sorted(fds)))
+    assert model.dag.edges == base.dag.edges | fds
     return model, base, EventLog(schema, test)
 
 
@@ -246,7 +245,7 @@ def _assert_runs_follow_the_walk(model):
                 rate = model.new_relation[attr]
                 assert parents_of(key) == parents
                 assert rows == {tuple(codes[p.attr][x] for p, x in zip(cpt.parents, cfg)):
-                                ({code[x]: float(1 - rate) * (c / cpt.row_totals[cfg]) for x, c in counts.items()}, 0.0)
+                                {code[x]: float(1 - rate) * (c / cpt.row_totals[cfg]) for x, c in counts.items()}
                                 for cfg, counts in cpt.rows.items()}
                 assert unseen_parents == float(rate)
             else:

@@ -69,6 +69,11 @@ def test_entropy_empty_column_is_error():
         entropy([])
 
 
+def test_mutual_information_of_empty_columns_is_error():
+    with pytest.raises(ValueError, match="^columns are empty$"):
+        mutual_information([], [])
+
+
 # --- mutual information ---------------------------------------------------------
 
 

@@ -242,13 +242,14 @@ def test_dag_validation_errors():
 def test_learn_structure_rejects_empty_context(permission_ctx):
     from edbn.event_log import KContextLog
 
-    empty = KContextLog(1, permission_ctx.variables, ())
+    empty = KContextLog(permission_ctx.variables, ())
     with pytest.raises(ValueError, match="empty"):
         learn_structure(empty, make_constraints(permission_ctx.variables, []))
 
 
-def test_cpt_validates_row_totals():
+def test_cpt_row_totals_are_the_sums_of_its_counts():
     from edbn.structure import CPT
 
-    with pytest.raises(ValueError, match="sum"):
-        CPT(Variable("A", 0), (), {(): {"x": 2}}, {(): 3})
+    cpt = CPT((Variable("A", 1),), {("x",): {"x": 2, "y": 1}, ("y",): {"x": 4}})
+    assert cpt.row_totals == {("x",): 3, ("y",): 4}
+    assert cpt.probability("y", ("x",)) == 1 / 3

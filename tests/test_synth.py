@@ -182,6 +182,14 @@ def test_a_walk_whose_weights_add_up_to_no_finite_total_fails_as_rng_choices_doe
         generate(model, 3, 1)
 
 
+def test_a_walk_that_never_reaches_an_end_activity_fails():
+    # the loop's weight rounds the end's share of their total away, so every step stays at start
+    model = ProcessModel("loop", "case", ("activity",), "activity", "start", frozenset({"end"}),
+                         {"start": {"start": 1.0, "end": 1e-300}}, {})
+    with pytest.raises(ProcessModelError, match="^random walk failed to reach an end activity$"):
+        generate(model, 1, 0)
+
+
 # --- anomaly injection ------------------------------------------------------
 
 
@@ -371,9 +379,10 @@ def test_labels_file_giving_a_trace_two_labels_names_the_trace_and_line(tmp_path
      r"rules['x'] pools['finish'] must hold one or more JSON strings"),
     ({"transitions": {"start": {"finish": 1.0, "stuck": 1.0}}},
      "activity 'stuck', reachable from start_activity, has no transitions and is not in end_activities"),
+    ({"activity_attribute": "nope"}, "activity_attribute must be one of the attributes"),
 ], ids=["trace-id-column-type", "trace-id-column-is-an-attribute", "start-activity-type", "attribute-type",
         "no-end-activities", "constant-type", "empty-pool", "pool-scope", "mapping-type", "mapping-value-type", "derivation-source-type",
-        "empty-activity-pool", "dead-end-activity"])
+        "empty-activity-pool", "dead-end-activity", "activity-attribute-not-an-attribute"])
 def test_process_model_names_each_malformed_field(fields, message):
     with pytest.raises(ProcessModelError, match=re.escape(message)):
         parse_process_model(_linear_doc(**fields))
