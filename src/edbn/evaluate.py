@@ -6,9 +6,8 @@ normal one (ties count one half, the Mann-Whitney midrank convention).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .detect import score_log
@@ -32,42 +31,43 @@ class EvalReport:
     score_list: tuple[LabeledScore, ...]
 
 
-def _split(scores: Sequence[LabeledScore]) -> tuple[list[float], list[float]]:
-    by_label = {ANOMALOUS: [], NORMAL: []}
+def _tally(scores: Sequence[LabeledScore]) -> tuple[list[list[int]], int, int]:
+    """Each distinct score's anomalous and trace counts, ascending by score, and the two class sizes.  An unknown
+    label, a NaN score (it has no place in the order) or an empty class raises ValueError."""
+    tally = {}  # a distinct score -> [its anomalous count, its trace count]
     for entry in scores:
         entry = LabeledScore(*entry)
-        if entry.label not in by_label:
+        if entry.label not in (ANOMALOUS, NORMAL):
             raise ValueError(f"unknown label {entry.label!r}")
-        by_label[entry.label].append(entry.score)
-    anomalous, normal = by_label[ANOMALOUS], by_label[NORMAL]
-    if not anomalous or not normal:
+        if math.isnan(entry.score):
+            raise ValueError(f"trace {entry.trace_id!r} has a NaN score")
+        counts = tally.setdefault(entry.score, [0, 0])
+        counts[0] += entry.label == ANOMALOUS
+        counts[1] += 1
+    n_a = sum(count_a for count_a, _ in tally.values())
+    n_n = sum(count for _, count in tally.values()) - n_a
+    if not n_a or not n_n:
         raise ValueError("need at least one normal and one anomalous score")
-    return anomalous, normal
+    return [tally[score] for score in sorted(tally)], n_a, n_n
 
 
 def auc(scores: Sequence[LabeledScore]) -> float:
     """ROC AUC from labeled scores via midranks (O(n log n))."""
-    anomalous, normal = _split(scores)
-    n_a, n_n = len(anomalous), len(normal)
-    ranked = sorted([(s, 0) for s in anomalous] + [(s, 1) for s in normal])
+    tally, n_a, n_n = _tally(scores)
     rank_sum_a, j = 0.0, 0
-    for _, tied in groupby(ranked, key=itemgetter(0)):
-        labels = [label for _, label in tied]
-        i, j = j, j + len(labels)
-        rank_sum_a += (i + 1 + j) / 2 * labels.count(0)  # ranks are 1-based; ties share the mean rank
+    for count_a, count in tally:
+        i, j = j, j + count
+        rank_sum_a += (i + 1 + j) / 2 * count_a  # ranks are 1-based; ties share the mean rank
     u_a = rank_sum_a - n_a * (n_a + 1) / 2  # pairs where the anomalous score is higher
     return 1.0 - u_a / (n_a * n_n)
 
 
 def precision_recall(scores: Sequence[LabeledScore]) -> list[tuple[float, float]]:
     """(recall, precision) per distinct threshold, sweeping scores ascending."""
-    anomalous, normal = _split(scores)
-    entries = sorted([(s, True) for s in anomalous] + [(s, False) for s in normal])
-    n_a = len(anomalous)
+    tally, n_a, _ = _tally(scores)
     curve, tp, flagged = [], 0, 0
-    for _, tied in groupby(entries, key=itemgetter(0)):
-        positives = [positive for _, positive in tied]
-        tp, flagged = tp + sum(positives), flagged + len(positives)
+    for count_a, count in tally:
+        tp, flagged = tp + count_a, flagged + count
         curve.append((tp / n_a, tp / flagged))
     return curve
 

@@ -150,7 +150,7 @@ class EventLog:
         those rows (an event's id, then its codes into ``vocabularies``, each the log's own with any new values
         after it), put in its place: one slice of the codes and ids per gap between edited traces, an empty one
         too.  Each vocabulary then takes back the order of first appearance, the codes taken through it (_recoded)
-        only where it moved; ids and values are checked as _from_columns checks them."""
+        only where it moved; nothing is checked again: the log was, and injection adds only unique ids and new values."""
         starts, n_events = list(accumulate(self.trace_lengths, initial=0)), len(event_ids)
         kept = list(zip([0, *(starts[i + 1] for i in edited)], [*map(starts.__getitem__, edited), n_events]))
         added = pairwise(accumulate(map(len, edited.values()), initial=n_events))  # where each trace's rows follow
@@ -159,7 +159,7 @@ class EventLog:
         whole_ids = event_ids + new_ids
         ids = tuple(chain.from_iterable([whole_ids[lo:hi] for lo, hi in pieces]))
         coded = []
-        for attr, vocab, held, column in zip(self.schema.names, vocabularies, self.codes, columns):
+        for vocab, held, column in zip(vocabularies, self.codes, columns):
             whole = bytearray(held) if type(held) is bytes and len(vocab) <= _BYTE_CODES else array("I", iter(held))
             whole.extend(column)
             codes = b"".join([whole[lo:hi] for lo, hi in pieces])  # 4-byte codes as their bytes
@@ -169,12 +169,10 @@ class EventLog:
                 codes = memoryview(codes).cast("I")
                 first = dict(zip(reversed(codes), range(len(codes) - 1, -1, -1)))
             first = dict(sorted(first.items(), key=itemgetter(1)))  # in order of first appearance
-            _check_values(attr, [vocab[c] for c in first], [ids[at] for at in first.values()])
             if list(first) != list(range(len(vocab))):  # a value moved, or is gone
                 rank = dict(zip(first, range(len(first))))
                 codes = _recoded(codes, list(map(rank.get, range(len(vocab)), repeat(0))), len(first))
             coded.append((tuple(map(vocab.__getitem__, first)), codes))
-        _check_unique(ids)
         lengths = list(self.trace_lengths)
         for i, rows in edited.items():
             lengths[i] = len(rows)
@@ -392,6 +390,13 @@ def _csv_rows(lines: Iterable[str], delimiter: str):
     return csv.reader(map(_no_nul, lines), delimiter=delimiter, strict=True)
 
 
+def _check_delimiter(delimiter: str, error: type[ValueError]) -> str:
+    """The delimiter, or ``error`` where it is not one character, which no reader accepts."""
+    if len(delimiter) != 1:
+        raise error('"delimiter" must be a 1-character string')
+    return delimiter
+
+
 def _no_nul(line: str) -> str:
     if "\0" in line:
         raise csv.Error("NUL character")
@@ -457,8 +462,8 @@ def parse_log(
 
     Rows are grouped by the trace-id column; within a trace, events keep file
     order unless the schema names an event_order_column.  Raises
-    LogFormatError for malformed rows (naming the line on which the row
-    begins), unknown columns, or empty input.
+    LogFormatError for a delimiter that is not one character, malformed rows
+    (naming the line on which the row begins), unknown columns, or empty input.
 
     The text is read a chunk of lines at a time, as many lines of the
     header's width as hold about _CHUNK_FIELDS fields (one line where the
@@ -469,6 +474,7 @@ def parse_log(
     attribute and the trace id is coded as it is read (see EventLog).  A
     faulty chunk is read again row by row to name its first faulty line.
     """
+    _check_delimiter(delimiter, LogFormatError)
     if isinstance(source, str):
         source = io.StringIO(source, newline="")  # a lone CR ends a line, as in a file load_log opens
     lines = iter(source)
@@ -534,10 +540,10 @@ def parse_log(
 
 
 @contextmanager
-def open_utf8(path, error: type[ValueError] = LogFormatError, what: str = "log file", encoding: str = "utf-8-sig"):
-    """The file opened as text, its line breaks kept (by default a log, a byte order mark skipped);
-    a file that is not UTF-8 raises ``error`` naming it."""
-    with open(path, newline="", encoding=encoding) as fh:
+def open_utf8(path, error: type[ValueError] = LogFormatError, what: str = "log file"):
+    """The input file (by default a log) opened as UTF-8 text, as every input file is read: a byte order
+    mark at its start skipped, its line breaks kept; a file that is not UTF-8 raises ``error`` naming it."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError:
@@ -549,25 +555,22 @@ def load_log(path, schema: AttributeSchema, **options) -> EventLog:
         return parse_log(fh, schema, **options)
 
 
-def _read_utf8(path, error: type[ValueError], what: str, encoding: str = "utf-8") -> str:
-    with open_utf8(path, error, what, encoding) as fh:
+def _read_utf8(path, error: type[ValueError], what: str) -> str:
+    with open_utf8(path, error, what) as fh:
         return fh.read()
 
 
-def csv_text(header: Sequence[str], rows: Iterable[Sequence[str]], delimiter: str = ",") -> str:
-    """A header and rows of strings, all of its width, as delimited text: each column rendered by _rendered,
-    each row ended by LF."""
-    columns = (_rendered(column, delimiter) for column in zip(header, *rows, strict=True))
-    return "".join(delimiter.join(row) + "\n" for row in zip(*columns))
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """A header and rows of strings, all of its width, as comma-separated text: each column rendered by
+    _rendered, each row ended by LF."""
+    columns = (_rendered(column, ",") for column in zip(header, *rows, strict=True))
+    return "".join(",".join(row) + "\n" for row in zip(*columns))
 
 
 def _rendered(values: Sequence[str], delimiter: str) -> Sequence[str]:
     """Each value as a field of a written file: as it is, or quoted, its quotes doubled, where it holds the
-    delimiter, a quote, CR or LF, so that every field reads back on every Python version.  A delimiter that
-    is not one character, which no reader accepts, raises ValueError."""
-    if len(delimiter) != 1:
-        raise ValueError('"delimiter" must be a 1-character string')
-    special = (delimiter, '"', "\r", "\n")
+    delimiter, a quote, CR or LF, so that every field reads back on every Python version (_check_delimiter)."""
+    special = (_check_delimiter(delimiter, ValueError), '"', "\r", "\n")
     if not any(map("".join(values).__contains__, special)):
         return values
     return ['"' + v.replace('"', '""') + '"' if any(map(v.__contains__, special)) else v for v in values]

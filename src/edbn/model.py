@@ -135,8 +135,8 @@ def learn_edbn(
 ) -> EDBNModel:
     """Full learning pipeline: k-context, FD discovery, structure search, CPTs, rates.
 
-    When ``structure`` is given those conditional edges are imposed verbatim
-    (FD edges are still added to the graph) and the greedy search is skipped.
+    When ``structure`` is given those conditional edges are imposed verbatim and
+    the greedy search is skipped; EDBNModel.dag still adds the FD edges.
     """
     if not log.event_count:
         raise ValueError("training log is empty")
@@ -145,7 +145,7 @@ def learn_edbn(
     if structure is None:
         dag = learn_structure(ctx, make_constraints(ctx.variables, fds))
     else:
-        dag = DAG(ctx.variables, frozenset(structure) | {(fd.source, fd.target) for fd in fds})
+        dag = DAG(ctx.variables, frozenset(structure))
     cpts = fit_cpts(ctx, dag, fds)
     n = len(ctx)
     # the lag-0 vocabularies are the values each attribute takes in the log
@@ -477,19 +477,19 @@ def _load(value, kind: type, where: str, length: int | None = None, items: type 
     return value
 
 
-def _once(items: list, where: str, name=repr) -> list:
-    """``items``, or a ModelFormatError naming the first item that it lists twice."""
+def _once(items: list, where: str, name=repr, error: type[ValueError] = ModelFormatError) -> list:
+    """``items``, or ``error`` naming the first item that it lists twice."""
     if len(set(items)) < len(items):
         repeated = next(item for i, item in enumerate(items) if item in items[:i])
-        raise ModelFormatError(f"{where} repeats {name(repeated)}")
+        raise error(f"{where} repeats {name(repeated)}")
     return items
 
 
-def _object(pairs: list) -> dict:
-    """A JSON object of the model document; a key that it names twice raises ModelFormatError."""
+def _object(pairs: list, error: type[ValueError] = ModelFormatError) -> dict:
+    """A JSON object of a model or process-model document; a key that it names twice raises ``error``."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        _once([key for key, _ in pairs], "a JSON object", lambda key: f"the key {key!r}")
+        _once([key for key, _ in pairs], "a JSON object", lambda key: f"the key {key!r}", error)
     return obj
 
 

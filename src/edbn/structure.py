@@ -107,26 +107,16 @@ class _CodedContext:
         return params
 
     def family_score(self, child: Variable, parents: frozenset[Variable]) -> float:
+        """The family's log-likelihood minus its parameter count, counted once per family (gain does the pruning)."""
         scores = self.scores[child]
-        score = scores.get(parents)
-        if score is None:
-            import numpy as np
-
-            params = self._params(child, parents)
-            # Any family the climber can hold scores above -n*(2*ln card + 1), so a
-            # family whose parameter count alone is below that can never be chosen;
-            # skip counting it.
-            if params > self.n * (2.0 * np.log(max(self.cards[child], 2)) + 1.0) + 1.0:
-                score = -float(params)
-            else:
-                score = self._log_likelihood(child, parents) - params
-            scores[parents] = score
-        return score
+        if parents not in scores:
+            scores[parents] = self._log_likelihood(child, parents) - self._params(child, parents)
+        return scores[parents]
 
     def gain(self, child: Variable, current: frozenset[Variable], trial: frozenset[Variable]) -> float:
-        """The score gain of the trial parents over the current ones, or -inf where it cannot
-        exceed SCORE_EPS: a log-likelihood is at most 0, and so is a computed one (exactly 0,
-        or at most -2 ln 2 before rounding), so a family scores at most -params."""
+        """The score gain of the trial parents over the current ones, or -inf uncounted (the search's one
+        pruning bound) where it cannot exceed SCORE_EPS: a log-likelihood is at most 0, and so is a computed
+        one (exactly 0, or at most -2 ln 2 before rounding), so a family scores at most -params."""
         score = self.family_score(child, current)
         if -self._params(child, trial) - score <= SCORE_EPS:
             return -math.inf
@@ -187,9 +177,7 @@ def learn_structure(ctx: KContextLog, constraints: StructureConstraints) -> DAG:
         if (src, tgt) not in constraints.blacklist and (src, tgt) not in constraints.whitelist
     ]
     edges: set[Edge] = set(constraints.whitelist)
-    parents: dict[Variable, frozenset[Variable]] = {
-        v: frozenset() for v in ctx.variables if v.lag == 0
-    }
+    parents: dict[Variable, frozenset[Variable]] = {v: frozenset() for v in ctx.current_variables()}
 
     # Per target, the sources whose move was found not to improve the score.  A
     # move's gain depends only on its target's parents, so this holds until a move

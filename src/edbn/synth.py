@@ -21,6 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .event_log import (PADDING, AttributeSchema, EventLog, _coded, _packed, _read_utf8, _recoded, csv_text,
                         write_text)
+from .model import _object
 
 NORMAL = "normal"
 ANOMALOUS = "anomalous"
@@ -379,8 +380,10 @@ def _strings(value, where: str):
 
 
 def parse_process_model(text: str) -> ProcessModel:
+    """The process model of a JSON document; a malformed one, a repeated key in any object included,
+    raises ProcessModelError naming what is wrong."""
     try:
-        doc = _json(json.loads(text), "process model")
+        doc = _json(json.loads(text, object_pairs_hook=lambda pairs: _object(pairs, ProcessModelError)), "process model")
     except json.JSONDecodeError as exc:
         raise ProcessModelError(f"not a valid process model: {exc}") from None
     try:
@@ -423,7 +426,7 @@ def write_labels(labeled: LabeledLog, path) -> None:
 def read_labels(path) -> dict[str, str]:
     """trace id -> label from a labels file; a malformed file raises ValueError naming it and the line."""
     where = f"labels file {str(path)!r}"
-    text = _read_utf8(path, ValueError, "labels file", "utf-8-sig")  # as a log is read: a byte order mark skipped
+    text = _read_utf8(path, ValueError, "labels file")
     if "\0" in text:  # Python 3.10's csv rejects NUL and later ones read it as a character
         line = sum(1 for _ in io.StringIO(text[: text.index("\0") + 1], newline=""))
         raise ValueError(f"{where} line {line}: NUL character")

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -387,6 +388,23 @@ def test_header_after_a_byte_order_mark(tmp_path, capsys):
     code = main(["score", "--model", str(model_path), "--log", str(path), "--trace-col", "case"])
     assert code == 0
     assert sorted(line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]) == ["1", "2"]
+
+
+def test_model_and_process_model_files_after_a_byte_order_mark(tmp_path, permission_file, capsys):
+    model_path, process_path = tmp_path / "model.json", tmp_path / "process.json"
+    assert main(["train", "--log", str(permission_file), "--out", str(model_path), *SCHEMA_FLAGS]) == 0
+    text = model_path.read_text(encoding="utf-8")
+    model_path.write_text(text, encoding="utf-8-sig")
+    assert edbn.save_model(read_model(model_path)) == text
+    shipping = resources.files("edbn.data").joinpath("shipping.json").read_text(encoding="utf-8")
+    process_path.write_text(shipping, encoding="utf-8-sig")
+    assert edbn.load_process_model(process_path) == default_shipping_model()
+    capsys.readouterr()
+    assert main(["score", "--model", str(model_path), "--log", str(permission_file)]) == 0, capsys.readouterr().err
+    generated = [tmp_path / "default.csv", tmp_path / "bom.csv"]
+    assert main(["generate", "--out", str(generated[0]), "--n-traces", "5"]) == 0
+    assert main(["generate", "--out", str(generated[1]), "--n-traces", "5", "--process-model", str(process_path)]) == 0
+    assert generated[0].read_bytes() == generated[1].read_bytes()
 
 
 def test_score_names_events_by_row_when_event_ids_repeat(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,17 @@ def oracle_auc(scores):
     return wins / (len(anomalous) * len(normal))
 
 
+def oracle_precision_recall(scores):
+    """(recall, precision) with every score at or below each distinct threshold flagged, counted one by one."""
+    n_a = sum(1 for s in scores if s.label == ANOMALOUS)
+    curve = []
+    for threshold in sorted({s.score for s in scores}):
+        flagged = [s for s in scores if s.score <= threshold]
+        tp = sum(1 for s in flagged if s.label == ANOMALOUS)
+        curve.append((tp / n_a, tp / len(flagged)))
+    return curve
+
+
 def _scores(pairs):
     return [LabeledScore(str(i), s, label) for i, (s, label) in enumerate(pairs)]
 
@@ -60,6 +72,13 @@ def test_single_class_input_is_an_error():
         auc(_scores([(0.1, NORMAL), (0.5, NORMAL)]))
     with pytest.raises(ValueError):
         precision_recall(_scores([(0.1, ANOMALOUS)]))
+
+
+def test_a_nan_score_is_an_error_naming_its_trace():
+    scores = [LabeledScore("a", math.nan, ANOMALOUS), LabeledScore("b", 0.5, NORMAL), LabeledScore("c", 0.2, ANOMALOUS)]
+    for evaluate in (auc, precision_recall):
+        with pytest.raises(ValueError, match="^trace 'a' has a NaN score$"):
+            evaluate(scores)
 
 
 def test_unknown_label_is_an_error():
@@ -125,6 +144,24 @@ def test_curve_recall_is_nondecreasing_and_ends_at_one(pairs):
     assert all(0 <= p <= 1 for _, p in curve)
     n_a = sum(1 for _, label in pairs if label == ANOMALOUS)
     assert curve[-1][1] == n_a / len(pairs)  # loosest threshold: base rate
+
+
+tied_scores_st = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from([0.0, -0.0, 0.5, math.inf, -math.inf]), st.floats(allow_nan=False, width=16)),
+        st.sampled_from([NORMAL, ANOMALOUS]),
+    ),
+    min_size=2,
+    max_size=60,
+).filter(lambda ps: {l for _, l in ps} == {NORMAL, ANOMALOUS})
+
+
+@settings(max_examples=200)
+@given(tied_scores_st)
+def test_precision_recall_and_auc_match_their_oracles_with_ties_signed_zeros_and_infinities(pairs):
+    scores = _scores(pairs)
+    assert precision_recall(scores) == oracle_precision_recall(scores)
+    assert abs(auc(scores) - oracle_auc(scores)) < 1e-12
 
 
 # --- experiment runner ----------------------------------------------------------

@@ -122,6 +122,14 @@ def test_tab_delimiter_and_headerless_input():
         parse_log("x,1\n", schema, header=False)
 
 
+@pytest.mark.parametrize("header", [True, False])
+@pytest.mark.parametrize("delimiter", ["", "ab"], ids=repr)
+def test_a_delimiter_that_is_not_one_character_is_a_log_format_error(delimiter, header):
+    schema = AttributeSchema(("a", "b"), "case")
+    with pytest.raises(LogFormatError, match='^"delimiter" must be a 1-character string$'):
+        parse_log("case,a,b\n1,x,y\n", schema, delimiter=delimiter, header=header, column_names=["case", "a", "b"])
+
+
 def _assert_same_log(left, right):
     # identical content: attribute names, trace column, traces, events and ids
     assert left.schema.names == right.schema.names

@@ -306,6 +306,13 @@ def _linear_doc(**fields):
     })
 
 
+def test_process_model_rejects_a_repeated_key():
+    text = _SHIPPING.replace('"transitions": {', '"transitions": {\n    "receive_order": {"archive_order": 1.0},', 1)
+    assert text != _SHIPPING
+    with pytest.raises(ProcessModelError, match="^a JSON object repeats the key 'receive_order'$"):
+        parse_process_model(text)
+
+
 def test_process_model_must_be_a_json_object():
     with pytest.raises(ProcessModelError, match="process model must be a JSON object"):
         parse_process_model("[]")
