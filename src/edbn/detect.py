@@ -20,7 +20,7 @@ from operator import attrgetter, itemgetter
 from typing import Sequence, Union
 
 from .event_log import Event, EventLog, Trace, Variable
-from .model import Block, EDBNModel, EventScore, decompose
+from .model import Block, EDBNModel, EventScore, ScoringTables, decompose
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,10 @@ class TraceScore:
     after event, in one tuple: one gc-tracked tuple per trace, where a tuple per event would
     make the collector run about three times as often.  An event's factors are its blocks'
     factors in order, laid out as ``factor_labels``: per factor, its (attribute, kind, FD source
-    or None).  ``factor_values``, flat event after event, and the per-event ``decomposition`` are
-    built when first read.
+    or None); run r's factors start at label ``run_offsets[r]``.  Both are the model's, made
+    once.  ``factor_values``, flat event after event, and the per-event ``decomposition`` are
+    built when first read.  _trace_score fills a TraceScore's ``__dict__`` in one update, as
+    EventLog._from_codes does, not with a frozen setattr per field.
     """
 
     trace_id: str
@@ -42,6 +44,7 @@ class TraceScore:
     event_ids: tuple[str, ...]
     blocks: tuple[Block, ...]
     factor_labels: tuple[tuple[str, str, Variable | None], ...]
+    run_offsets: tuple[int, ...]
 
     @cached_property
     def factor_values(self) -> tuple[float, ...]:
@@ -72,10 +75,12 @@ class Ranking:
         return [e.trace_id for e in self.entries]
 
 
-def _trace_score(model: EDBNModel, trace_id: str, event_ids: tuple[str, ...], blocks, logs) -> TraceScore:
+def _trace_score(tables: ScoringTables, trace_id: str, event_ids: tuple[str, ...], blocks, logs) -> TraceScore:
     log_mean = math.fsum(logs) / len(event_ids)
-    return TraceScore(trace_id, math.exp(log_mean), len(event_ids), log_mean, event_ids, tuple(blocks),
-                      model.scoring_tables.labels)
+    score = TraceScore.__new__(TraceScore)
+    score.__dict__.update(trace_id=trace_id, score=math.exp(log_mean), event_count=len(event_ids), log_score=log_mean,
+                          event_ids=event_ids, blocks=blocks, factor_labels=tables.labels, run_offsets=tables.offsets)
+    return score
 
 
 def score_trace(model: EDBNModel, trace: Trace) -> TraceScore:
@@ -91,7 +96,8 @@ def score_prefix(
         events, trace_id = events.events, events.trace_id
     if not (events := tuple(events)):
         raise ValueError("cannot score an empty trace")
-    return _trace_score(model, trace_id, tuple(map(attrgetter("id"), events)), *model.scoring_tables.score_events(events))
+    tables = model.scoring_tables
+    return _trace_score(tables, trace_id, tuple(map(attrgetter("id"), events)), *tables.score_events(events))
 
 
 def rank_traces(model: EDBNModel, log: EventLog) -> Ranking:
@@ -109,23 +115,24 @@ def score_log(model: EDBNModel, log: EventLog) -> list[TraceScore]:
     """score_trace of every trace of the log, in log order, read from the log's codes (by score_traces)."""
     if log.schema.names != model.schema.names:
         raise ValueError("log attributes do not match the model schema")
-    lengths = log.trace_lengths
+    lengths, tables = log.trace_lengths, model.scoring_tables
     ids = map(log.event_ids.__getitem__, map(slice, accumulate(lengths, initial=0), accumulate(lengths)))
-    scored = zip(log.trace_ids, ids, model.scoring_tables.score_traces(log.codes, log.vocabularies, lengths))
-    return [_trace_score(model, trace_id, event_ids, *s) for trace_id, event_ids, s in scored]
+    scored = zip(log.trace_ids, ids, tables.score_traces(log.codes, log.vocabularies, lengths))
+    return [_trace_score(tables, trace_id, event_ids, *s) for trace_id, event_ids, s in scored]
 
 
 def explain(score: TraceScore, top_n: int) -> list[tuple[str, str, str, str | None, float]]:
     """The top_n smallest factors of a trace, ascending.
 
     Entries are (event id, attribute, factor kind, FD source column or None,
-    contribution); ties keep decomposition order (event, then attribute).
+    contribution); ties keep decomposition order (event, then attribute).  A block's
+    factors start at its event's index times the layout's width plus its run's offset,
+    read from ``run_offsets``.
     """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
     blocks, labels, n = score.blocks, score.factor_labels, len(score.factor_labels)
-    runs = len(blocks) // score.event_count  # every event's blocks are the model's runs, in the same layout
-    offsets = list(accumulate((len(b[0]) for b in blocks[:runs]), initial=0))  # each run's first label
+    offsets, runs = score.run_offsets, len(score.run_offsets)  # every event's blocks are the model's runs
     lows = list(map(itemgetter(2), blocks))  # each block's smallest factor
     # each block holds a factor equal to its smallest, so the top_n smallest factors are all at or under
     # the top_n-th smallest block minimum, the bound, and only blocks whose minimum is at or under it hold any

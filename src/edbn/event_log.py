@@ -342,8 +342,10 @@ def _split_columns(lines: list[str], delimiter: str, width: int) -> list | None:
 
     csv treats a quote, CR and NUL specially, fails a field over its limit, and ends a row at
     the end of each item; so no item may hold those, and each must be one line ending in a
-    line break.  Blank lines are skipped, as csv skips them; every other line must hold
-    ``width - 1`` delimiters.
+    line break.  Blank lines are skipped, as csv skips them.  Each other line is split once and
+    the rows zipped into columns, so a line's width is the length of its split, which must be
+    ``width``.  The last column's values keep the line break, which _code_chunk strips with the
+    other whitespace of a value.
     """
     text = "".join(lines)
     if ('"' in text or "\r" in text or "\0" in text or delimiter == "\n"
@@ -352,12 +354,10 @@ def _split_columns(lines: list[str], delimiter: str, width: int) -> list | None:
         return None
     if "\n" in lines:
         lines = [line for line in lines if line != "\n"]
-        text = "".join(lines)
-    if set(map(str.count, lines, repeat(delimiter))) - {width - 1}:
+    rows = list(map(str.split, lines, repeat(delimiter)))
+    if set(map(len, rows)) - {width}:
         return None
-    fields = text.replace("\n", delimiter).split(delimiter)
-    fields.pop()  # the empty field after the last line break
-    return [fields[i::width] for i in range(width)]
+    return list(zip(*rows)) or [()] * width
 
 
 def _code_chunk(fields, coders, plain, trace_i: int) -> bool:
@@ -405,8 +405,9 @@ def _no_nul(line: str) -> str:
 
 def read_header(lines: Iterator[str], delimiter: str) -> tuple[list[str], int]:
     """The stripped column names of the first row of ``lines`` and the number of lines it takes,
-    read as parse_log reads every row; no row, or a faulty one, raises LogFormatError."""
-    reader = _csv_rows(lines, delimiter)
+    read as parse_log reads every row; no row, a faulty one, or a delimiter that is not one
+    character (_check_delimiter) raises LogFormatError."""
+    reader = _csv_rows(lines, _check_delimiter(delimiter, LogFormatError))
     try:
         return [c.strip() for c in next(reader)], reader.line_num
     except StopIteration:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, groupby, repeat
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Sequence, Union
 
 from .event_log import (
@@ -204,6 +204,7 @@ class ScoringTables:
     sources.  ``_blocks`` holds one entry per run of attributes, taken in schema order, where each
     attribute joins the current run when its own positions share one with the union of the run's: the
     run's key, that union with each position once, and its members' entries, which read the key's codes.
+    ``offsets`` gives each run's first label, where its block's factors start in an event's layout.
     ``_log_of`` maps every float a factor can take to its log as a fixed-point int (_fixed_point).
 
     score_traces and score_events share one driver, _score_chunk.  It gives every event's runs' blocks
@@ -221,12 +222,13 @@ class ScoringTables:
         def code(attr: str, x: str) -> int:  # a value the tables name gets the next code of its attribute
             return coders[attr].setdefault(x, len(coders[attr]))
         labels: list[tuple[str, str, Variable | None]] = []
-        blocks, rates = [], [0.0]  # rates: every float a factor can take; 0.0 for a value missing from a CPT row
+        blocks, offsets, rates = [], [], [0.0]  # rates: every float a factor can take; 0.0 for a value missing from a CPT row
         for attr in names:
             cpt, mappings = model.cpts[attr], [m for m in model.fd_mappings if m.edge.target.attr == attr]
             own = [pos[Variable(attr, 0)], *(pos[p] for p in cpt.parents), *(pos[m.edge.source] for m in mappings)]
             if not blocks or blocks[-1][0].keys().isdisjoint(own):
                 blocks.append(({}, []))  # a new run
+                offsets.append(len(labels))  # at its first label
             key, run = blocks[-1]  # key: the run's k-context positions -> their positions in its key
             for p in own:
                 key.setdefault(p, len(key))
@@ -255,7 +257,7 @@ class ScoringTables:
             unseen_value = float(model.new_value[attr])
             rates += [*values.values(), unseen_value, *chain.from_iterable(f[2:] for f in fds)]
             run.append((at(own[0]), values, unseen_value, relation, tuple(fds)))
-        self.labels = tuple(labels)
+        self.labels, self.offsets = tuple(labels), tuple(offsets)
         self._coders = tuple(coders.values())  # complete: every value the tables name has its code
         self._unseen = tuple(map(len, self._coders))  # each attribute's UNSEEN code, past all of its codes
         self._blocks = tuple((tuple(key), tuple(run)) for key, run in blocks)
@@ -294,20 +296,25 @@ class ScoringTables:
     def _score_chunk(self, columns, traces, memos) -> tuple[tuple[Block, ...], list[float]]:
         """Every event's blocks, event after event, and each event's log, for whole traces given as model-code
         columns (per attribute, one code per event) and each trace's (first event, length).  A key position's
-        column is its attribute's codes shifted by its lag within each trace, PADDING's code at the head."""
-        size, starts, lagged = sum(traces[-1]), traces[1:], {}
+        column is its attribute's codes shifted by its lag, PADDING's code 0 at the events within ``lag`` of their
+        trace's head, found once per lag.  An event's log adds its runs' ints run by run, one ``map(add, …)`` per
+        run, and one strided slice assignment per run lays the blocks out event after event."""
+        size, runs, lagged, heads = sum(traces[-1]), len(self._blocks), {}, {}
         for p, a, lag in self._columns:
             column = lagged[p] = columns[a]
             if lag:
-                column = lagged[p] = [0] * lag
-                column += columns[a]
-                del column[size:]
-                for start, length in starts:
-                    column[start : start + min(lag, length)] = [0] * min(lag, length)
-        # per run, each event's block; then every event's blocks, event after event, and each event's log
+                if lag not in heads:
+                    heads[lag] = [start + i for start, length in traces for i in range(min(lag, length))]
+                column = lagged[p] = [*repeat(0, lag), *columns[a]][:size]
+                for i in heads[lag]:
+                    column[i] = 0
+        # per run, each event's block; then each event's log, and every event's blocks, event after event
         blocks = [list(map(memo.__getitem__, zip(*key_of(lagged)))) for memo, key_of in zip(memos, self._keys_of)]
-        logs = list(map(self._scale.__mul__, map(sum, zip(*[map(itemgetter(1), b) for b in blocks]))))
-        return tuple(chain.from_iterable(zip(*blocks))), logs
+        logs, laid = repeat(0), [None] * (size * runs)
+        for r, run in enumerate(blocks):
+            logs = map(add, logs, map(itemgetter(1), run))
+            laid[r::runs] = run
+        return tuple(laid), list(map(self._scale.__mul__, logs))
 
     def _block(self, plan, key) -> Block:
         """A run's block from its key's codes: its factor values laid out as its members' labels, a tuple of

@@ -453,8 +453,9 @@ def test_a_file_that_is_not_utf8_raises_its_readers_error_naming_it(tmp_path, re
     assert not isinstance(raised.value, UnicodeDecodeError)
 
 
-def _run_on_log(command, path, tmp_path, permission_file, capsys):
-    """Exit status and stderr of ``command`` (train, score or evaluate) reading the ``a,tid`` log at ``path``."""
+def _run_on_log(command, path, tmp_path, permission_file, capsys, *flags):
+    """Exit status and stderr of ``command`` (train, score or evaluate), with ``flags``, reading the ``a,tid`` log
+    at ``path``."""
     model_path, labels_path = tmp_path / "model.json", tmp_path / "labels.csv"
     assert main(["train", "--log", str(permission_file), "--out", str(model_path), *SCHEMA_FLAGS]) == 0
     labels_path.write_text("trace_id,label\n1,normal\n", encoding="utf-8")
@@ -465,7 +466,7 @@ def _run_on_log(command, path, tmp_path, permission_file, capsys):
                      "--trace-col", "tid"],
     }[command]
     capsys.readouterr()
-    return main(argv), capsys.readouterr().err
+    return main([*argv, *flags]), capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train", "score", "evaluate"])
@@ -515,3 +516,25 @@ def test_commands_read_the_header_as_parse_log_does(tmp_path, permission_file, c
     path.write_text('a,"tid\nx,1\n', encoding="utf-8")
     assert _run_on_log(command, path, tmp_path, permission_file, capsys) == (
         1, "error in schema: line 1: unexpected end of data\n")
+
+
+@pytest.mark.parametrize("command", ["train", "score", "evaluate"])
+@pytest.mark.parametrize("delimiter", ["", "ab"], ids=repr)
+def test_commands_reject_a_delimiter_that_is_not_one_character_in_the_schema_stage(
+        tmp_path, permission_file, capsys, monkeypatch, command, delimiter):
+    # the header is read for the schema before the log is parsed; it fails as parse_log does, with a LogFormatError
+    path = tmp_path / "log.csv"
+    path.write_text("a,tid\nx,1\n", encoding="utf-8")
+    causes, stage = [], edbn.cli._stage
+
+    def recording(name, fn, *args, **kwargs):
+        try:
+            return stage(name, fn, *args, **kwargs)
+        except edbn.cli.StageError as exc:
+            causes.append((name, type(exc.__cause__)))
+            raise
+
+    monkeypatch.setattr(edbn.cli, "_stage", recording)
+    assert _run_on_log(command, path, tmp_path, permission_file, capsys, "--delimiter", delimiter) == (
+        1, 'error in schema: "delimiter" must be a 1-character string\n')
+    assert causes == [("schema", event_log.LogFormatError)]

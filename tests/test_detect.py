@@ -214,7 +214,8 @@ def test_explain_takes_the_positions_of_a_stable_sort(n_labels, data):
     flat = [v for factors, _, _ in blocks for v in factors]
     labels = tuple((f"a{j}", "value", None) for j in range(n_labels))
     log_score = -math.inf if 0.0 in flat else -1.0
-    score = TraceScore("t", 0.5, n_events, log_score, tuple(f"e{i}" for i in range(n_events)), tuple(blocks), labels)
+    score = TraceScore("t", 0.5, n_events, log_score, tuple(f"e{i}" for i in range(n_events)), tuple(blocks), labels,
+                       (0, *cuts))
     assert [repr(v) for v in score.factor_values] == [repr(v) for v in flat]
     assert score.zero_factor_count == flat.count(0.0)
     order = sorted(range(len(flat)), key=flat.__getitem__)

@@ -23,7 +23,7 @@ from edbn import (
     parse_log,
     serialize_log,
 )
-from edbn.event_log import DuplicateEventIdError
+from edbn.event_log import DuplicateEventIdError, read_header
 from edbn.synth import Rule
 
 from conftest import ATTRS, PERMISSION_ROWS_FULL, PERMISSION_ROWS
@@ -128,6 +128,12 @@ def test_a_delimiter_that_is_not_one_character_is_a_log_format_error(delimiter, 
     schema = AttributeSchema(("a", "b"), "case")
     with pytest.raises(LogFormatError, match='^"delimiter" must be a 1-character string$'):
         parse_log("case,a,b\n1,x,y\n", schema, delimiter=delimiter, header=header, column_names=["case", "a", "b"])
+
+
+@pytest.mark.parametrize("delimiter", ["", "ab"], ids=repr)
+def test_read_header_rejects_a_delimiter_that_is_not_one_character(delimiter):
+    with pytest.raises(LogFormatError, match='^"delimiter" must be a 1-character string$'):
+        read_header(iter(["a,b\n"]), delimiter)
 
 
 def _assert_same_log(left, right):

@@ -200,7 +200,8 @@ def test_cpt_counts_do_not_overflow_with_many_high_cardinality_parents():
 
 
 def _ordered_cpts(cpts):
-    # rows, counts and totals in dict order: the model file keeps it
+    # rows, counts and totals in dict order: fit_cpts's own contract keeps rows and counts in the order the log
+    # first shows them (save_model sorts them, so the model file does not keep this order)
     return [(attr, cpt.parents, [(cfg, list(cell.items())) for cfg, cell in cpt.rows.items()],
              list(cpt.row_totals.items())) for attr, cpt in cpts.items()]
 

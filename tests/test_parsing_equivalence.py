@@ -348,6 +348,33 @@ def test_a_line_break_as_the_delimiter_is_left_to_csv():
     _assert_same_at_every_chunk_size("x\ny\n", **options)
 
 
+# A split line's last field keeps its line break, which is stripped with the value's other whitespace.  The attribute
+# is the last column under a "b,a" header and the trace id under "a,b"; either way the parse equals csv's.
+_RESERVED = f"reserved token {PADDING!r} used as a value"
+
+
+@pytest.mark.parametrize("text, outcome", [
+    ("b,a\nt1,x  \nt1,x\nt2,y \t\n", [("t1", [("0", ("x",)), ("1", ("x",))]), ("t2", [("2", ("y",))])]),
+    ("a,b\nx,t1  \ny,t1\nz, t2\t\n", [("t1", [("0", ("x",)), ("1", ("y",))]), ("t2", [("2", ("z",))])]),
+    (f"b,a\nt1,x\nt1,{PADDING}\n", (LogFormatError, f"line 3: {_RESERVED}")),
+    (f"b,a\nt1,x\nt2,y\nt1, {PADDING} \n", (LogFormatError, f"line 4: {_RESERVED}")),
+    ("a,b\nx,t1\ny,\n", (LogFormatError, "line 3: empty trace id")),
+    ("a,b\nx,t1\ny,t2\nz, \t\n", (LogFormatError, "line 4: empty trace id")),
+    ("b,a\nt1,x\nt2,y", [("t1", [("0", ("x",))]), ("t2", [("1", ("y",))])]),
+    ("a,b\nx,t1\ny,t2 ", [("t1", [("0", ("x",))]), ("t2", [("1", ("y",))])]),
+    ("b,a\nt1,x\n\nt1,y\n\n\nt2,z\n", [("t1", [("0", ("x",)), ("1", ("y",))]), ("t2", [("2", ("z",))])]),
+    ("b,a\nt1,x\n\n\nt1,\n", [("t1", [("0", ("x",)), ("1", ("",))])]),
+], ids=["attribute-trailing-spaces", "trace-id-trailing-spaces", "reserved-token", "padded-reserved-token",
+        "empty-trace-id", "blank-trace-id", "attribute-last-line-unbroken", "trace-id-last-line-unbroken",
+        "blank-lines-between-rows", "empty-last-value-after-blank-lines"])
+def test_the_last_column_keeps_its_line_break_until_it_is_stripped(text, outcome):
+    assert _assert_same_at_every_chunk_size(text) == outcome
+    # every chunk is split but the one of an unbroken last line, which csv reads
+    for chunk_lines in SPLIT_CHUNK_LINES:
+        taken = _split_taken(text, SPLIT_SCHEMA, chunk_lines)
+        assert all(taken[:-1]) and taken[-1] == text.endswith("\n")
+
+
 def _outgrowing_text():
     """A grouped 2000-row log: ``wide`` takes 200 values over its first 1500 rows and then a new one
     per row, so its 257th value first appears on line 1558, past the first chunk at every budget
