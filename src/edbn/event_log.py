@@ -149,8 +149,8 @@ class EventLog:
         """This log, its events named by ``event_ids``, with the trace at each key of ``edited`` (ascending) made of
         those rows (an event's id, then its codes into ``vocabularies``, each the log's own with any new values
         after it), put in its place: one slice of the codes and ids per gap between edited traces, an empty one
-        too.  Each vocabulary then takes back the order of first appearance, the codes taken through it (_recoded)
-        only where it moved; nothing is checked again: the log was, and injection adds only unique ids and new values."""
+        too.  Each vocabulary then takes back the order of first appearance, every column's codes taken through
+        it (_recoded); nothing is checked again: the log was, and injection adds only unique ids and new values."""
         starts, n_events = list(accumulate(self.trace_lengths, initial=0)), len(event_ids)
         kept = list(zip([0, *(starts[i + 1] for i in edited)], [*map(starts.__getitem__, edited), n_events]))
         added = pairwise(accumulate(map(len, edited.values()), initial=n_events))  # where each trace's rows follow
@@ -169,9 +169,8 @@ class EventLog:
                 codes = memoryview(codes).cast("I")
                 first = dict(zip(reversed(codes), range(len(codes) - 1, -1, -1)))
             first = dict(sorted(first.items(), key=itemgetter(1)))  # in order of first appearance
-            if list(first) != list(range(len(vocab))):  # a value moved, or is gone
-                rank = dict(zip(first, range(len(first))))
-                codes = _recoded(codes, list(map(rank.get, range(len(vocab)), repeat(0))), len(first))
+            rank = dict(zip(first, range(len(first))))
+            codes = _recoded(codes, list(map(rank.get, range(len(vocab)), repeat(0))), len(first))
             coded.append((tuple(map(vocab.__getitem__, first)), codes))
         lengths = list(self.trace_lengths)
         for i, rows in edited.items():
@@ -591,9 +590,10 @@ def _log_blocks(log: EventLog, delimiter: str) -> Iterator[str]:
 
 
 def write_text(files: dict) -> None:
-    """Writes each path's text blocks, all or nothing, as every output file is written: into a new file beside the
-    file that the path names (through a symbolic link), which replaces that file (os.replace), its permission
-    bits kept, once every new file is written whole and closed; where anything fails, no new file is left."""
+    """Writes each path's text blocks as every output file is written: into a new file beside the file that the
+    path names (through a symbolic link), which replaces that file (os.replace), its permission bits kept, once
+    every new file is written whole and closed.  A failed write leaves every target as it was and no new file;
+    a failed os.replace leaves the targets replaced before it replaced."""
     written = {}  # each new file -> its path, and the file that the path names
     try:
         for path, blocks in files.items():
@@ -622,7 +622,7 @@ def serialize_log(log: EventLog, *, delimiter: str = ",") -> str:
 
 
 def write_log(log: EventLog, path, *, delimiter: str = ",") -> None:
-    """Writes the text of serialize_log to ``path`` a block of rows at a time, all or nothing (write_text)."""
+    """Writes the text of serialize_log to ``path`` a block of rows at a time, whole or not at all (write_text)."""
     write_text({path: _log_blocks(log, delimiter)})
 
 

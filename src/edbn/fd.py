@@ -3,8 +3,8 @@
 An FD edge source -> target means the source variable's value determines the
 target attribute's value on the current event.  Discovery keeps every pair
 whose uncertainty coefficient U(target | source) strictly exceeds the
-threshold; mappings are majority votes over the counts of (source, target)
-code pairs, with an explicit violation rate.
+threshold; mappings are majority votes over the k-context's (source, target)
+cell counts, with an explicit violation rate.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .event_log import PADDING, KContextLog, Variable
-from .stats import coded_column, coded_uncertainty, joined_keys, key_counts
+from .stats import cell_counts, coded_column, coded_uncertainty
 
 
 @dataclass(frozen=True)
@@ -71,21 +71,16 @@ def discover_fds(ctx: KContextLog, threshold: float) -> list[FDEdge]:
 
 
 def build_mapping(ctx: KContextLog, edge: FDEdge) -> FDMapping:
-    """Majority-vote mapping for an FD edge, read off one count of its (source, target) code pairs.
+    """Majority-vote mapping for an FD edge, read off the k-context's (source, target) cell counts.
 
     Each source value maps to the target value it occurs with most often, ties going to the smallest
-    string (the smallest code: k-context vocabularies are sorted).  Rows whose source value is PADDING
-    contribute neither mapping entries nor violations; the violation denominator is the full row count.
+    string.  Rows whose source value is PADDING contribute neither mapping entries nor violations; every
+    other row of a source value that is not its majority's is a violation, over the full row count.
     """
-    s, t = ctx.index_of(edge.source), ctx.index_of(edge.target)
-    xs, ys = ctx.vocabularies[s], ctx.vocabularies[t]
-    pairs, counts = key_counts(joined_keys(ctx.codes[s], len(xs), ctx.codes[t], len(ys)), len(xs) * len(ys))
-    padding, best, violations = xs.index(PADDING) if PADDING in xs else -1, {}, 0
-    for pair, count in zip(pairs.tolist(), counts.tolist()):  # pairs ascend: a tie keeps the smaller target
-        x, y = divmod(pair, len(ys))
-        if x != padding:
-            violations += count  # less the majority's count below
-            if count > best.get(x, (0,))[0]:
-                best[x] = count, y
-    violations -= sum(count for count, _ in best.values())
-    return FDMapping(edge, {xs[x]: ys[y] for x, (_, y) in best.items()}, Fraction(violations, len(ctx)))
+    if not len(ctx):
+        raise ValueError("context log is empty")
+    rows = cell_counts(ctx, (edge.source, edge.target))
+    rows.pop((PADDING,), None)
+    best = {x: min(row, key=lambda y: (-row[y], y)) for (x,), row in rows.items()}
+    violations = sum(sum(row.values()) - row[best[x]] for (x,), row in rows.items())
+    return FDMapping(edge, best, Fraction(violations, len(ctx)))

@@ -74,14 +74,12 @@ def dense_ranks(keys: np.ndarray, size: int) -> tuple[np.ndarray, int]:
 
 def cell_counts(ctx: KContextLog, variables: Sequence[Variable]) -> dict:
     """The k-context's cell counts {configuration: {value: count}}, the value being the last variable's and
-    the configuration the others'; each cell is decoded at its first row, and cells keep that row order."""
+    the configuration the others'.  One np.unique of the rows' tuple keys gives each cell's first row and
+    count; each cell is decoded at its first row, and cells keep that row order."""
     import numpy as np
     columns = [ctx.index_of(v) for v in variables]
-    keys, size = tuple_keys([(ctx.codes[i], len(ctx.vocabularies[i])) for i in columns], len(ctx))
-    cell, cells = dense_ranks(keys, size)
-    first = np.full(cells, len(ctx))
-    np.minimum.at(first, cell, np.arange(len(ctx)))
-    counts = np.bincount(cell, minlength=cells)
+    keys, _ = tuple_keys([(ctx.codes[i], len(ctx.vocabularies[i])) for i in columns], len(ctx))
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
     table: dict = {}
     for row, count in sorted(zip(first.tolist(), counts.tolist())):
         *cfg, value = (ctx.vocabularies[i][ctx.codes[i][row]] for i in columns)

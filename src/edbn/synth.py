@@ -126,7 +126,8 @@ def _validate_model(model: ProcessModel) -> None:
             if type(weight) not in (int, float) or not 0 < weight < math.inf:
                 raise ProcessModelError(f"transitions: {act!r}->{nxt!r} weight must be a positive number, got {weight!r}")
     # The walk ends at the first end activity it reaches: one must be reachable, and every other
-    # activity that the walk can reach needs a successor.
+    # activity that the walk can reach needs a successor and weights that add up, left to right as
+    # generate sums them, to a finite total.
     seen = {model.start_activity}
     frontier = [model.start_activity]
     while frontier:
@@ -136,6 +137,10 @@ def _validate_model(model: ProcessModel) -> None:
         if not model.transitions.get(act):
             raise ProcessModelError(f"activity {act!r}, reachable from start_activity, has no transitions "
                                     "and is not in end_activities")
+        *_, total = accumulate(model.transitions[act].values())
+        if not total < math.inf:
+            raise ProcessModelError(f"transitions: the weights out of {act!r}, reachable from start_activity, "
+                                    "add up to no finite total")
         for nxt in model.transitions[act]:
             if nxt not in seen:
                 seen.add(nxt)
@@ -177,12 +182,12 @@ def generate(model: ProcessModel, n_traces: int, seed: int) -> EventLog:
         return columns[attr].append, values, len(values), len(values).bit_length()
     trace_draws = [draw(a, rules[a].values) for a in trace_scope]
     # per activity: each draw that its events make, and its successors with their cumulative weights, as
-    # rng.choices computes them; an activity whose weights add up to no finite total has no entry
+    # rng.choices computes them
     per_event = {act: [draw(a, rules[a].pools[act] if rules[a].kind == "activity_choice" else rules[a].values)
                        for a in columns if a not in trace_scope] for act in model.activities}
     steps = {act: (tuple(targets), cum_weights, cum_weights[-1] + 0.0, len(targets) - 1)
              for act, targets in model.transitions.items()
-             if (cum_weights := tuple(accumulate(targets.values()))) and math.isfinite(cum_weights[-1])}
+             if (cum_weights := tuple(accumulate(targets.values())))}
     activities, lengths = [], []
     rng = random.Random()
     getrandbits, uniform = rng.getrandbits, rng.random
@@ -190,14 +195,11 @@ def generate(model: ProcessModel, n_traces: int, seed: int) -> EventLog:
         rng.seed(seed * 2**32 + i)
         _draw(getrandbits, trace_draws)
         path = [model.start_activity]
-        try:
-            while path[-1] not in model.end_activities:  # _validate_model rules out dead ends
-                population, cum_weights, total, hi = steps[path[-1]]
-                path.append(population[bisect(cum_weights, uniform() * total, 0, hi)])
-                if len(path) > _WALK_LIMIT:
-                    raise ProcessModelError("random walk failed to reach an end activity")
-        except KeyError:
-            raise ValueError("Total of weights must be finite") from None  # as rng.choices says
+        while path[-1] not in model.end_activities:  # _validate_model rules out dead ends and infinite totals
+            population, cum_weights, total, hi = steps[path[-1]]
+            path.append(population[bisect(cum_weights, uniform() * total, 0, hi)])
+            if len(path) > _WALK_LIMIT:
+                raise ProcessModelError("random walk failed to reach an end activity")
         _draw(getrandbits, chain.from_iterable(map(per_event.__getitem__, path)))
         activities += path
         lengths.append(len(path))

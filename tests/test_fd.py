@@ -183,6 +183,13 @@ def test_discovery_rejects_empty_context(permission_ctx):
         discover_fds(empty, 0.9)
 
 
+def test_mapping_rejects_empty_context():
+    schema = AttributeSchema(("A", "B"), "tid")
+    ctx = build_k_context(EventLog(schema, []), 1)
+    with pytest.raises(ValueError, match="context log is empty"):
+        build_mapping(ctx, FDEdge(Variable("A", 0), Variable("B", 0), 1.0))
+
+
 def test_mapping_violation_rate_must_be_a_probability():
     from fractions import Fraction
 

@@ -345,6 +345,16 @@ def test_save_load_round_trip_scores(permission_log, permission_full_log):
     assert save_model(restored) == save_model(model)
 
 
+def test_a_cpt_row_seen_once_round_trips(imposed_structure_model, permission_full_log):
+    text = save_model(imposed_structure_model)
+    rows = [row for cpt in json.loads(text)["cpts"] for row in cpt["rows"]]
+    assert {"parents": ["Disapproved"], "counts": {"manager": 1}, "total": 1} in rows
+    restored = load_model(text)
+    assert save_model(restored) == text
+    for trace in permission_full_log.traces:
+        assert trace_log_probability(restored, trace) == trace_log_probability(imposed_structure_model, trace)
+
+
 def test_truncated_stream_is_rejected(permission_log):
     text = save_model(learn_edbn(permission_log, 1, 0.99))
     with pytest.raises(ModelFormatError):

@@ -173,13 +173,18 @@ def test_generate_codes_pools_of_more_than_256_values_as_the_reference_generator
     assert memoryview in {type(c) for c in log.codes} and serialize_log(log) == serialize_log(expected)
 
 
-def test_a_walk_whose_weights_add_up_to_no_finite_total_fails_as_rng_choices_does():
-    model = ProcessModel("inf", "case", ("activity",), "activity", "start", frozenset({"a", "b"}),
-                         {"start": {"a": 1e308, "b": 1e308}}, {})
-    with pytest.raises(ValueError, match="^Total of weights must be finite$"):
-        random.Random(0).choices(["a", "b"], cum_weights=list(accumulate([1e308, 1e308])))
-    with pytest.raises(ValueError, match="^Total of weights must be finite$"):
-        generate(model, 3, 1)
+def test_a_reachable_activity_whose_weights_add_up_to_no_finite_total_is_rejected():
+    transitions = {"start": {"a": 1e308, "b": 1e308}}  # each weight is finite, their sum is not
+    with pytest.raises(ProcessModelError, match="weights out of 'start', reachable from start_activity, add up to no finite total"):
+        ProcessModel("inf", "case", ("activity",), "activity", "start", frozenset({"a", "b"}), transitions, {})
+    doc = {"trace_id_column": "case", "attributes": ["activity"], "activity_attribute": "activity",
+           "start_activity": "start", "end_activities": ["a", "b"], "transitions": transitions, "rules": {}}
+    with pytest.raises(ProcessModelError, match="'start'.*no finite total"):
+        parse_process_model(json.dumps(doc))
+    # an activity that the walk cannot reach is never summed
+    island = {"start": {"a": 1.0}, "island": {"a": 1e308, "b": 1e308}}
+    model = parse_process_model(json.dumps({**doc, "transitions": island}))
+    assert [e.values[0] for e in generate(model, 1, 0).traces[0].events] == ["start", "a"]
 
 
 def test_a_walk_that_never_reaches_an_end_activity_fails():
